@@ -19,14 +19,9 @@ from .analysis import (
     visibility_vs_mu_curve,
 )
 from .apparatus import (
-    ClickRecord,
     CoincidenceWindows,
     DetectorSpec,
     InterferometerSpec,
-    accidental_rate,
-    classify_bin,
-    detect_click,
-    triple_coincidence,
 )
 from .engine import (
     CoincidenceHistogram,
@@ -50,7 +45,6 @@ from .source import (
     SourceConfig,
     estimate_mu,
     multipair_visibility,
-    sample_pair_count,
     state_from_attenuations,
 )
 from .states import (
@@ -64,7 +58,6 @@ from .states import (
 
 __all__ = [
     "AnalyzerState",
-    "ClickRecord",
     "CoincidenceHistogram",
     "CoincidenceWindows",
     "ConfigurationError",
@@ -80,14 +73,11 @@ __all__ = [
     "RunResult",
     "SourceConfig",
     "TimeBinState",
-    "accidental_rate",
     "apply_phase_jitter",
     "bin_overlap_probability",
     "bootstrap_visibility_sigma",
     "broadened_pulse_width",
-    "classify_bin",
     "coincidence_probability",
-    "detect_click",
     "dispersion_spread",
     "entropy_of_entanglement",
     "estimate_mu",
@@ -98,11 +88,9 @@ __all__ = [
     "multipair_visibility",
     "run_phase_scan",
     "run_pulses",
-    "sample_pair_count",
     "state_from_attenuations",
     "subtract_accidentals",
     "survival_probability",
-    "triple_coincidence",
     "visibility_vs_entanglement_curve",
     "visibility_vs_mu_curve",
 ]

@@ -1,4 +1,4 @@
-"""Analyzer interferometers, Geiger-mode detectors, and coincidence logic.
+"""Apparatus specifications: analyzer interferometers, detectors, windows.
 
 The analyzer is an unbalanced interferometer whose delay matches the pump
 delay.  In the folded arrangement both photons traverse the same device
@@ -10,16 +10,17 @@ split, a flat factor of two per photon on post-selected rates.
 Detectors click on an arriving photon with their quantum efficiency, fire
 spontaneously at the dark rate, and time-stamp with Gaussian jitter.  A
 coincidence is two clicks in the central window of the same pump period.
+Dead time is not modelled: each detector registers at most one click per
+pump period and carries nothing over to the next period.
+
+These classes only describe the apparatus; the detector-gate model that
+draws clicks and classifies them into windows lives in ``engine``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-FIRST, MIDDLE, LAST, NONE = "first", "middle", "last", "none"
 
 _TWO_PI = 2.0 * math.pi
 
@@ -56,13 +57,12 @@ class DetectorSpec:
 
     efficiency: float = 0.25
     dark_rate_cps: float = 4.5e5
-    dead_time_s: float = 10e-6
     jitter_rms_s: float = 100e-12
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if min(self.dark_rate_cps, self.dead_time_s, self.jitter_rms_s) < 0.0:
+        if min(self.dark_rate_cps, self.jitter_rms_s) < 0.0:
             raise ValueError("detector parameters must be non-negative")
 
 
@@ -86,84 +86,3 @@ class CoincidenceWindows:
     @property
     def centers_s(self) -> tuple[float, float, float]:
         return (0.0, self.delay_s, 2.0 * self.delay_s)
-
-
-@dataclass(frozen=True)
-class ClickRecord:
-    """One detector gate's outcome: the first registered event, if any."""
-
-    time_s: float | None
-    origin: str | None = None  # "photon" | "dark" | None
-
-    @property
-    def fired(self) -> bool:
-        return self.time_s is not None
-
-
-def detect_click(
-    photon_arrival_s: float | None,
-    det: DetectorSpec,
-    pulse_period_s: float,
-    rng: np.random.Generator,
-) -> ClickRecord:
-    """Simulate one detector gate.
-
-    An arriving photon clicks with probability ``efficiency`` at its
-    arrival time smeared by Gaussian jitter.  Independently a dark count
-    occurs with probability dark_rate * pulse_period at a uniform random
-    time in the period.  The earliest event is recorded; a later event
-    inside the dead time is suppressed, and at most one click is kept per
-    gate either way.
-    """
-    if pulse_period_s <= 0.0:
-        raise ValueError("pulse_period_s must be positive")
-    candidates: list[tuple[float, str]] = []
-    if photon_arrival_s is not None and rng.random() < det.efficiency:
-        t = photon_arrival_s
-        if det.jitter_rms_s > 0.0:
-            t += rng.normal(0.0, det.jitter_rms_s)
-        candidates.append((t, "photon"))
-    if det.dark_rate_cps > 0.0 and rng.random() < det.dark_rate_cps * pulse_period_s:
-        candidates.append((rng.uniform(0.0, pulse_period_s), "dark"))
-    if not candidates:
-        return ClickRecord(time_s=None, origin=None)
-    t, origin = min(candidates)
-    return ClickRecord(time_s=t, origin=origin)
-
-
-def classify_bin(click_time_s: float, windows: CoincidenceWindows) -> str:
-    """Name the window containing the click, or "none"."""
-    half = 0.5 * windows.window_width_s
-    for center, label in zip(windows.centers_s, (FIRST, MIDDLE, LAST)):
-        if center - half <= click_time_s < center + half:
-            return label
-    return NONE
-
-
-def triple_coincidence(
-    click_a: ClickRecord, click_b: ClickRecord, windows: CoincidenceWindows
-) -> bool:
-    """True when both clicks of the same pump period fall in the central window."""
-    if not (click_a.fired and click_b.fired):
-        return False
-    return (
-        classify_bin(click_a.time_s, windows) == MIDDLE
-        and classify_bin(click_b.time_s, windows) == MIDDLE
-    )
-
-
-def accidental_rate(s1: float, s2: float, window_s: float, f: float) -> float:
-    """Uncorrelated-coincidence rate estimate s1 * s2 * window.
-
-    The standard estimate for two independent click streams resolved with
-    coincidence width ``window_s``.  ``f`` is the pulse rate the singles
-    were measured against; it is validated but does not enter the product.
-    For pulse-gated counting of the central window, the per-pulse product
-    of window singles probabilities (as used by the engine's scan
-    estimates) is the sharper equivalent.
-    """
-    if s1 < 0.0 or s2 < 0.0:
-        raise ValueError("singles rates must be non-negative")
-    if window_s <= 0.0 or f <= 0.0:
-        raise ValueError("window_s and f must be positive")
-    return s1 * s2 * window_s

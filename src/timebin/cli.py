@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from typing import Any
 
@@ -31,7 +30,7 @@ from .analysis import (
 from .config_io import (
     ConfigFormatError,
     ConfigValidationError,
-    ScanSettings,
+    _build_scan,
     build_experiment,
     config_hash,
     default_config_dict,
@@ -132,10 +131,9 @@ def _scan_report(scan: FringeScan) -> dict[str, Any]:
 def _cmd_scan(args: argparse.Namespace) -> int:
     experiment, scan_settings, cfg_hash = _load(args.config, args.seed)
     if scan_settings is None:
-        scan_settings = ScanSettings(
-            analyzer_phases_rad=tuple(
-                math.pi * k / 12.0 for k in range(12)
-            )
+        # The default phase grid; run.n_pulses sets the pulses per point.
+        scan_settings = _build_scan(
+            {"phase_linspace": default_config_dict()["scan"]["phase_linspace"]}
         )
     out_path = args.out or scan_settings.out
     if out_path is None:

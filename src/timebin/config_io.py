@@ -21,7 +21,7 @@ from .engine import ExperimentConfig
 from .fiber import FiberSpec
 from .source import SourceConfig
 
-NS, PS, US = 1e-9, 1e-12, 1e-6
+NS, PS = 1e-9, 1e-12
 
 
 class ConfigFormatError(ValueError):
@@ -62,7 +62,6 @@ def default_config_dict() -> dict[str, Any]:
     detector = {
         "efficiency": 0.25,
         "dark_rate_cps": 450000.0,
-        "dead_time_us": 10.0,
         "jitter_ps": 100.0,
     }
     return {
@@ -182,16 +181,18 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
         "circulator_loss_db", "phase_b_rad", "excess_loss_b_db",
     }
     _require_keys("analyzer", sec, allowed, set())
-    arrangement = sec.get("arrangement", "folded")
+    d = default_config_dict()["analyzer"]
+    arrangement = sec.get("arrangement", d["arrangement"])
     if arrangement not in ("folded", "independent"):
         raise ConfigFormatError(f"analyzer.arrangement: unknown value {arrangement!r}")
-    delay_s = _num("analyzer", sec, "delay_ns", 1.2) * NS
+    delay_s = _num("analyzer", sec, "delay_ns", d["delay_ns"]) * NS
+    excess_loss_db = _num("analyzer", sec, "excess_loss_db", d["excess_loss_db"])
     first = InterferometerSpec(
         delay_s=delay_s,
-        phi_analyzer=_num("analyzer", sec, "phase_rad", 0.0),
-        excess_loss_db=_num("analyzer", sec, "excess_loss_db", 1.0),
+        phi_analyzer=_num("analyzer", sec, "phase_rad", d["phase_rad"]),
+        excess_loss_db=excess_loss_db,
         arrangement=arrangement,
-        circulator_loss_db=_num("analyzer", sec, "circulator_loss_db", 1.0),
+        circulator_loss_db=_num("analyzer", sec, "circulator_loss_db", d["circulator_loss_db"]),
     )
     if arrangement == "folded":
         if "phase_b_rad" in sec or "excess_loss_b_db" in sec:
@@ -202,8 +203,8 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
         return (first,)
     second = InterferometerSpec(
         delay_s=delay_s,
-        phi_analyzer=_num("analyzer", sec, "phase_b_rad", 0.0),
-        excess_loss_db=_num("analyzer", sec, "excess_loss_b_db", sec.get("excess_loss_db", 1.0)),
+        phi_analyzer=_num("analyzer", sec, "phase_b_rad", d["phase_rad"]),
+        excess_loss_db=_num("analyzer", sec, "excess_loss_b_db", excess_loss_db),
         arrangement=arrangement,
         circulator_loss_db=0.0,
     )
@@ -211,13 +212,12 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
 
 
 def _build_detector(name: str, sec: dict) -> DetectorSpec:
-    allowed = {"efficiency", "dark_rate_cps", "dead_time_us", "jitter_ps"}
+    allowed = {"efficiency", "dark_rate_cps", "jitter_ps"}
     _require_keys(name, sec, allowed, set())
     d = default_config_dict()["detector_a"]
     return DetectorSpec(
         efficiency=_num(name, sec, "efficiency", d["efficiency"]),
         dark_rate_cps=_num(name, sec, "dark_rate_cps", d["dark_rate_cps"]),
-        dead_time_s=_num(name, sec, "dead_time_us", d["dead_time_us"]) * US,
         jitter_rms_s=_num(name, sec, "jitter_ps", d["jitter_ps"]) * PS,
     )
 
@@ -275,11 +275,11 @@ def build_experiment(
             raise ConfigFormatError(f"{name}: expected an object")
 
     run_sec = cfg.get("run", {})
-    _require_keys("run", run_sec, {"n_pulses", "seed", "batch_size", "out"}, set())
-    defaults_run = default_config_dict()["run"]
-    n_pulses = run_sec.get("n_pulses", defaults_run["n_pulses"])
-    seed = run_sec.get("seed", defaults_run["seed"])
-    batch = run_sec.get("batch_size", defaults_run["batch_size"])
+    _require_keys("run", run_sec, {"n_pulses", "seed", "batch_size"}, set())
+    defaults = default_config_dict()
+    n_pulses = run_sec.get("n_pulses", defaults["run"]["n_pulses"])
+    seed = run_sec.get("seed", defaults["run"]["seed"])
+    batch = run_sec.get("batch_size", defaults["run"]["batch_size"])
     for key, val in (("n_pulses", n_pulses), ("seed", seed), ("batch_size", batch)):
         if not isinstance(val, int):
             raise ConfigFormatError(f"run.{key}: expected an integer")
@@ -291,7 +291,9 @@ def build_experiment(
         windows_sec = cfg.get("windows", {})
         _require_keys("windows", windows_sec, {"window_width_ps"}, set())
         windows = CoincidenceWindows(
-            window_width_s=_num("windows", windows_sec, "window_width_ps", 400.0) * PS,
+            window_width_s=_num(
+                "windows", windows_sec, "window_width_ps", defaults["windows"]["window_width_ps"]
+            ) * PS,
             delay_s=source.bin_separation_s,
         )
         experiment = ExperimentConfig(

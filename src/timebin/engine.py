@@ -40,8 +40,10 @@ bit-identical results.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -206,7 +208,7 @@ class _Context:
         self.mu = src.mean_pairs
         self.p_pair = -math.expm1(-self.mu)
         self.delay_s = src.bin_separation_s
-        self.period_s = 1.0 / src.rep_rate_hz
+        self.rep_rate_hz = src.rep_rate_hz
 
         analyzers = config.analyzers
         if analyzers[0].arrangement == "folded":
@@ -265,21 +267,11 @@ class _Context:
         return np.zeros(self.hist_nbins, dtype=np.int64)
 
 
-# Bin-pair lookup for the seven reachable joint outcomes.
-_JOINT_BIN_A = np.array([0, 0, 1, 1, 1, 2, 2], dtype=np.int8)
-_JOINT_BIN_B = np.array([0, 1, 0, 1, 2, 1, 2], dtype=np.int8)
-
-
-@dataclass
-class _Tally:
-    singles_a: int = 0
-    singles_b: int = 0
-    mid_a: int = 0
-    mid_b: int = 0
-    triples: int = 0
-    accidentals: int = 0
-    hist_a: np.ndarray | None = None
-    hist_b: np.ndarray | None = None
+# Bin-pair lookup for the seven reachable joint outcomes, one table per side.
+_JOINT_BINS = (
+    np.array([0, 0, 1, 1, 1, 2, 2], dtype=np.int8),
+    np.array([0, 1, 0, 1, 2, 1, 2], dtype=np.int8),
+)
 
 
 def _classify(ctx: _Context, times: np.ndarray) -> np.ndarray:
@@ -300,11 +292,12 @@ def _hist_add(ctx: _Context, hist: np.ndarray, times: np.ndarray) -> None:
 
 def _sample_joint_bins(
     ctx: _Context, f: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Port pattern and joint bins for same-pair registrations.
 
-    ``f`` is the per-row fringe term V*cos(phi).  Returns boolean
-    monitored-port flags for each side and the two bin indices.
+    ``f`` is the per-row fringe term V*cos(phi).  Returns the boolean
+    monitored-port flags and the bin indices, each as a pair of arrays
+    indexed by side.
     """
     m = f.size
     r = rng.random(m) * 16.0
@@ -313,8 +306,6 @@ def _sample_joint_bins(
         + (r >= 8.0)
         + (r >= 12.0 - f)
     )
-    mon_a = pattern <= 1
-    mon_b = (pattern == 0) | (pattern == 2)
     sign_f = np.where((pattern == 0) | (pattern == 3), f, -f)
 
     a2, b2 = ctx.alpha2, ctx.beta2
@@ -329,7 +320,8 @@ def _sample_joint_bins(
         + (r2 >= c3 + b2)
         + (r2 >= c3 + 2.0 * b2)
     )
-    return mon_a, mon_b, _JOINT_BIN_A[k], _JOINT_BIN_B[k]
+    monitored = (pattern <= 1, (pattern == 0) | (pattern == 2))
+    return monitored, (_JOINT_BINS[0][k], _JOINT_BINS[1][k])
 
 
 def _dark_candidates(
@@ -348,8 +340,11 @@ def _dark_candidates(
     return t
 
 
-def _run_batch(ctx: _Context, n_pulses: int, rng: np.random.Generator) -> _Tally:
-    tally = _Tally(hist_a=ctx.empty_histogram_counts(), hist_b=ctx.empty_histogram_counts())
+def _run_batch(ctx: _Context, n_pulses: int, rng: np.random.Generator) -> RunResult:
+    singles = [0, 0]
+    mid = [0, 0]
+    hist = [ctx.empty_histogram_counts(), ctx.empty_histogram_counts()]
+    triples = accidentals = 0
 
     m_pair = int(rng.binomial(n_pulses, ctx.p_pair)) if ctx.p_pair > 0.0 else 0
 
@@ -366,24 +361,22 @@ def _run_batch(ctx: _Context, n_pulses: int, rng: np.random.Generator) -> _Tally
 
         idx_same = np.flatnonzero(same)
         if idx_same.size:
-            mon_a, mon_b, bin_a, bin_b = _sample_joint_bins(ctx, fringe[idx_same], rng)
-            det[0, idx_same] = mon_a & (rng.random(idx_same.size) < ctx.sides[0].detect_prob)
-            det[1, idx_same] = mon_b & (rng.random(idx_same.size) < ctx.sides[1].detect_prob)
-            bins[0, idx_same] = bin_a
-            bins[1, idx_same] = bin_b
+            monitored, joint_bins = _sample_joint_bins(ctx, fringe[idx_same], rng)
+            for s, side in enumerate(ctx.sides):
+                det[s, idx_same] = monitored[s] & (rng.random(idx_same.size) < side.detect_prob)
+                bins[s, idx_same] = joint_bins[s]
 
         idx_diff = np.flatnonzero(~same)
         if idx_diff.size:
             a2 = ctx.alpha2
-            for s in (0, 1):
-                det[s, idx_diff] = rng.random(idx_diff.size) < 0.5 * ctx.sides[s].detect_prob
+            for s, side in enumerate(ctx.sides):
+                det[s, idx_diff] = rng.random(idx_diff.size) < 0.5 * side.detect_prob
                 u = rng.random(idx_diff.size)
                 bins[s, idx_diff] = (u >= 0.5 * a2).astype(np.int8) + (u >= 0.5 * a2 + 0.5)
 
-        cls = []
-        photon_won = []
-        for s in (0, 1):
-            side = ctx.sides[s]
+        triple = np.ones(m_pair, dtype=bool)
+        correlated = same
+        for s, side in enumerate(ctx.sides):
             t_photon = np.full(m_pair, np.inf)
             hit = det[s]
             n_hit = int(hit.sum())
@@ -393,25 +386,17 @@ def _run_batch(ctx: _Context, n_pulses: int, rng: np.random.Generator) -> _Tally
                 )
             t_dark = _dark_candidates(ctx, side, m_pair, rng)
             t_click = np.minimum(t_photon, t_dark)
-            photon_won.append(np.isfinite(t_photon) & (t_photon <= t_dark))
+            correlated = correlated & np.isfinite(t_photon) & (t_photon <= t_dark)
             fired = np.isfinite(t_click)
             times = t_click[fired]
-            c = _classify(ctx, times)
-            if s == 0:
-                tally.singles_a += times.size
-                tally.mid_a += int((c == 1).sum())
-                _hist_add(ctx, tally.hist_a, times)
-            else:
-                tally.singles_b += times.size
-                tally.mid_b += int((c == 1).sum())
-                _hist_add(ctx, tally.hist_b, times)
-            full = np.full(m_pair, 3, dtype=np.int8)
-            full[fired] = c
-            cls.append(full)
-        triple = (cls[0] == 1) & (cls[1] == 1)
-        correlated = triple & same & photon_won[0] & photon_won[1]
-        tally.triples += int(triple.sum())
-        tally.accidentals += int(triple.sum()) - int(correlated.sum())
+            in_mid = np.zeros(m_pair, dtype=bool)
+            in_mid[fired] = _classify(ctx, times) == 1
+            singles[s] += times.size
+            mid[s] += int(in_mid.sum())
+            _hist_add(ctx, hist[s], times)
+            triple &= in_mid
+        triples += int(triple.sum())
+        accidentals += int(triple.sum()) - int((triple & correlated).sum())
 
     # Pulses without pairs: dark-only activity, drawn in bulk.
     n_rest = n_pulses - m_pair
@@ -422,37 +407,35 @@ def _run_batch(ctx: _Context, n_pulses: int, rng: np.random.Generator) -> _Tally
             n_rest,
             [p_ab, p_a - p_ab, p_b - p_ab, 1.0 - p_a - p_b + p_ab],
         )
-        n_ab, n_a_only, n_b_only = int(counts[0]), int(counts[1]), int(counts[2])
+        # Both sides dark, side a only, side b only.
+        for n, sides in zip(counts[:3].tolist(), ((0, 1), (0,), (1,))):
+            if not n:
+                continue
+            in_mid = np.ones(n, dtype=bool)
+            for s in sides:
+                win = rng.integers(0, 3, n)
+                t = ctx.centers_s[win] + (rng.random(n) - 0.5) * ctx.window_w_s
+                singles[s] += n
+                mid[s] += int((win == 1).sum())
+                _hist_add(ctx, hist[s], t)
+                in_mid &= win == 1
+            if len(sides) == 2:
+                dark_triples = int(in_mid.sum())
+                triples += dark_triples
+                accidentals += dark_triples
 
-        def dark_times(n: int) -> tuple[np.ndarray, np.ndarray]:
-            win = rng.integers(0, 3, n)
-            t = ctx.centers_s[win] + (rng.random(n) - 0.5) * ctx.window_w_s
-            return win, t
-
-        if n_ab:
-            win_a, t_a = dark_times(n_ab)
-            win_b, t_b = dark_times(n_ab)
-            tally.singles_a += n_ab
-            tally.singles_b += n_ab
-            tally.mid_a += int((win_a == 1).sum())
-            tally.mid_b += int((win_b == 1).sum())
-            dark_triples = int(((win_a == 1) & (win_b == 1)).sum())
-            tally.triples += dark_triples
-            tally.accidentals += dark_triples
-            _hist_add(ctx, tally.hist_a, t_a)
-            _hist_add(ctx, tally.hist_b, t_b)
-        if n_a_only:
-            win, t = dark_times(n_a_only)
-            tally.singles_a += n_a_only
-            tally.mid_a += int((win == 1).sum())
-            _hist_add(ctx, tally.hist_a, t)
-        if n_b_only:
-            win, t = dark_times(n_b_only)
-            tally.singles_b += n_b_only
-            tally.mid_b += int((win == 1).sum())
-            _hist_add(ctx, tally.hist_b, t)
-
-    return tally
+    return RunResult(
+        singles_a=singles[0],
+        singles_b=singles[1],
+        middle_singles_a=mid[0],
+        middle_singles_b=mid[1],
+        triple_coincidences=triples,
+        accidental_coincidences=accidentals,
+        histogram_a=CoincidenceHistogram(ctx.bin_edges_s, hist[0]),
+        histogram_b=CoincidenceHistogram(ctx.bin_edges_s, hist[1]),
+        n_pulses=n_pulses,
+        duration_s=n_pulses / ctx.rep_rate_hz,
+    )
 
 
 def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
@@ -460,7 +443,7 @@ def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
 
     Deterministic for a given (rng_seed, n_pulses, batch_size) regardless
     of thread count; batches use independent derived random streams and
-    their tallies add.
+    their results add.
     """
     ctx = _Context(config)
     n_batches = -(-config.n_pulses // config.batch_size)
@@ -468,38 +451,18 @@ def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
     sizes.append(config.n_pulses - config.batch_size * (n_batches - 1))
     children = np.random.SeedSequence(config.rng_seed).spawn(n_batches)
 
-    def one(i: int) -> _Tally:
+    def one(i: int) -> RunResult:
         return _run_batch(ctx, sizes[i], np.random.Generator(np.random.PCG64(children[i])))
 
     if threads > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(one, range(n_batches)))
+            results = list(pool.map(one, range(n_batches)))
     else:
-        tallies = [one(i) for i in range(n_batches)]
+        results = [one(i) for i in range(n_batches)]
 
-    hist_a = ctx.empty_histogram_counts()
-    hist_b = ctx.empty_histogram_counts()
-    total = _Tally(hist_a=hist_a, hist_b=hist_b)
-    for t in tallies:
-        total.singles_a += t.singles_a
-        total.singles_b += t.singles_b
-        total.mid_a += t.mid_a
-        total.mid_b += t.mid_b
-        total.triples += t.triples
-        total.accidentals += t.accidentals
-        hist_a += t.hist_a
-        hist_b += t.hist_b
-
-    return RunResult(
-        singles_a=total.singles_a,
-        singles_b=total.singles_b,
-        middle_singles_a=total.mid_a,
-        middle_singles_b=total.mid_b,
-        triple_coincidences=total.triples,
-        accidental_coincidences=total.accidentals,
-        histogram_a=CoincidenceHistogram(ctx.bin_edges_s, hist_a),
-        histogram_b=CoincidenceHistogram(ctx.bin_edges_s, hist_b),
-        n_pulses=config.n_pulses,
+    # Summed batch durations can differ from the run's in the last bit.
+    return replace(
+        reduce(operator.add, results),
         duration_s=config.n_pulses / config.source.rep_rate_hz,
     )
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
 from .states import TimeBinState
 
@@ -77,13 +76,6 @@ def state_from_attenuations(t_a: float, t_b: float, phi_pump: float = 0.0) -> Ti
         beta=math.sqrt(t_b / total),
         phi_pump=phi_pump,
     )
-
-
-def sample_pair_count(mu: float, rng: np.random.Generator) -> int:
-    """Draw the number of pairs created in one pump pulse, Poisson(mu)."""
-    if mu < 0.0:
-        raise ValueError("mu must be non-negative")
-    return int(rng.poisson(mu))
 
 
 def multipair_visibility(mu: float, v_max: float = 1.0) -> float:

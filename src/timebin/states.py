@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 _NORM_TOL = 1e-12
 
-# Joint three-bin outcomes: both photons early, the two central-bin paths
-# (early pair taking long arms / late pair taking short arms), both late.
 _SQRT_HALF = math.sqrt(0.5)
 
 

@@ -1,14 +1,33 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import timebin as tb
-from timebin.apparatus import FIRST, LAST, MIDDLE, NONE
+from timebin.engine import _classify, _Context
 from .conftest import ideal_experiment
 
-WINDOWS = tb.CoincidenceWindows(window_width_s=400e-12, delay_s=1.2e-9)
-PERIOD = 1.25e-8
+Z = 4.0  # bound on |observed - expected| / sigma for the seeded statistical checks
+
+
+def detector_experiment(det_a, det_b=None, pulse_width_s=None, **kwargs):
+    """Lossless apparatus with the given detectors and pump pulse width."""
+    cfg = ideal_experiment(**kwargs)
+    source = cfg.source if pulse_width_s is None else replace(
+        cfg.source, pulse_width_s=pulse_width_s
+    )
+    return replace(cfg, source=source, detector_a=det_a, detector_b=det_b or det_a)
+
+
+def assert_binomial(observed, n, p):
+    sigma = math.sqrt(n * p * (1.0 - p))
+    assert abs(observed - n * p) <= Z * sigma
+
+
+def outside_window_counts(hist, ctx):
+    """Histogram counts outside the three windows; 50 ps bins share the window edges."""
+    return int(hist.counts[_classify(ctx, hist.bin_centers_s) == 3].sum())
 
 
 class TestSpecs:
@@ -32,91 +51,110 @@ class TestSpecs:
 
 
 class TestDetectClick:
-    def test_perfect_detector_clicks_at_arrival(self, rng):
+    """The engine's detector gate, checked against exact expectations."""
+
+    def test_perfect_detector_clicks_at_arrival(self):
+        # 1 fs pump pulse, no jitter: every click sits in a 50 ps histogram
+        # bin bordering its photon's arrival time 0, delay or 2*delay.
         det = tb.DetectorSpec(efficiency=1.0, dark_rate_cps=0.0, jitter_rms_s=0.0)
-        rec = tb.detect_click(1.2e-9, det, PERIOD, rng)
-        assert rec.fired and rec.time_s == 1.2e-9 and rec.origin == "photon"
+        cfg = detector_experiment(det, pulse_width_s=1e-15, mu=0.05, n_pulses=10**6, seed=71)
+        result = tb.run_pulses(cfg)
+        assert result.singles_a > 0
+        for hist in (result.histogram_a, result.histogram_b):
+            centres = hist.bin_centers_s[hist.counts > 0]
+            offset = np.abs(centres[:, None] - np.array([0.0, 1.2e-9, 2.4e-9])).min(axis=1)
+            assert offset.max() <= 25e-12 + 1e-15
 
-    def test_dead_detector_never_clicks(self, rng):
-        det = tb.DetectorSpec(efficiency=0.0, dark_rate_cps=0.0)
-        assert not any(
-            tb.detect_click(1.2e-9, det, PERIOD, rng).fired for _ in range(2000)
+    def test_dead_detector_never_clicks(self):
+        # zero efficiency and no dark counts on side a: no singles there even
+        # with photons arriving, hence no coincidence although side b clicks
+        dead = tb.DetectorSpec(efficiency=0.0, dark_rate_cps=0.0, jitter_rms_s=0.0)
+        live = tb.DetectorSpec(efficiency=1.0, dark_rate_cps=0.0, jitter_rms_s=0.0)
+        result = tb.run_pulses(detector_experiment(dead, live, mu=0.1, n_pulses=10**6, seed=72))
+        assert result.singles_a == result.middle_singles_a == 0
+        assert result.triple_coincidences == 0
+        assert result.singles_b > 0
+
+    def test_dark_click_frequency(self):
+        # dark counts only: one candidate chance per window, r * w each, the
+        # registered click in a uniformly chosen window and never outside one
+        rate = 2.5e6
+        det = tb.DetectorSpec(efficiency=0.0, dark_rate_cps=rate, jitter_rms_s=0.0)
+        n = 4 * 10**6
+        cfg = detector_experiment(det, mu=0.05, n_pulses=n, seed=73)
+        result = tb.run_pulses(cfg)
+        p_any = 1.0 - (1.0 - rate * 400e-12) ** 3
+        assert_binomial(result.singles_a, n, p_any)
+        assert_binomial(result.middle_singles_a, n, p_any / 3.0)
+        assert outside_window_counts(result.histogram_a, _Context(cfg)) == 0
+
+    def test_jitter_spreads_click_times(self):
+        # a click lands inside its window with probability erf(w / (2 sqrt2 sigma))
+        jitter = 150e-12
+        det = tb.DetectorSpec(efficiency=1.0, dark_rate_cps=0.0, jitter_rms_s=jitter)
+        cfg = detector_experiment(det, mu=0.1, n_pulses=2 * 10**6, seed=74)
+        result = tb.run_pulses(cfg)
+        sigma_click = math.hypot(cfg.source.pulse_width_s, jitter)
+        p_in = math.erf(400e-12 / (2.0 * math.sqrt(2.0) * sigma_click))
+        ctx = _Context(cfg)
+        for hist, singles in ((result.histogram_a, result.singles_a),
+                              (result.histogram_b, result.singles_b)):
+            assert_binomial(singles - outside_window_counts(hist, ctx), singles, p_in)
+
+    def test_earliest_event_wins(self):
+        # Zero jitter (1 fs pulse), so photons land at 0, delay, 2*delay.  A
+        # dark candidate in window 0 beats photons in bins 1 and 2, one in
+        # window 1 beats a photon in bin 2.  A central-window click therefore
+        # needs a window-1 dark candidate with no bin-0 photon, or a bin-1
+        # photon with no dark candidate in window 0 or 1.
+        rate = 5e8  # 0.2 dark candidates per 400 ps window
+        det = tb.DetectorSpec(efficiency=1.0, dark_rate_cps=rate, jitter_rms_s=0.0)
+        mu, n = 1.0, 10**6
+        cfg = detector_experiment(det, pulse_width_s=1e-15, mu=mu, n_pulses=n, seed=75)
+        result = tb.run_pulses(cfg)
+        p_dark = 1.0 - (1.0 - rate * 400e-12) ** 3
+        p_photon = -math.expm1(-mu) / 2.0  # photon at side a's monitored port
+        bin_share = (0.25, 0.5, 0.25)  # (alpha^2 / 2, 1 / 2, beta^2 / 2)
+        p_mid = (p_dark / 3.0) * (1.0 - p_photon * bin_share[0]) + p_photon * bin_share[1] * (
+            1.0 - 2.0 * p_dark / 3.0
         )
-
-    def test_dark_click_frequency(self, rng):
-        det = tb.DetectorSpec(efficiency=0.0, dark_rate_cps=1e-4 / PERIOD, jitter_rms_s=0.0)
-        n = 400_000
-        clicks = sum(tb.detect_click(None, det, PERIOD, rng).fired for _ in range(n))
-        tol = 3.0 * math.sqrt(1e-4 * n)
-        assert abs(clicks - 1e-4 * n) <= tol
-
-    def test_jitter_spreads_click_times(self, rng):
-        det = tb.DetectorSpec(efficiency=1.0, dark_rate_cps=0.0, jitter_rms_s=100e-12)
-        times = np.array([tb.detect_click(0.0, det, PERIOD, rng).time_s for _ in range(4000)])
-        assert times.std() == pytest.approx(100e-12, rel=0.1)
-
-    def test_earliest_event_wins(self, rng):
-        # dark practically certain; the recorded click is whichever came first
-        det = tb.DetectorSpec(efficiency=1.0, dark_rate_cps=0.999 / PERIOD, jitter_rms_s=0.0)
-        for _ in range(500):
-            rec = tb.detect_click(0.5 * PERIOD, det, PERIOD, rng)
-            assert rec.fired
-            if rec.origin == "dark":
-                assert rec.time_s <= 0.5 * PERIOD
+        assert_binomial(result.middle_singles_a, n, p_mid)
+        # the law if photons always won the race is excluded
+        p_photon_first = (p_dark / 3.0) * (1.0 - p_photon) + p_photon * bin_share[1]
+        sigma = math.sqrt(n * p_mid * (1.0 - p_mid))
+        assert abs(result.middle_singles_a - n * p_photon_first) > 10.0 * sigma
 
 
 class TestClassifyBin:
+    """The half-open window rule, [centre - w/2, centre + w/2), in engine._classify."""
+
+    CTX = _Context(ideal_experiment(window_width_s=400e-12))
+
+    def classify(self, *times):
+        return _classify(self.CTX, np.array(times)).tolist()
+
     def test_window_centres(self):
-        assert tb.classify_bin(0.0, WINDOWS) == FIRST
-        assert tb.classify_bin(1.2e-9, WINDOWS) == MIDDLE
-        assert tb.classify_bin(2.4e-9, WINDOWS) == LAST
+        assert self.classify(0.0, 1.2e-9, 2.4e-9) == [0, 1, 2]
 
     def test_half_open_boundaries(self):
-        half = 200e-12
-        assert tb.classify_bin(1.2e-9 + 400e-12, WINDOWS) == NONE
-        assert tb.classify_bin(1.2e-9 + half, WINDOWS) == NONE
-        assert tb.classify_bin(1.2e-9 - half, WINDOWS) == MIDDLE
+        half = 0.5 * self.CTX.window_w_s
+        for k, c in enumerate(self.CTX.centers_s):
+            assert self.classify(c - half, c + half) == [k, 3]
+            assert self.classify(np.nextafter(c + half, -np.inf)) == [k]
+            assert self.classify(np.nextafter(c - half, -np.inf)) == [3]
+        assert self.classify(1.2e-9 + 400e-12) == [3]
 
     def test_inside_last_window(self):
-        assert tb.classify_bin(2.4e-9 - 100e-12, WINDOWS) == LAST
+        assert self.classify(2.4e-9 - 100e-12) == [2]
 
     def test_between_windows(self):
-        assert tb.classify_bin(0.6e-9, WINDOWS) == NONE
-
-
-class TestTripleCoincidence:
-    def test_both_middle(self):
-        a = tb.ClickRecord(time_s=1.2e-9, origin="photon")
-        b = tb.ClickRecord(time_s=1.25e-9, origin="photon")
-        assert tb.triple_coincidence(a, b, WINDOWS)
-
-    def test_side_peak_event_rejected(self):
-        a = tb.ClickRecord(time_s=0.0, origin="photon")
-        b = tb.ClickRecord(time_s=1.2e-9, origin="photon")
-        assert not tb.triple_coincidence(a, b, WINDOWS)
-
-    def test_missing_click_rejected(self):
-        a = tb.ClickRecord(time_s=None)
-        b = tb.ClickRecord(time_s=1.2e-9, origin="dark")
-        assert not tb.triple_coincidence(a, b, WINDOWS)
+        assert self.classify(0.6e-9) == [3]
 
 
 class TestAccidentalRate:
-    def test_zero_singles(self):
-        assert tb.accidental_rate(0.0, 1000.0, 1e-9, 8e7) == 0.0
-
-    def test_reference_value(self):
-        assert tb.accidental_rate(1000.0, 1000.0, 1e-9, 8e7) == pytest.approx(1e-3, abs=1e-18)
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            tb.accidental_rate(1.0, 1.0, 0.0, 8e7)
-
     def test_darks_only_run_matches_product_estimate(self):
         # photons off: every middle-window coincidence is accidental, and the
         # per-pulse product of measured middle singles predicts their number
-        from dataclasses import replace
-
         cfg = ideal_experiment(mu=0.0, n_pulses=4 * 10**7, seed=9)
         dark = tb.DetectorSpec(efficiency=0.0, dark_rate_cps=3e6, jitter_rms_s=0.0)
         cfg = replace(cfg, detector_a=dark, detector_b=dark)

@@ -91,6 +91,15 @@ class TestRun:
         assert code == 2
         assert "window_width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value", [("run.out", "hist.csv"), ("detector_a.dead_time_us", 10.0)]
+    )
+    def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
+        code = main(["run", "--config", write_config(tmp_path, small_config(**{key: value})),
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert repr(key.partition(".")[2]) in capsys.readouterr().err
+
     def test_io_error_exit_code(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
         assert main(["run", "--config", cfg_path, "--out", "/no/such/dir/out.csv"]) == 3
@@ -141,6 +150,25 @@ class TestScan:
         cfg["scan"]["out"] = str(tmp_path / "from_config.csv")
         assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
         assert (tmp_path / "from_config.csv").exists()
+
+    def test_config_without_scan_uses_default_grid(self, tmp_path):
+        bare = small_config()
+        del bare["scan"]
+        bare["run"]["n_pulses"] = 100_000
+        with_grid = small_config()
+        with_grid["scan"] = {
+            "phase_linspace": default_config_dict()["scan"]["phase_linspace"],
+            "n_pulses_per_point": 100_000,
+        }
+        columns = []
+        for name, cfg in (("bare", bare), ("grid", with_grid)):
+            out = tmp_path / f"{name}.csv"
+            assert main(["scan", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            header, rows = read_rows(out)
+            columns.append([r[header.index("phase_rad")] for r in rows])
+        assert len(columns[0]) == 12
+        assert columns[0] == columns[1]
 
     def test_two_phase_scan_is_degenerate(self, tmp_path):
         cfg = small_config()

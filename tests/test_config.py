@@ -18,12 +18,13 @@ class TestDefaultConfig:
         experiment, scan = build_experiment(default_config_dict())
         assert experiment.source.bin_separation_s == pytest.approx(1.2e-9, rel=1e-12)
         assert experiment.windows.window_width_s == pytest.approx(400e-12, rel=1e-12)
-        assert experiment.detector_a.dead_time_s == pytest.approx(10e-6, rel=1e-12)
         assert experiment.detector_a.jitter_rms_s == pytest.approx(100e-12, rel=1e-12)
         assert experiment.analyzers[0].arrangement == "folded"
         assert scan is not None
         assert len(scan.analyzer_phases_rad) == 12
         assert scan.analyzer_phases_rad[0] == 0.0
+        # an empty document falls back to the same defaults, section by section
+        assert build_experiment({}) == (experiment, None)
 
     def test_hash_is_order_insensitive(self):
         cfg = default_config_dict()
@@ -81,6 +82,8 @@ class TestValidation:
         experiment, _ = build_experiment(cfg)
         assert len(experiment.analyzers) == 2
         assert experiment.analyzers[1].phi_analyzer == pytest.approx(0.25)
+        # the second device takes the first one's excess loss unless given its own
+        assert experiment.analyzers[1].excess_loss_db == experiment.analyzers[0].excess_loss_db
 
     def test_folded_rejects_second_interferometer_keys(self):
         cfg = default_config_dict()

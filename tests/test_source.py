@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import timebin as tb
 from timebin import (
     SourceConfig,
     estimate_mu,
     multipair_visibility,
-    sample_pair_count,
     state_from_attenuations,
 )
-from .conftest import truncated_mean_inverse
+from timebin.engine import _Context
+from .conftest import ideal_experiment, truncated_mean_inverse
 
 
 class TestStateFromAttenuations:
@@ -49,25 +50,27 @@ class TestStateFromAttenuations:
 
 
 class TestSamplePairCount:
-    def test_zero_mean_always_zero(self, rng):
-        assert all(sample_pair_count(0.0, rng) == 0 for _ in range(1000))
+    """Poissonian pair numbers as the engine draws them."""
 
-    def test_mean_converges(self, rng):
-        draws = np.array([sample_pair_count(0.1, rng) for _ in range(200_000)])
-        tol = 3.0 * math.sqrt(0.1 / draws.size)
-        assert abs(draws.mean() - 0.1) <= tol
+    def test_mean_converges(self):
+        # ideal detectors: a pair pulse sends a photon to side a's monitored
+        # port with probability 1/2, so singles_a ~ Bin(n, (1 - exp(-mu)) / 2)
+        mu, n = 0.1, 2 * 10**6
+        result = tb.run_pulses(ideal_experiment(mu=mu, n_pulses=n, seed=81))
+        p = -math.expm1(-mu) / 2.0
+        assert abs(result.singles_a - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
 
-    def test_multi_pair_tail(self, rng):
-        n = 1_000_000
-        draws = rng.poisson(0.1, n)  # same generator family the sampler uses
-        p_tail = 1.0 - math.exp(-0.1) * 1.1
-        observed = (draws >= 2).mean()
-        tol = 3.0 * math.sqrt(p_tail * (1 - p_tail) / n)
-        assert abs(observed - p_tail) <= tol
+    def test_multi_pair_tail(self):
+        # pair number of a pair pulse: Poisson(mu) conditioned on n >= 1,
+        # so the multi-pair tail is 1 - P(n = 1) = 1 - mu exp(-mu) / (1 - exp(-mu))
+        mu = 0.1
+        cum = _Context(ideal_experiment(mu=mu)).pair_count_cum
+        law = [mu**k * math.exp(-mu) / math.factorial(k) / -math.expm1(-mu) for k in range(1, 6)]
+        assert np.diff(cum[:5], prepend=0.0) == pytest.approx(law, rel=1e-9)
 
-    def test_negative_mean_rejected(self, rng):
+    def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
-            sample_pair_count(-0.5, rng)
+            SourceConfig(mean_pairs=-0.5)
 
 
 class TestMultipairVisibility:
