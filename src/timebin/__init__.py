@@ -28,6 +28,7 @@ from .engine import (
     ConfigurationError,
     ExperimentConfig,
     RunResult,
+    expected_tallies,
     fringe_phase,
     run_phase_scan,
     run_pulses,
@@ -82,6 +83,7 @@ __all__ = [
     "entropy_of_entanglement",
     "estimate_mu",
     "evolve_through_analyzer",
+    "expected_tallies",
     "fit_fringe",
     "fringe_phase",
     "ideal_visibility",

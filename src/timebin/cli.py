@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from typing import Any
 
 from . import __version__
@@ -142,7 +143,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     reports = []
     all_rows: list[tuple[int, FringePoint]] = []
     for rep in range(scan_settings.repetitions):
-        cfg_rep = _reseed(experiment, experiment.rng_seed + rep)
+        cfg_rep = replace(experiment, rng_seed=experiment.rng_seed + rep)
         scan = run_phase_scan(
             cfg_rep,
             list(scan_settings.analyzer_phases_rad),
@@ -175,12 +176,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         report.update(reports[0])
     _write_text(_report_path(out_path), json.dumps(report, indent=2) + "\n")
     return EXIT_OK
-
-
-def _reseed(experiment, seed: int):
-    from dataclasses import replace
-
-    return replace(experiment, rng_seed=seed)
 
 
 def _report_path(out_path: str) -> str:

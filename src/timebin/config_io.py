@@ -129,9 +129,13 @@ def _num(section: str, given: dict, key: str, default: float | None = None) -> f
             raise ConfigFormatError(f"{section}: missing key {key!r}")
         return default
     val = given[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigFormatError(f"{section}.{key}: expected a number, got {val!r}")
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
+        raise ConfigFormatError(f"{section}.{key}: expected a finite number, got {val!r}")
     return float(val)
+
+
+def _is_int(val: Any) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
 
 
 def _build_source(sec: dict) -> SourceConfig:
@@ -241,17 +245,15 @@ def _build_scan(sec: dict) -> ScanSettings:
             {"start_rad", "stop_rad", "num"},
         )
         num = lin["num"]
-        if not isinstance(num, int) or num < 1:
+        if not _is_int(num) or num < 1:
             raise ConfigFormatError("scan.phase_linspace.num: expected a positive integer")
-        phases = tuple(
-            float(x)
-            for x in np.linspace(lin["start_rad"], lin["stop_rad"], num, endpoint=False)
-        )
+        start, stop = (_num("scan.phase_linspace", lin, k) for k in ("start_rad", "stop_rad"))
+        phases = tuple(float(x) for x in np.linspace(start, stop, num, endpoint=False))
     n_point = sec.get("n_pulses_per_point")
-    if n_point is not None and (not isinstance(n_point, int) or n_point <= 0):
+    if n_point is not None and (not _is_int(n_point) or n_point <= 0):
         raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")
     reps = sec.get("repetitions", 1)
-    if not isinstance(reps, int) or reps < 1:
+    if not _is_int(reps) or reps < 1:
         raise ConfigFormatError("scan.repetitions: expected a positive integer")
     out = sec.get("out")
     if out is not None and not isinstance(out, str):
@@ -281,8 +283,8 @@ def build_experiment(
     seed = run_sec.get("seed", defaults["run"]["seed"])
     batch = run_sec.get("batch_size", defaults["run"]["batch_size"])
     for key, val in (("n_pulses", n_pulses), ("seed", seed), ("batch_size", batch)):
-        if not isinstance(val, int):
-            raise ConfigFormatError(f"run.{key}: expected an integer")
+        if not _is_int(val):
+            raise ConfigFormatError(f"run.{key}: expected an integer, got {val!r}")
     if seed_override is not None:
         seed = seed_override
 

@@ -1,35 +1,57 @@
-"""Pulse-by-pulse Monte Carlo of the full source / fiber / analyzer chain.
+"""Exact per-pulse outcome law of the source / fiber / analyzer chain.
 
-Each pump pulse carries a Poissonian number of photon pairs.  Per pulse
-and per detector side at most one event is registered (the counting
-electronics gate once per pump period), so when several pairs are present
-the registered photons on the two sides belong to the same pair with
-probability 1/n.  A same-pair registration carries the full two-photon
-interference of the matched analyzers; photons from different pairs are
-uncorrelated and contribute a flat background, which reproduces the 1/n
-fringe dilution of multi-pair pulses.
-
-The joint outcome of one pair is sampled from the exact port-resolved
-distribution behind the analyzer: with f = V*cos(phi) the four output-port
-patterns - (detector, detector), (detector, unmonitored), (unmonitored,
-detector), (unmonitored, unmonitored) - have weights
-(4+f, 4-f, 4-f, 4+f)/16, and within a pattern the seven reachable bin
-pairs weight as
+One pump pulse.  It carries a Poissonian number n of photon pairs.  Per
+pulse and per detector side at most one event is registered (the counting
+electronics gate once per pump period), so the registered photons of a
+pair pulse belong to one pair with probability 1/n.  Such a pair carries
+the full two-photon interference of the matched analyzers: with
+f = V*cos(phi) the four output-port patterns - (detector, detector),
+(detector, unmonitored), (unmonitored, detector), (unmonitored,
+unmonitored) - weigh (4+f, 4-f, 4-f, 4+f)/16, and within a pattern the
+seven reachable bin pairs weigh
 
     (first,first) (first,mid) (mid,first) : alpha^2 each
     (mid,mid)                             : 1 +/- f
-    (mid,last) (last,mid) (last,last)     : beta^2 each,
+    (mid,last) (last,mid) (last,last)     : beta^2 each
 
-the sign following the pattern.  Monitored-port photons then face fiber
-survival, analyzer excess loss and detector efficiency as one Bernoulli
-thinning; arrival times are smeared by the broadened pulse width and
-detector jitter and classified against the three coincidence windows, so
-dispersion-induced bin flips and window acceptance emerge on their own.
+out of 4 +/- f, the sign following the pattern.  Photons of different
+pairs are uncorrelated: each side sees one photon of its own pair, which
+reaches the monitored port with probability 1/2 and the bins with weights
+alpha^2, 1, beta^2 (out of 2); this flat background dilutes the fringe of
+multi-pair pulses.  Monitored-port photons face fiber survival, analyzer
+excess loss and detector efficiency as one thinning, and arrive Gaussian
+around their bin, with the broadened pulse width and the detector jitter
+in quadrature.  Each detector has at most one dark candidate per pulse,
+with probability 1 - (1 - min(r*w, 1))^3 and uniform over the three
+windows (events elsewhere can never classify nor coincide); the earlier of
+photon and dark candidate is the click.  Clicks are classified against the
+three half-open windows and histogrammed in 50 ps bins; clicks beyond the
+histogram pile into its edge bins.
 
-Dark counts are generated only inside the three windows (events elsewhere
-can never classify nor coincide); within a gate the earliest of photon and
-dark event wins.  Pulses with neither pairs nor dark candidates are
-accounted for in bulk, never materialised.
+The law.  Pulses are i.i.d., and every count of a RunResult is a sum over
+pulses of one function of the pulse's outcome: side a's click cell, side
+b's click cell and, for two central-window clicks, whether both are
+photons of one pair.  The cells are the histogram bins split at the window
+edges, plus "no click".  A batch of n pulses is therefore exactly one
+multinomial draw over these outcomes (Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. X), and the mean of every count is n times a sum of
+outcome probabilities (``expected_tallies``).  The law is built in three
+steps:
+
+- Photon states.  W[x, y] is the probability that side a holds a photon
+  in bin x = 0, 1, 2 (3: none) and side b one in bin y.  The port and bin
+  weights are affine in f, so a Gaussian phase jitter of total RMS sigma
+  averages exactly to f = V*cos(phi)*exp(-sigma^2/2).  A pair pulse's
+  photons come from one pair with probability E[1/n | n >= 1], which is
+  ``source.multipair_visibility(mu)``; otherwise the two sides follow the
+  product of their single-photon marginals.
+- The race.  Per side, C[x, cell] is the click law given the photon
+  state.  The dark candidate's CDF D is piecewise linear, so the photon
+  clicks in cell I with probability int_I phi(t) (1 - D(t)) dt and the
+  dark candidate with int_I D'(t) (1 - Phi(t)) dt, closed forms in erfc.
+- The joint law is C_a^T W C_b.  In its central-window block, the part
+  where both photons of one pair beat their dark candidates is split off;
+  the rest of that block are the accidental coincidences.
 
 Determinism: results depend only on (rng_seed, n_pulses, batch_size).
 Batches draw from independent counter-derived streams and merge
@@ -43,14 +65,14 @@ import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .analysis import FringePoint, FringeScan
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
-from .source import SourceConfig
+from .source import SourceConfig, multipair_visibility
 
 _DELAY_MATCH_TOL_S = 1e-15
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
@@ -80,6 +102,8 @@ class ExperimentConfig:
             raise ConfigurationError("n_pulses must be positive")
         if self.batch_size <= 0:
             raise ConfigurationError("batch_size must be positive")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be non-negative")
         if not self.analyzers:
             raise ConfigurationError("at least one analyzer is required")
         arrangement = self.analyzers[0].arrangement
@@ -184,258 +208,207 @@ class RunResult:
         return self.middle_singles_a * self.middle_singles_b / self.n_pulses
 
 
-class _Side:
-    """Per-detector precomputed sampling constants."""
-
-    __slots__ = ("detect_prob", "sigma_click_s", "p_dark_win", "p_dark_any")
-
-    def __init__(self, detect_prob, sigma_click_s, p_dark_win):
-        self.detect_prob = detect_prob
-        self.sigma_click_s = sigma_click_s
-        self.p_dark_win = min(p_dark_win, 1.0)
-        self.p_dark_any = 1.0 - (1.0 - self.p_dark_win) ** 3
-
-
-class _Context:
-    """Everything the batch kernel needs, derived once per run."""
-
-    def __init__(self, config: ExperimentConfig) -> None:
-        src = config.source
-        state = src.state()
-        self.alpha2 = state.alpha**2
-        self.beta2 = state.beta**2
-        self.vhat = 2.0 * state.alpha * state.beta
-        self.mu = src.mean_pairs
-        self.p_pair = -math.expm1(-self.mu)
-        self.delay_s = src.bin_separation_s
-        self.rep_rate_hz = src.rep_rate_hz
-
-        analyzers = config.analyzers
-        if analyzers[0].arrangement == "folded":
-            total_phase = 2.0 * analyzers[0].phi_analyzer
-            excess_a = excess_b = analyzers[0].excess_loss_db
-            circ_a, circ_b = analyzers[0].circulator_loss_db, 0.0
-        else:
-            total_phase = analyzers[0].phi_analyzer + analyzers[1].phi_analyzer
-            excess_a, excess_b = (a.excess_loss_db for a in analyzers)
-            circ_a = circ_b = 0.0
-        self.phi_fringe = total_phase - state.phi_pump
-        self.sigma_phase = math.hypot(
-            config.fiber_a.phase_jitter_rms, config.fiber_b.phase_jitter_rms
-        )
-
-        w = config.windows
-        self.window_w_s = w.window_width_s
-        self.centers_s = np.array(w.centers_s)
-
-        self.sides: list[_Side] = []
-        for fib, det, excess, circ in (
-            (config.fiber_a, config.detector_a, excess_a, circ_a),
-            (config.fiber_b, config.detector_b, excess_b, circ_b),
-        ):
-            detect = (
-                survival_probability(fib)
-                * 10.0 ** (-(excess + circ) / 10.0)
-                * det.efficiency
-            )
-            sigma = math.hypot(
-                broadened_pulse_width(fib, src.pulse_width_s), det.jitter_rms_s
-            )
-            self.sides.append(
-                _Side(detect, sigma, det.dark_rate_cps * w.window_width_s)
-            )
-
-        # Zero-truncated Poisson lookup for the pair count of a pair pulse.
-        if self.mu > 0.0:
-            n_max = max(20, int(self.mu + 12.0 * math.sqrt(self.mu) + 25.0))
-            ns = np.arange(1, n_max + 1, dtype=np.float64)
-            log_p = ns * math.log(self.mu) - self.mu - np.cumsum(np.log(ns))
-            probs = np.exp(log_p)
-            probs /= probs.sum()
-            self.pair_count_cum = np.cumsum(probs)
-        else:
-            self.pair_count_cum = np.array([1.0])
-
-        # Histogram binning spanning all reachable click times.
-        nbins = 3 * _HIST_BINS_PER_DELAY
-        self.hist_lo = -0.5 * self.delay_s
-        self.hist_binw = 3.0 * self.delay_s / nbins
-        self.hist_nbins = nbins
-        self.bin_edges_s = self.hist_lo + self.hist_binw * np.arange(nbins + 1)
-
-    def empty_histogram_counts(self) -> np.ndarray:
-        return np.zeros(self.hist_nbins, dtype=np.int64)
-
-
-# Bin-pair lookup for the seven reachable joint outcomes, one table per side.
-_JOINT_BINS = (
-    np.array([0, 0, 1, 1, 1, 2, 2], dtype=np.int8),
-    np.array([0, 1, 0, 1, 2, 1, 2], dtype=np.int8),
-)
-
-
-def _classify(ctx: _Context, times: np.ndarray) -> np.ndarray:
+def _classify(windows: CoincidenceWindows, times: np.ndarray) -> np.ndarray:
     """Window index per click time: 0, 1, 2, or 3 for none."""
-    half = 0.5 * ctx.window_w_s
+    half = 0.5 * windows.window_width_s
     cls = np.full(times.shape, 3, dtype=np.int8)
-    for k in range(3):
-        c = ctx.centers_s[k]
+    for k, c in enumerate(windows.centers_s):
         cls[(times >= c - half) & (times < c + half)] = k
     return cls
 
 
-def _hist_add(ctx: _Context, hist: np.ndarray, times: np.ndarray) -> None:
-    idx = ((times - ctx.hist_lo) / ctx.hist_binw).astype(np.int64)
-    np.clip(idx, 0, ctx.hist_nbins - 1, out=idx)
-    hist += np.bincount(idx, minlength=ctx.hist_nbins)
+@lru_cache(maxsize=32)
+def _cells(windows: CoincidenceWindows, delay_s: float):
+    """Time cells of the outcome law: the histogram bins split at the window edges.
 
-
-def _sample_joint_bins(
-    ctx: _Context, f: np.ndarray, rng: np.random.Generator
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Port pattern and joint bins for same-pair registrations.
-
-    ``f`` is the per-row fringe term V*cos(phi).  Returns the boolean
-    monitored-port flags and the bin indices, each as a pair of arrays
-    indexed by side.
+    Returns the histogram's bin edges, the cell edges (from -inf to inf:
+    the outer cells belong to the edge bins), which cells lie in a window,
+    the slice of central-window cells and the first cell of every bin.
+    The arrays are shared between calls and read-only.
     """
-    m = f.size
-    r = rng.random(m) * 16.0
-    pattern = (
-        (r >= 4.0 + f).astype(np.int8)
-        + (r >= 8.0)
-        + (r >= 12.0 - f)
+    nbins = 3 * _HIST_BINS_PER_DELAY
+    bin_edges = -0.5 * delay_s + 3.0 * delay_s / nbins * np.arange(nbins + 1)
+    half = 0.5 * windows.window_width_s
+    cuts = np.array([c + sign * half for c in windows.centers_s for sign in (-1.0, 1.0)])
+    # A window edge that meets a bin edge up to rounding replaces it.
+    tol = 1e-9 * (bin_edges[1] - bin_edges[0])
+    inner = bin_edges[1:-1]
+    inner = inner[np.abs(inner[:, None] - cuts).min(axis=1) > tol]
+    edges = np.concatenate(([-np.inf], np.sort(np.concatenate((inner, cuts))), [np.inf]))
+    window = _classify(windows, edges[:-1])
+    mid = np.flatnonzero(window == 1)
+    bin_starts = np.searchsorted(edges, bin_edges[:-1] - tol)
+    bin_starts[0] = 0
+    in_window = window < 3
+    for a in (bin_edges, edges, in_window, bin_starts):
+        a.flags.writeable = False
+    mid = slice(mid[0], mid[-1] + 1) if mid.size else slice(0, 0)  # empty below float resolution
+    return bin_edges, edges, in_window, mid, bin_starts
+
+
+@lru_cache(maxsize=32)
+def _click_law(
+    windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Click-cell law of one detector for each photon state.
+
+    Returns ``clicks`` (4 x cells+1): row x < 3 for a photon arriving
+    around x * delay with Gaussian spread ``sigma_s``, row 3 for no
+    photon, the last column for no click; and ``photon_first``
+    (3 x cells), the part of rows 0-2 where the photon beat the dark
+    candidate.  The arrays are shared between calls and read-only.
+    """
+    _, edges, in_window, _, _ = _cells(windows, delay_s)
+    width = windows.window_width_s
+    p_dark = 1.0 - (1.0 - min(dark_rate_cps * width, 1.0)) ** 3
+    density = p_dark / (3.0 * width)
+    lo, hi = edges[:-1], edges[1:]
+    q = density * in_window
+    dark = density * np.where(in_window, hi - lo, 0.0)
+    no_dark_yet = 1.0 - np.concatenate(([0.0], np.cumsum(dark)[:-1]))
+
+    mean = delay_s * np.arange(3.0)[:, None]
+    z = (edges - mean) / sigma_s
+    scaled = (np.abs(z) * math.sqrt(0.5)).ravel().tolist()
+    tail = 0.5 * np.fromiter(map(math.erfc, scaled), np.float64, len(scaled)).reshape(z.shape)
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    t_lo, t_hi = tail[:, :-1], tail[:, 1:]
+    # Photon mass per cell from the smaller Gaussian tails, accurate far out.
+    mass = np.where(
+        z[:, :-1] >= 0.0, t_lo - t_hi, np.where(z[:, 1:] <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi)
     )
-    sign_f = np.where((pattern == 0) | (pattern == 3), f, -f)
-
-    a2, b2 = ctx.alpha2, ctx.beta2
-    total = 4.0 + sign_f
-    r2 = rng.random(m) * total
-    c3 = 3.0 * a2 + 1.0 + sign_f
-    k = (
-        (r2 >= a2).astype(np.int8)
-        + (r2 >= 2.0 * a2)
-        + (r2 >= 3.0 * a2)
-        + (r2 >= c3)
-        + (r2 >= c3 + b2)
-        + (r2 >= c3 + 2.0 * b2)
+    # Photon first: its density times P(no dark candidate yet), which falls
+    # linearly inside a window.
+    photon = no_dark_yet * mass - q * (
+        (mean - np.where(in_window, lo, 0.0)) * mass + sigma_s * (pdf[:, :-1] - pdf[:, 1:])
     )
-    monitored = (pattern <= 1, (pattern == 0) | (pattern == 2))
-    return monitored, (_JOINT_BINS[0][k], _JOINT_BINS[1][k])
+    # Dark candidate first: its density times P(photon later), integrated
+    # with the antiderivative sigma * (z * P(Z > z) - pdf(z)).
+    upper = np.where(z >= 0.0, tail, 1.0 - tail)
+    antider = np.where(np.isfinite(z), z, 0.0) * upper - pdf
+    dark_first = q * sigma_s * (antider[:, 1:] - antider[:, :-1])
+
+    clicks = np.zeros((4, lo.size + 1))
+    clicks[:3, :-1] = photon + dark_first
+    clicks[3, :-1] = dark
+    clicks[3, -1] = 1.0 - dark.sum()
+    clicks.flags.writeable = photon.flags.writeable = False
+    return clicks, photon
 
 
-def _dark_candidates(
-    ctx: _Context, side: _Side, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-row dark-event time, +inf where no dark candidate fires."""
-    t = np.full(m, np.inf)
-    if side.p_dark_any <= 0.0 or m == 0:
-        return t
-    mask = rng.random(m) < side.p_dark_any
-    n = int(mask.sum())
-    if n:
-        win = rng.integers(0, 3, n)
-        offs = (rng.random(n) - 0.5) * ctx.window_w_s
-        t[mask] = ctx.centers_s[win] + offs
-    return t
+class _PulseLaw:
+    """Probability of every per-pulse outcome of one configured run.
 
+    ``probs`` lists the outcome probabilities: first the cells x cells
+    joint law of the two click cells, whose central-window block holds
+    only the one-pair part, then that block's accidental part.
+    """
 
-def _run_batch(ctx: _Context, n_pulses: int, rng: np.random.Generator) -> RunResult:
-    singles = [0, 0]
-    mid = [0, 0]
-    hist = [ctx.empty_histogram_counts(), ctx.empty_histogram_counts()]
-    triples = accidentals = 0
+    def __init__(self, config: ExperimentConfig) -> None:
+        src, windows = config.source, config.windows
+        state = src.state()
+        delay = src.bin_separation_s
+        self.rep_rate_hz = src.rep_rate_hz
+        bin_edges, _, _, self._mid, self._bin_starts = _cells(windows, delay)
+        self.bin_edges_s = bin_edges.copy()
 
-    m_pair = int(rng.binomial(n_pulses, ctx.p_pair)) if ctx.p_pair > 0.0 else 0
+        analyzers = config.analyzers
+        if analyzers[0].arrangement == "folded":
+            losses_db = [analyzers[0].excess_loss_db] * 2
+            losses_db[0] += analyzers[0].circulator_loss_db
+        else:
+            losses_db = [a.excess_loss_db for a in analyzers]
+        detect, sides = [], []
+        for fib, det, loss_db in zip(
+            (config.fiber_a, config.fiber_b), (config.detector_a, config.detector_b), losses_db
+        ):
+            detect.append(survival_probability(fib) * 10.0 ** (-loss_db / 10.0) * det.efficiency)
+            sigma = math.hypot(broadened_pulse_width(fib, src.pulse_width_s), det.jitter_rms_s)
+            sides.append(_click_law(windows, delay, det.dark_rate_cps, sigma))
+        (clicks_a, first_a), (clicks_b, first_b) = sides
 
-    if m_pair:
-        n_pairs = np.searchsorted(ctx.pair_count_cum, rng.random(m_pair)) + 1
-        phi = np.full(m_pair, ctx.phi_fringe)
-        if ctx.sigma_phase > 0.0:
-            phi += rng.normal(0.0, ctx.sigma_phase, m_pair)
-        fringe = ctx.vhat * np.cos(phi)
-
-        same = rng.random(m_pair) < 1.0 / n_pairs
-        det = np.zeros((2, m_pair), dtype=bool)
-        bins = np.zeros((2, m_pair), dtype=np.int8)
-
-        idx_same = np.flatnonzero(same)
-        if idx_same.size:
-            monitored, joint_bins = _sample_joint_bins(ctx, fringe[idx_same], rng)
-            for s, side in enumerate(ctx.sides):
-                det[s, idx_same] = monitored[s] & (rng.random(idx_same.size) < side.detect_prob)
-                bins[s, idx_same] = joint_bins[s]
-
-        idx_diff = np.flatnonzero(~same)
-        if idx_diff.size:
-            a2 = ctx.alpha2
-            for s, side in enumerate(ctx.sides):
-                det[s, idx_diff] = rng.random(idx_diff.size) < 0.5 * side.detect_prob
-                u = rng.random(idx_diff.size)
-                bins[s, idx_diff] = (u >= 0.5 * a2).astype(np.int8) + (u >= 0.5 * a2 + 0.5)
-
-        triple = np.ones(m_pair, dtype=bool)
-        correlated = same
-        for s, side in enumerate(ctx.sides):
-            t_photon = np.full(m_pair, np.inf)
-            hit = det[s]
-            n_hit = int(hit.sum())
-            if n_hit:
-                t_photon[hit] = bins[s, hit] * ctx.delay_s + rng.normal(
-                    0.0, side.sigma_click_s, n_hit
-                )
-            t_dark = _dark_candidates(ctx, side, m_pair, rng)
-            t_click = np.minimum(t_photon, t_dark)
-            correlated = correlated & np.isfinite(t_photon) & (t_photon <= t_dark)
-            fired = np.isfinite(t_click)
-            times = t_click[fired]
-            in_mid = np.zeros(m_pair, dtype=bool)
-            in_mid[fired] = _classify(ctx, times) == 1
-            singles[s] += times.size
-            mid[s] += int(in_mid.sum())
-            _hist_add(ctx, hist[s], times)
-            triple &= in_mid
-        triples += int(triple.sum())
-        accidentals += int(triple.sum()) - int((triple & correlated).sum())
-
-    # Pulses without pairs: dark-only activity, drawn in bulk.
-    n_rest = n_pulses - m_pair
-    p_a, p_b = ctx.sides[0].p_dark_any, ctx.sides[1].p_dark_any
-    if n_rest and (p_a > 0.0 or p_b > 0.0):
-        p_ab = p_a * p_b
-        counts = rng.multinomial(
-            n_rest,
-            [p_ab, p_a - p_ab, p_b - p_ab, 1.0 - p_a - p_b + p_ab],
+        # Photon states (bin 0, 1, 2, none) of the two sides.  A pair's
+        # pattern-and-bins weights are w/16 with w affine in f.
+        a2, b2 = state.alpha**2, state.beta**2
+        sigma_phase = math.hypot(config.fiber_a.phase_jitter_rms, config.fiber_b.phase_jitter_rms)
+        f = (
+            2.0 * state.alpha * state.beta
+            * math.cos(fringe_phase(config))
+            * math.exp(-0.5 * sigma_phase * sigma_phase)
         )
-        # Both sides dark, side a only, side b only.
-        for n, sides in zip(counts[:3].tolist(), ((0, 1), (0,), (1,))):
-            if not n:
-                continue
-            in_mid = np.ones(n, dtype=bool)
-            for s in sides:
-                win = rng.integers(0, 3, n)
-                t = ctx.centers_s[win] + (rng.random(n) - 0.5) * ctx.window_w_s
-                singles[s] += n
-                mid[s] += int((win == 1).sum())
-                _hist_add(ctx, hist[s], t)
-                in_mid &= win == 1
-            if len(sides) == 2:
-                dark_triples = int(in_mid.sum())
-                triples += dark_triples
-                accidentals += dark_triples
+        both, crossed = (
+            np.maximum([[a2, a2, 0.0], [a2, 1.0 + sign * f, b2], [0.0, b2, b2]], 0.0) / 16.0
+            for sign in (1.0, -1.0)
+        )
+        eta_a, eta_b = detect
+        same = np.zeros((4, 4))
+        same[:3, :3] = eta_a * eta_b * both
+        same[:3, 3] = eta_a * ((1.0 - eta_b) * both.sum(axis=1) + crossed.sum(axis=1))
+        same[3, :3] = eta_b * ((1.0 - eta_a) * both.sum(axis=0) + crossed.sum(axis=0))
+        same[3, 3] = 1.0 - same.sum()
+        apart = np.outer(
+            *(np.array([eta * a2, eta, eta * b2, 4.0 - 2.0 * eta]) / 4.0 for eta in detect)
+        )
+        mu = src.mean_pairs
+        self.p_same = multipair_visibility(mu) if mu > 0.0 else 1.0
+        p_pair = -math.expm1(-mu)
+        weights = p_pair * (self.p_same * same + (1.0 - self.p_same) * apart)
+        weights[3, 3] += math.exp(-mu)
 
-    return RunResult(
-        singles_a=singles[0],
-        singles_b=singles[1],
-        middle_singles_a=mid[0],
-        middle_singles_b=mid[1],
-        triple_coincidences=triples,
-        accidental_coincidences=accidentals,
-        histogram_a=CoincidenceHistogram(ctx.bin_edges_s, hist[0]),
-        histogram_b=CoincidenceHistogram(ctx.bin_edges_s, hist[1]),
-        n_pulses=n_pulses,
-        duration_s=n_pulses / ctx.rep_rate_hz,
-    )
+        mid = self._mid
+        joint = clicks_a.T @ weights @ clicks_b
+        one_pair = first_a[:, mid].T @ (p_pair * self.p_same * same[:3, :3]) @ first_b[:, mid]
+        accidental = joint[mid, mid] - one_pair
+        joint[mid, mid] = one_pair
+        probs = np.maximum(np.concatenate((joint.ravel(), accidental.ravel())), 0.0)
+        self.probs = probs / probs.sum()
+        self._possible = np.flatnonzero(self.probs)
+
+    def tally(self, per_outcome: np.ndarray, n_pulses: int) -> RunResult:
+        """Every RunResult field from per-outcome counts (or their means)."""
+        mid = self._mid
+        m = mid.stop - mid.start
+        k = per_outcome.size - m * m
+        cells = math.isqrt(k)
+        joint = per_outcome[:k].reshape(cells, cells)
+        accidental = per_outcome[k:].reshape(m, m)
+        sides = [joint.sum(axis=1), joint.sum(axis=0)]
+        sides[0][mid] += accidental.sum(axis=1)
+        sides[1][mid] += accidental.sum(axis=0)
+        singles = [side[:-1].sum().item() for side in sides]
+        middle = [side[mid].sum().item() for side in sides]
+        hists = [
+            CoincidenceHistogram(self.bin_edges_s, np.add.reduceat(side[:-1], self._bin_starts))
+            for side in sides
+        ]
+        return RunResult(
+            singles_a=singles[0],
+            singles_b=singles[1],
+            middle_singles_a=middle[0],
+            middle_singles_b=middle[1],
+            triple_coincidences=(joint[mid, mid].sum() + accidental.sum()).item(),
+            accidental_coincidences=accidental.sum().item(),
+            histogram_a=hists[0],
+            histogram_b=hists[1],
+            n_pulses=n_pulses,
+            duration_s=n_pulses / self.rep_rate_hz,
+        )
+
+
+def _run_batch(law: _PulseLaw, n_pulses: int, rng: np.random.Generator) -> RunResult:
+    """One multinomial draw of n_pulses i.i.d. pulse outcomes."""
+    counts = np.zeros(law.probs.size, dtype=np.int64)
+    counts[law._possible] = rng.multinomial(n_pulses, law.probs[law._possible])
+    return law.tally(counts, n_pulses)
+
+
+def expected_tallies(config: ExperimentConfig) -> RunResult:
+    """Exact mean of every count of ``run_pulses(config)``, as floats.
+
+    Built from the same per-pulse outcome law the runs are drawn from.
+    """
+    law = _PulseLaw(config)
+    return law.tally(config.n_pulses * law.probs, config.n_pulses)
 
 
 def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
@@ -445,14 +418,14 @@ def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
     of thread count; batches use independent derived random streams and
     their results add.
     """
-    ctx = _Context(config)
+    law = _PulseLaw(config)
     n_batches = -(-config.n_pulses // config.batch_size)
     sizes = [config.batch_size] * (n_batches - 1)
     sizes.append(config.n_pulses - config.batch_size * (n_batches - 1))
     children = np.random.SeedSequence(config.rng_seed).spawn(n_batches)
 
     def one(i: int) -> RunResult:
-        return _run_batch(ctx, sizes[i], np.random.Generator(np.random.PCG64(children[i])))
+        return _run_batch(law, sizes[i], np.random.Generator(np.random.PCG64(children[i])))
 
     if threads > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -474,7 +447,12 @@ def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> Exp
 
 def fringe_phase(config: ExperimentConfig) -> float:
     """Interference phase of the configured apparatus (cosine argument)."""
-    return _Context(config).phi_fringe
+    analyzers = config.analyzers
+    if analyzers[0].arrangement == "folded":
+        total_phase = 2.0 * analyzers[0].phi_analyzer
+    else:
+        total_phase = analyzers[0].phi_analyzer + analyzers[1].phi_analyzer
+    return total_phase - config.source.phi_pump
 
 
 def run_phase_scan(

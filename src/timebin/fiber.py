@@ -40,6 +40,8 @@ class FiberSpec:
             raise ValueError("filter_bandwidth_nm must be positive")
         if self.phase_jitter_rms < 0.0:
             raise ValueError("phase_jitter_rms must be non-negative")
+        if not math.isfinite(dispersion_spread(self)):
+            raise ValueError("dispersion spread overflows: wavelengths or bandwidth out of range")
 
 
 def survival_probability(fiber: FiberSpec) -> float:

@@ -20,6 +20,7 @@ PUMP_PULSE_SIGMA_S = 100e-12 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 _SERIES_RTOL = 1e-15
 _SERIES_MAX_TERMS = 200
+_ASYMPTOTIC_MU = 50.0
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,24 @@ def multipair_visibility(mu: float, v_max: float = 1.0) -> float:
     Evaluates v_max * exp(-mu)/(1 - exp(-mu)) * sum_{n>=1} mu^n / (n! n),
     which is v_max times the mean of 1/n over pulses with at least one
     pair.  The series is truncated once a term drops below 1e-15 of the
-    running sum.  Continuous in mu with limit v_max as mu -> 0+.
+    running sum.  Continuous in mu with limit v_max as mu -> 0+.  From
+    mu = 50 on, where the series needs ever more terms and overflows past
+    mu ~ 700, the asymptotic expansion sum_k k! / mu^(k+1) is summed
+    instead; its smallest term and the dropped exp(-mu) part both lie
+    below 1e-20 there.
     """
     if mu <= 0.0:
         raise ValueError("mu must be positive; the mu -> 0 limit is v_max")
     if not 0.0 <= v_max <= 1.0:
         raise ValueError("v_max must lie in [0, 1]")
+    if mu >= _ASYMPTOTIC_MU:
+        term = total = 1.0
+        k = 0
+        while term >= _SERIES_RTOL * total:
+            k += 1
+            term *= k / mu
+            total += term
+        return v_max * total / mu
     term = mu
     total = term
     n = 1
@@ -99,7 +112,8 @@ def multipair_visibility(mu: float, v_max: float = 1.0) -> float:
         total += term
         if term < _SERIES_RTOL * total:
             break
-    return v_max * math.exp(-mu) / -math.expm1(-mu) * total
+    # total / (1 - exp(-mu)) first: 1 / (1 - exp(-mu)) overflows for subnormal mu.
+    return v_max * math.exp(-mu) * (total / -math.expm1(-mu))
 
 
 def estimate_mu(s1: float, s2: float, rc: float, f: float) -> float:

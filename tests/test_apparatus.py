@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import timebin as tb
-from timebin.engine import _classify, _Context
+from timebin.engine import _classify
 from .conftest import ideal_experiment
 
 Z = 4.0  # bound on |observed - expected| / sigma for the seeded statistical checks
@@ -25,9 +25,9 @@ def assert_binomial(observed, n, p):
     assert abs(observed - n * p) <= Z * sigma
 
 
-def outside_window_counts(hist, ctx):
+def outside_window_counts(hist, windows):
     """Histogram counts outside the three windows; 50 ps bins share the window edges."""
-    return int(hist.counts[_classify(ctx, hist.bin_centers_s) == 3].sum())
+    return hist.counts[_classify(windows, hist.bin_centers_s) == 3].sum()
 
 
 class TestSpecs:
@@ -86,7 +86,11 @@ class TestDetectClick:
         p_any = 1.0 - (1.0 - rate * 400e-12) ** 3
         assert_binomial(result.singles_a, n, p_any)
         assert_binomial(result.middle_singles_a, n, p_any / 3.0)
-        assert outside_window_counts(result.histogram_a, _Context(cfg)) == 0
+        assert outside_window_counts(result.histogram_a, cfg.windows) == 0
+        expected = tb.expected_tallies(cfg)
+        assert expected.singles_a == pytest.approx(n * p_any, rel=1e-9)
+        assert expected.middle_singles_a == pytest.approx(n * p_any / 3.0, rel=1e-9)
+        assert outside_window_counts(expected.histogram_a, cfg.windows) == 0
 
     def test_jitter_spreads_click_times(self):
         # a click lands inside its window with probability erf(w / (2 sqrt2 sigma))
@@ -96,10 +100,14 @@ class TestDetectClick:
         result = tb.run_pulses(cfg)
         sigma_click = math.hypot(cfg.source.pulse_width_s, jitter)
         p_in = math.erf(400e-12 / (2.0 * math.sqrt(2.0) * sigma_click))
-        ctx = _Context(cfg)
         for hist, singles in ((result.histogram_a, result.singles_a),
                               (result.histogram_b, result.singles_b)):
-            assert_binomial(singles - outside_window_counts(hist, ctx), singles, p_in)
+            assert_binomial(singles - outside_window_counts(hist, cfg.windows), singles, p_in)
+        expected = tb.expected_tallies(cfg)
+        for hist, singles in ((expected.histogram_a, expected.singles_a),
+                              (expected.histogram_b, expected.singles_b)):
+            inside = singles - outside_window_counts(hist, cfg.windows)
+            assert inside / singles == pytest.approx(p_in, rel=1e-9)
 
     def test_earliest_event_wins(self):
         # Zero jitter (1 fs pulse), so photons land at 0, delay, 2*delay.  A
@@ -119,6 +127,7 @@ class TestDetectClick:
             1.0 - 2.0 * p_dark / 3.0
         )
         assert_binomial(result.middle_singles_a, n, p_mid)
+        assert tb.expected_tallies(cfg).middle_singles_a == pytest.approx(n * p_mid, rel=1e-9)
         # the law if photons always won the race is excluded
         p_photon_first = (p_dark / 3.0) * (1.0 - p_photon) + p_photon * bin_share[1]
         sigma = math.sqrt(n * p_mid * (1.0 - p_mid))
@@ -128,17 +137,17 @@ class TestDetectClick:
 class TestClassifyBin:
     """The half-open window rule, [centre - w/2, centre + w/2), in engine._classify."""
 
-    CTX = _Context(ideal_experiment(window_width_s=400e-12))
+    WINDOWS = ideal_experiment(window_width_s=400e-12).windows
 
     def classify(self, *times):
-        return _classify(self.CTX, np.array(times)).tolist()
+        return _classify(self.WINDOWS, np.array(times)).tolist()
 
     def test_window_centres(self):
         assert self.classify(0.0, 1.2e-9, 2.4e-9) == [0, 1, 2]
 
     def test_half_open_boundaries(self):
-        half = 0.5 * self.CTX.window_w_s
-        for k, c in enumerate(self.CTX.centers_s):
+        half = 0.5 * self.WINDOWS.window_width_s
+        for k, c in enumerate(self.WINDOWS.centers_s):
             assert self.classify(c - half, c + half) == [k, 3]
             assert self.classify(np.nextafter(c + half, -np.inf)) == [k]
             assert self.classify(np.nextafter(c - half, -np.inf)) == [3]

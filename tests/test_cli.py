@@ -170,6 +170,29 @@ class TestScan:
         assert len(columns[0]) == 12
         assert columns[0] == columns[1]
 
+    @pytest.mark.parametrize(
+        "key, value, code, name",
+        [
+            ("source.mean_pairs", math.nan, 1, "mean_pairs"),
+            ("fiber_a.length_km", math.inf, 1, "length_km"),
+            ("fiber_a.center_wavelength_nm", 1e300, 2, "dispersion spread"),
+            ("run.n_pulses", True, 1, "n_pulses"),
+            ("run.seed", -1, 2, "seed"),
+            ("--seed", -1, 2, "seed"),
+            ("scan.phase_linspace", {"start_rad": "0", "stop_rad": 1.0, "num": 8}, 1, "start_rad"),
+        ],
+    )
+    def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
+        if key == "--seed":
+            cfg, extra = small_config(), [key, str(value)]
+        else:
+            cfg, extra = small_config(**{key: value}), []
+        assert main(["scan", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "s.csv"), *extra]) == code
+        err = capsys.readouterr().err
+        assert name in err
+        assert "Traceback" not in err
+
     def test_two_phase_scan_is_degenerate(self, tmp_path):
         cfg = small_config()
         cfg["scan"] = {"phases_rad": [0.0, 1.5], "n_pulses_per_point": 200_000}

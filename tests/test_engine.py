@@ -5,7 +5,61 @@ import numpy as np
 import pytest
 
 import timebin as tb
+from timebin.config_io import build_experiment, default_config_dict
 from .conftest import analyzer_phases, ideal_experiment, truncated_mean_inverse
+
+COUNT_FIELDS = (
+    "singles_a", "singles_b", "middle_singles_a", "middle_singles_b",
+    "triple_coincidences", "accidental_coincidences",
+)
+IDEAL_DETECTOR = {"efficiency": 1.0, "dark_rate_cps": 0.0, "jitter_ps": 0.0}
+# Overrides of the shipped defaults, spanning every branch of the outcome law.
+LAW_GRID = {
+    "default_0km": {},
+    "default_11km": {"fiber_a": {"length_km": 11.0}, "fiber_b": {"length_km": 11.0}},
+    "default_25km": {"fiber_a": {"length_km": 25.0}, "fiber_b": {"length_km": 25.0}},
+    "lossless_mu0.4": {
+        "source": {"mean_pairs": 0.4},
+        "fiber_a": {"phase_jitter_rad": 0.0},
+        "fiber_b": {"phase_jitter_rad": 0.0},
+        "analyzer": {"excess_loss_db": 0.0, "circulator_loss_db": 0.0},
+        "detector_a": IDEAL_DETECTOR,
+        "detector_b": IDEAL_DETECTOR,
+    },
+    "mu1_asymmetric": {
+        "source": {"mean_pairs": 1.0, "arm_attenuation_a": 0.8, "arm_attenuation_b": 0.2},
+        "fiber_a": {"length_km": 20.0, "phase_jitter_rad": 0.5},
+        "fiber_b": {"length_km": 5.0, "center_wavelength_nm": 1330.0, "phase_jitter_rad": 0.2},
+        "analyzer": {"phase_rad": 0.4},
+        "detector_a": {"efficiency": 0.6, "dark_rate_cps": 5e8, "jitter_ps": 150.0},
+        "detector_b": {"efficiency": 0.3, "dark_rate_cps": 1e8, "jitter_ps": 150.0},
+    },
+    "independent_333ps": {
+        "source": {"mean_pairs": 0.2},
+        "analyzer": {"arrangement": "independent", "phase_rad": 0.3, "phase_b_rad": 0.5},
+        "windows": {"window_width_ps": 333.0},
+        "detector_a": {"dark_rate_cps": 2e7, "jitter_ps": 300.0},
+        "detector_b": {"dark_rate_cps": 2e7, "jitter_ps": 300.0},
+    },
+    "dark_only": {
+        "source": {"mean_pairs": 0.0},
+        "detector_a": {"dark_rate_cps": 5e6},
+        "detector_b": {"dark_rate_cps": 5e6},
+    },
+}
+
+
+def chi2_z(observed, expected):
+    """z of Pearson's chi-square; categories expecting under 5 counts are pooled."""
+    small = expected < 5.0
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    if expected[-1] == 0.0:
+        assert observed[-1] == 0
+        observed, expected = observed[:-1], expected[:-1]
+    dof = expected.size - 1
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return (chi2 - dof) / math.sqrt(2.0 * dof)
 
 
 class TestConfigValidation:
@@ -62,6 +116,12 @@ class TestRunPulses:
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
 
+    def test_windows_below_float_resolution_stay_empty(self):
+        # a 1e-312 s window vanishes around the 1.2 ns and 2.4 ns centres
+        result = tb.run_pulses(ideal_experiment(mu=0.1, n_pulses=10**5, window_width_s=1e-312))
+        assert result.singles_a > 0
+        assert result.middle_singles_a == result.triple_coincidences == 0
+
     def test_duration_reflects_rep_rate(self):
         cfg = ideal_experiment(n_pulses=8 * 10**6)
         assert tb.run_pulses(cfg).duration_s == pytest.approx(0.1, rel=1e-12)
@@ -101,6 +161,30 @@ class TestRunPulses:
         assert product_ratio == pytest.approx(4.0, rel=0.15)
         triples_ratio = r1.triple_coincidences / r2.triple_coincidences
         assert triples_ratio == pytest.approx(4.0, rel=0.15)
+
+
+class TestOutcomeLaw:
+    @pytest.mark.parametrize("name", sorted(LAW_GRID))
+    def test_run_follows_expected_tallies(self, name):
+        cfg = default_config_dict()
+        for section, values in LAW_GRID[name].items():
+            cfg[section].update(values)
+        cfg["run"].update(n_pulses=10**9, seed=4321)
+        experiment, _ = build_experiment(cfg)
+        result, expected = tb.run_pulses(experiment), tb.expected_tallies(experiment)
+        n = result.n_pulses
+        for field in COUNT_FIELDS:
+            observed, mean = getattr(result, field), getattr(expected, field)
+            assert mean > 0.0
+            sigma = math.sqrt(mean * (1.0 - mean / n))
+            assert abs(observed - mean) <= 4.0 * sigma, field
+        for run_hist, mean_hist, singles in (
+            (result.histogram_a, expected.histogram_a, result.singles_a),
+            (result.histogram_b, expected.histogram_b, result.singles_b),
+        ):
+            observed = np.append(run_hist.counts, n - singles)
+            mean = np.append(mean_hist.counts, n - mean_hist.counts.sum())
+            assert abs(chi2_z(observed, mean)) <= 4.0
 
 
 class TestPhaseScan:

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +11,7 @@ from timebin import (
     multipair_visibility,
     state_from_attenuations,
 )
-from timebin.engine import _Context
+from timebin.engine import _PulseLaw
 from .conftest import ideal_experiment, truncated_mean_inverse
 
 
@@ -59,14 +58,15 @@ class TestSamplePairCount:
         result = tb.run_pulses(ideal_experiment(mu=mu, n_pulses=n, seed=81))
         p = -math.expm1(-mu) / 2.0
         assert abs(result.singles_a - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+        expected = tb.expected_tallies(ideal_experiment(mu=mu, n_pulses=n))
+        assert expected.singles_a == pytest.approx(n * p, rel=1e-9)
 
     def test_multi_pair_tail(self):
-        # pair number of a pair pulse: Poisson(mu) conditioned on n >= 1,
-        # so the multi-pair tail is 1 - P(n = 1) = 1 - mu exp(-mu) / (1 - exp(-mu))
-        mu = 0.1
-        cum = _Context(ideal_experiment(mu=mu)).pair_count_cum
-        law = [mu**k * math.exp(-mu) / math.factorial(k) / -math.expm1(-mu) for k in range(1, 6)]
-        assert np.diff(cum[:5], prepend=0.0) == pytest.approx(law, rel=1e-9)
+        # pair number of a pair pulse: Poisson(mu) conditioned on n >= 1; the
+        # registered photons come from one pair with probability E[1/n | n >= 1]
+        for mu in (0.1, 1.0):
+            p_same = _PulseLaw(ideal_experiment(mu=mu)).p_same
+            assert p_same == pytest.approx(truncated_mean_inverse(mu), abs=1e-12)
 
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
@@ -76,6 +76,7 @@ class TestSamplePairCount:
 class TestMultipairVisibility:
     def test_single_pair_limit(self):
         assert multipair_visibility(1e-9, 1.0) == pytest.approx(1.0, abs=1e-8)
+        assert multipair_visibility(5e-324, 1.0) == 1.0
 
     def test_unit_mean_against_series_oracle(self):
         assert multipair_visibility(1.0, 1.0) == pytest.approx(
@@ -87,6 +88,14 @@ class TestMultipairVisibility:
         inv = 1.0 / draws[draws >= 1]
         se = inv.std(ddof=1) / math.sqrt(inv.size)
         assert abs(multipair_visibility(1.0, 1.0) - inv.mean()) <= 3.0 * se
+
+    def test_large_mean_against_log_space_sum(self):
+        # beyond mu ~ 150 the plain series needs more than its 200 terms
+        for mu in (49.9, 50.0, 150.0, 300.0, 800.0):
+            oracle = sum(
+                math.exp(n * math.log(mu) - mu - math.lgamma(n + 1)) / n for n in range(1, 2000)
+            )
+            assert multipair_visibility(mu, 1.0) == pytest.approx(oracle, rel=1e-12)
 
     def test_strictly_decreasing(self):
         grid = [0.01, 0.05, 0.2, 0.5, 1.0, 2.0]
