@@ -310,7 +310,7 @@ class _PulseLaw:
         delay = src.bin_separation_s
         self.rep_rate_hz = src.rep_rate_hz
         bin_edges, _, _, self._mid, self._bin_starts = _cells(windows, delay)
-        self.bin_edges_s = bin_edges.copy()
+        self.bin_edges_s = bin_edges.copy()  # handed to callers, unlike the cached array
 
         analyzers = config.analyzers
         if analyzers[0].arrangement == "folded":
