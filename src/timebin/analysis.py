@@ -37,7 +37,6 @@ class FringePoint:
     phase_rad: float
     raw_count: int
     accidental_estimate: float
-    integration_s: float
     net_count: float | None = None
     clipped: bool = False
 
@@ -115,24 +114,15 @@ def _check_design(phases: np.ndarray) -> None:
         raise DegenerateScanError("phase span below pi/2 cannot constrain a fringe")
 
 
-def fit_fringe(
-    scan: FringeScan,
-    *,
-    use_net: bool | None = None,
-    weighting: str = "model",
-    fix_phase_origin: float | None = None,
-) -> FitResult:
+def fit_fringe(scan: FringeScan, *, use_net: bool | None = None) -> FitResult:
     """Weighted least-squares fit of O * [1 + V cos(phi - phi0)].
 
     Counting weights are Poissonian with a one-count variance floor.  The
-    default ``"model"`` weighting starts from the raw counts and then
-    reweights once from the fitted predictions, which keeps the quoted
-    uncertainty calibrated down to a few counts per point (raw-count
-    weights overweight downward fluctuations there).  ``"raw"`` keeps the
-    single raw-count-weighted pass, ``"uniform"`` disables weighting.
-    By default the net counts are fitted when present, else the raw
-    counts.  ``fix_phase_origin`` pins phi0 instead of fitting it,
-    leaving a two-parameter linear model.
+    fit starts from raw-count weights and then reweights once from the
+    fitted predictions, which keeps the quoted uncertainty calibrated down
+    to a few counts per point (raw-count weights overweight downward
+    fluctuations there).  By default the net counts are fitted when
+    present, else the raw counts.
     """
     phases = scan.phases
     _check_design(phases)
@@ -141,8 +131,6 @@ def fit_fringe(
     counts = scan.net_counts if use_net else scan.raw_counts
     if counts is None:
         raise ValueError("scan has no net counts; run subtract_accidentals first")
-    if weighting not in ("model", "raw", "uniform"):
-        raise ValueError(f"unknown weighting {weighting!r}")
 
     # Counting variance of a net point is still the raw count's variance;
     # the subtracted background shifts the mean, not the noise.
@@ -150,24 +138,14 @@ def fit_fringe(
         np.array([p.accidental_estimate for p in scan.points]) if use_net else 0.0
     )
 
-    if fix_phase_origin is None:
-        design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    else:
-        design = np.column_stack(
-            [np.ones_like(phases), np.cos(phases - fix_phase_origin)]
-        )
-
-    sigma2 = np.ones_like(counts) if weighting == "uniform" else np.maximum(
-        scan.raw_counts, 1.0
-    )
-    passes = 2 if weighting == "model" else 1
-    for _ in range(passes):
+    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
+    sigma2 = np.maximum(scan.raw_counts, 1.0)
+    for _ in range(2):
         w = 1.0 / np.sqrt(sigma2)
         a_w = design * w[:, None]
         y_w = counts * w
         coef, *_ = np.linalg.lstsq(a_w, y_w, rcond=None)
-        if passes == 2:
-            sigma2 = np.maximum(design @ coef + background, 1.0)
+        sigma2 = np.maximum(design @ coef + background, 1.0)
     resid = y_w - a_w @ coef
     chi2 = float(resid @ resid)
     try:
@@ -177,28 +155,19 @@ def fit_fringe(
         raise DegenerateScanError(f"singular fit design: {exc}") from exc
 
     offset = float(coef[0])
-    if fix_phase_origin is None:
-        amp = float(np.hypot(coef[1], coef[2]))
-        phase_origin = float(math.atan2(coef[2], coef[1]))
-    else:
-        amp = float(coef[1])
-        phase_origin = float(fix_phase_origin)
+    amp = float(np.hypot(coef[1], coef[2]))
+    phase_origin = float(math.atan2(coef[2], coef[1]))
 
     if offset == 0.0:
         raise DegenerateScanError("fitted offset is zero; visibility undefined")
     vis = amp / offset
 
     # First-order propagation of the linear-parameter covariance to V.
-    if fix_phase_origin is None:
-        if amp > 0.0:
-            grad = np.array(
-                [-amp / offset**2, coef[1] / (amp * offset), coef[2] / (amp * offset)]
-            )
-        else:
-            # At zero amplitude the magnitude is direction-independent.
-            grad = np.array([0.0, 1.0 / offset, 1.0 / offset])
+    if amp > 0.0:
+        grad = np.array([-amp / offset**2, coef[1] / (amp * offset), coef[2] / (amp * offset)])
     else:
-        grad = np.array([-amp / offset**2, 1.0 / offset])
+        # At zero amplitude the magnitude is direction-independent.
+        grad = np.array([0.0, 1.0 / offset, 1.0 / offset])
     var = float(grad @ cov @ grad)
     sigma = math.sqrt(max(var, 0.0))
     sigma = max(sigma, _SIGMA_FLOOR)

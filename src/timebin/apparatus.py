@@ -14,7 +14,9 @@ Dead time is not modelled: each detector registers at most one click per
 pump period and carries nothing over to the next period.
 
 These classes only describe the apparatus; the detector-gate model that
-draws clicks and classifies them into windows lives in ``engine``.
+draws clicks and classifies them into windows lives in ``engine``.  Their
+field defaults are the shipped apparatus, and the only copy of it:
+``config_io`` fills every key a document leaves out from them.
 """
 
 from __future__ import annotations
@@ -70,19 +72,13 @@ class DetectorSpec:
 class CoincidenceWindows:
     """Three half-open windows centred on the expected arrival-time peaks.
 
-    Peaks sit at 0, delay and 2*delay relative to the pump clock.  Windows
-    are [center - w/2, center + w/2) and must not overlap.
+    Peaks sit at 0, d and 2*d relative to the pump clock, d being the
+    source's bin separation.  Windows are [center - w/2, center + w/2);
+    ``ExperimentConfig`` checks that w < d, so they do not overlap.
     """
 
     window_width_s: float = 400e-12
-    delay_s: float = 1.2e-9
 
     def __post_init__(self) -> None:
         if self.window_width_s <= 0.0:
             raise ValueError("window_width_s must be positive")
-        if self.window_width_s >= self.delay_s:
-            raise ValueError("window_width_s must be smaller than the bin separation")
-
-    @property
-    def centers_s(self) -> tuple[float, float, float]:
-        return (0.0, self.delay_s, 2.0 * self.delay_s)

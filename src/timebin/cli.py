@@ -4,8 +4,8 @@ All outputs are CSV with ``#`` provenance headers (config hash, seed,
 version) or JSON fit reports carrying the same provenance, so identical
 config + seed reproduce byte-identical files.
 
-Exit codes: 0 success, 1 parse error (config, CSV or parameters),
-2 config validation error, 3 I/O error, 4 degenerate fit design.
+Exit codes: 0 success, 1 parse error (config, CSV, parameters or command
+line), 2 config validation error, 3 I/O error, 4 degenerate fit design.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def _fit_block(fit: FitResult) -> dict[str, Any]:
     }
 
 
-def _scan_report(scan: FringeScan) -> dict[str, Any]:
-    net_scan = subtract_accidentals(scan)
+def _scan_report(net_scan: FringeScan) -> dict[str, Any]:
+    """Raw and net fits and the points of a scan with its net counts filled."""
     fit_raw = fit_fringe(net_scan, use_net=False)
     fit_net = fit_fringe(net_scan, use_net=True)
     return {
@@ -261,19 +261,14 @@ def _parse_scan_csv(path: str) -> FringeScan:
             raise ConfigFormatError(f"{path}: line {line_no}: negative count {raw_count}")
         if acc < 0.0:
             raise ConfigFormatError(f"{path}: line {line_no}: negative accidental {acc}")
-        points.append(
-            FringePoint(
-                phase_rad=phase, raw_count=raw_count, accidental_estimate=acc,
-                integration_s=0.0,
-            )
-        )
+        points.append(FringePoint(phase_rad=phase, raw_count=raw_count, accidental_estimate=acc))
     if not points:
         raise ConfigFormatError(f"{path}: no data rows after header")
     return FringeScan(points=tuple(points))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    scan = _parse_scan_csv(args.scan_csv)
+    scan = subtract_accidentals(_parse_scan_csv(args.scan_csv))
     with open(args.scan_csv, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()[:16]
     report = {
@@ -327,8 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error (exit status 2) or the --help text (0).
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigFormatError as exc:

@@ -1,9 +1,13 @@
-"""JSON experiment description: parsing, validation, canonical hashing.
+"""JSON experiment description: parsing, validation, hashing.
 
 Every physical quantity carries its unit in the key name (delay_ns,
-window_width_ps, dark_rate_cps, ...) and is converted to SI on load.
-Unknown keys are rejected so typos fail loudly instead of silently
-falling back to defaults.
+window_width_ps, dark_rate_cps, ...) and is converted to SI on load.  One
+table per section maps each document key to its dataclass field and SI
+factor; the allowed keys, the unit conversions and the built-in document
+all come from these tables.  A key left out takes its dataclass's own
+default, so every default is written once, in the dataclasses.  Unknown
+keys are rejected so typos fail loudly instead of silently falling back
+to defaults.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+import sys
+from dataclasses import dataclass, replace
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -22,6 +27,54 @@ from .fiber import FiberSpec
 from .source import SourceConfig
 
 NS, PS = 1e-9, 1e-12
+
+# Document key -> (dataclass field, factor to SI).  The factor ``int``
+# marks an integer key, ``str`` a string its section's builder checks.
+_SOURCE = {
+    "rep_rate_hz": ("rep_rate_hz", 1.0),
+    "mean_pairs": ("mean_pairs", 1.0),
+    "arm_attenuation_a": ("arm_attenuation_a", 1.0),
+    "arm_attenuation_b": ("arm_attenuation_b", 1.0),
+    "pump_phase_rad": ("phi_pump", 1.0),
+    "bin_separation_ns": ("bin_separation_s", NS),
+    "pulse_width_ps": ("pulse_width_s", PS),
+}
+_FIBER = {
+    "length_km": ("length_km", 1.0),
+    "attenuation_db_per_km": ("attenuation_db_per_km", 1.0),
+    "dispersion_slope_ps_nm2_km": ("dispersion_slope_ps_nm2_km", 1.0),
+    "zero_dispersion_wavelength_nm": ("zero_dispersion_wavelength_nm", 1.0),
+    "center_wavelength_nm": ("center_wavelength_nm", 1.0),
+    "filter_bandwidth_nm": ("filter_bandwidth_nm", 1.0),
+    "phase_jitter_rad": ("phase_jitter_rms", 1.0),
+}
+_ANALYZER = {
+    "arrangement": ("arrangement", str),
+    "delay_ns": ("delay_s", NS),
+    "phase_rad": ("phi_analyzer", 1.0),
+    "excess_loss_db": ("excess_loss_db", 1.0),
+    "circulator_loss_db": ("circulator_loss_db", 1.0),
+}
+# The second interferometer of the independent arrangement.
+_ANALYZER_B = {"phase_b_rad": ("phi_analyzer", 1.0), "excess_loss_b_db": ("excess_loss_db", 1.0)}
+_DETECTOR = {
+    "efficiency": ("efficiency", 1.0),
+    "dark_rate_cps": ("dark_rate_cps", 1.0),
+    "jitter_ps": ("jitter_rms_s", PS),
+}
+_WINDOWS = {"window_width_ps": ("window_width_s", PS)}
+_RUN = {"n_pulses": ("n_pulses", int), "seed": ("rng_seed", int), "batch_size": ("batch_size", int)}
+
+# Section -> (ExperimentConfig field, dataclass, key table), in build order.
+_SECTIONS = {
+    "source": ("source", SourceConfig, _SOURCE),
+    "windows": ("windows", CoincidenceWindows, _WINDOWS),
+    "fiber_a": ("fiber_a", FiberSpec, _FIBER),
+    "fiber_b": ("fiber_b", FiberSpec, _FIBER),
+    "analyzer": ("analyzers", InterferometerSpec, _ANALYZER),
+    "detector_a": ("detector_a", DetectorSpec, _DETECTOR),
+    "detector_b": ("detector_b", DetectorSpec, _DETECTOR),
+}
 
 
 class ConfigFormatError(ValueError):
@@ -42,57 +95,33 @@ class ScanSettings:
     out: str | None = None
 
 
-def default_config_dict() -> dict[str, Any]:
-    """Built-in experiment description.
-
-    Noise and loss figures are tuned so that accidental subtraction
-    improves the fitted visibility by a few points at zero distance and
-    somewhat under nine points at 11 km, while the net visibility tops out
-    near 0.95; see README for the knobs.
-    """
-    fiber = {
-        "length_km": 0.0,
-        "attenuation_db_per_km": 0.35,
-        "dispersion_slope_ps_nm2_km": 0.092,
-        "zero_dispersion_wavelength_nm": 1314.0,
-        "center_wavelength_nm": 1314.0,
-        "filter_bandwidth_nm": 40.0,
-        "phase_jitter_rad": 0.23,
-    }
-    detector = {
-        "efficiency": 0.25,
-        "dark_rate_cps": 450000.0,
-        "jitter_ps": 100.0,
-    }
+def _document(spec: Any, table: dict) -> dict[str, Any]:
+    """The document section describing ``spec``, in the section's units."""
     return {
-        "source": {
-            "rep_rate_hz": 8.0e7,
-            "mean_pairs": 0.005,
-            "arm_attenuation_a": 1.0,
-            "arm_attenuation_b": 1.0,
-            "pump_phase_rad": 0.0,
-            "bin_separation_ns": 1.2,
-            "pulse_width_ps": 42.466,
-        },
-        "fiber_a": dict(fiber),
-        "fiber_b": dict(fiber),
-        "analyzer": {
-            "arrangement": "folded",
-            "delay_ns": 1.2,
-            "phase_rad": 0.0,
-            "excess_loss_db": 1.0,
-            "circulator_loss_db": 1.0,
-        },
-        "detector_a": dict(detector),
-        "detector_b": dict(detector),
-        "windows": {"window_width_ps": 400.0},
-        "run": {"n_pulses": 100_000_000, "seed": 20260808, "batch_size": 50_000_000},
-        "scan": {
-            "phase_linspace": {"start_rad": 0.0, "stop_rad": math.pi, "num": 12},
-            "n_pulses_per_point": 100_000_000,
-            "repetitions": 1,
-        },
+        key: getattr(spec, field) if unit in (int, str) else getattr(spec, field) / unit
+        for key, (field, unit) in table.items()
     }
+
+
+def default_config_dict() -> dict[str, Any]:
+    """Built-in experiment description: ``ExperimentConfig()`` as a document.
+
+    Noise and loss figures are tuned so that accidental subtraction adds a
+    few points of fitted visibility at zero distance and somewhat under
+    nine at 11 km, with the net visibility near 0.95; see README.
+    """
+    default = ExperimentConfig()
+    cfg = {}
+    for name, (field, _, table) in _SECTIONS.items():
+        spec = getattr(default, field)
+        cfg[name] = _document(spec[0] if name == "analyzer" else spec, table)
+    cfg["run"] = _document(default, _RUN)
+    cfg["scan"] = {
+        "phase_linspace": {"start_rad": 0.0, "stop_rad": math.pi, "num": 12},
+        "n_pulses_per_point": default.n_pulses,
+        "repetitions": ScanSettings.repetitions,
+    }
+    return cfg
 
 
 def config_hash(cfg: dict[str, Any]) -> str:
@@ -112,7 +141,7 @@ def load_config_file(path: str) -> dict[str, Any]:
     return cfg
 
 
-def _require_keys(section: str, given: dict, allowed: set[str], required: set[str]) -> None:
+def _require_keys(section: str, given: dict, allowed: set, required: frozenset = frozenset()):
     unknown = set(given) - allowed
     if unknown:
         raise ConfigFormatError(
@@ -123,14 +152,11 @@ def _require_keys(section: str, given: dict, allowed: set[str], required: set[st
         raise ConfigFormatError(f"{section}: missing key(s) {sorted(missing)}")
 
 
-def _num(section: str, given: dict, key: str, default: float | None = None) -> float:
-    if key not in given:
-        if default is None:
-            raise ConfigFormatError(f"{section}: missing key {key!r}")
-        return default
-    val = given[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not math.isfinite(val):
-        raise ConfigFormatError(f"{section}.{key}: expected a finite number, got {val!r}")
+def _number(where: str, val: Any) -> float:
+    numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
+    # abs(val) <= max also rejects NaN, and ints too large for a float.
+    if not numeric or not abs(val) <= sys.float_info.max:
+        raise ConfigFormatError(f"{where}: expected a finite number, got {val!r}")
     return float(val)
 
 
@@ -138,121 +164,72 @@ def _is_int(val: Any) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _build_source(sec: dict) -> SourceConfig:
-    allowed = {
-        "rep_rate_hz", "mean_pairs", "arm_attenuation_a", "arm_attenuation_b",
-        "pump_phase_rad", "bin_separation_ns", "pulse_width_ps",
-    }
-    _require_keys("source", sec, allowed, set())
-    d = default_config_dict()["source"]
-    return SourceConfig(
-        rep_rate_hz=_num("source", sec, "rep_rate_hz", d["rep_rate_hz"]),
-        mean_pairs=_num("source", sec, "mean_pairs", d["mean_pairs"]),
-        arm_attenuation_a=_num("source", sec, "arm_attenuation_a", d["arm_attenuation_a"]),
-        arm_attenuation_b=_num("source", sec, "arm_attenuation_b", d["arm_attenuation_b"]),
-        phi_pump=_num("source", sec, "pump_phase_rad", d["pump_phase_rad"]),
-        bin_separation_s=_num("source", sec, "bin_separation_ns", d["bin_separation_ns"]) * NS,
-        pulse_width_s=_num("source", sec, "pulse_width_ps", d["pulse_width_ps"]) * PS,
-    )
+def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) -> dict[str, Any]:
+    """Dataclass keyword arguments, in SI units, for the keys of ``table`` in ``given``.
 
-
-def _build_fiber(name: str, sec: dict) -> FiberSpec:
-    allowed = {
-        "length_km", "attenuation_db_per_km", "dispersion_slope_ps_nm2_km",
-        "zero_dispersion_wavelength_nm", "center_wavelength_nm",
-        "filter_bandwidth_nm", "phase_jitter_rad",
-    }
-    _require_keys(name, sec, allowed, set())
-    d = default_config_dict()["fiber_a"]
-    return FiberSpec(
-        length_km=_num(name, sec, "length_km", d["length_km"]),
-        attenuation_db_per_km=_num(name, sec, "attenuation_db_per_km", d["attenuation_db_per_km"]),
-        dispersion_slope_ps_nm2_km=_num(
-            name, sec, "dispersion_slope_ps_nm2_km", d["dispersion_slope_ps_nm2_km"]
-        ),
-        zero_dispersion_wavelength_nm=_num(
-            name, sec, "zero_dispersion_wavelength_nm", d["zero_dispersion_wavelength_nm"]
-        ),
-        center_wavelength_nm=_num(name, sec, "center_wavelength_nm", d["center_wavelength_nm"]),
-        filter_bandwidth_nm=_num(name, sec, "filter_bandwidth_nm", d["filter_bandwidth_nm"]),
-        phase_jitter_rms=_num(name, sec, "phase_jitter_rad", d["phase_jitter_rad"]),
-    )
+    ``given`` may also hold the ``extra`` keys, which are converted elsewhere.
+    """
+    _require_keys(section, given, {*table, *extra})
+    kwargs = {}
+    for key, (field, unit) in table.items():
+        if key not in given:
+            continue
+        val = given[key]
+        if unit is int:
+            if not _is_int(val):
+                raise ConfigFormatError(f"{section}.{key}: expected an integer, got {val!r}")
+        elif unit is not str:
+            val = _number(f"{section}.{key}", val) * unit
+        kwargs[field] = val
+    return kwargs
 
 
 def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
-    allowed = {
-        "arrangement", "delay_ns", "phase_rad", "excess_loss_db",
-        "circulator_loss_db", "phase_b_rad", "excess_loss_b_db",
-    }
-    _require_keys("analyzer", sec, allowed, set())
-    d = default_config_dict()["analyzer"]
-    arrangement = sec.get("arrangement", d["arrangement"])
+    kwargs = _convert("analyzer", sec, _ANALYZER, _ANALYZER_B)
+    arrangement = kwargs.get("arrangement", InterferometerSpec.arrangement)
     if arrangement not in ("folded", "independent"):
         raise ConfigFormatError(f"analyzer.arrangement: unknown value {arrangement!r}")
-    delay_s = _num("analyzer", sec, "delay_ns", d["delay_ns"]) * NS
-    excess_loss_db = _num("analyzer", sec, "excess_loss_db", d["excess_loss_db"])
-    first = InterferometerSpec(
-        delay_s=delay_s,
-        phi_analyzer=_num("analyzer", sec, "phase_rad", d["phase_rad"]),
-        excess_loss_db=excess_loss_db,
-        arrangement=arrangement,
-        circulator_loss_db=_num("analyzer", sec, "circulator_loss_db", d["circulator_loss_db"]),
-    )
+    first = InterferometerSpec(**kwargs)
     if arrangement == "folded":
-        if "phase_b_rad" in sec or "excess_loss_b_db" in sec:
+        if sec.keys() & _ANALYZER_B.keys():
             raise ConfigFormatError(
-                "analyzer: phase_b_rad/excess_loss_b_db only apply to the "
-                "independent arrangement"
+                f"analyzer: {'/'.join(_ANALYZER_B)} only apply to the independent arrangement"
             )
         return (first,)
-    second = InterferometerSpec(
-        delay_s=delay_s,
-        phi_analyzer=_num("analyzer", sec, "phase_b_rad", d["phase_rad"]),
-        excess_loss_db=_num("analyzer", sec, "excess_loss_b_db", excess_loss_db),
-        arrangement=arrangement,
-        circulator_loss_db=0.0,
-    )
-    return (first, second)
-
-
-def _build_detector(name: str, sec: dict) -> DetectorSpec:
-    allowed = {"efficiency", "dark_rate_cps", "jitter_ps"}
-    _require_keys(name, sec, allowed, set())
-    d = default_config_dict()["detector_a"]
-    return DetectorSpec(
-        efficiency=_num(name, sec, "efficiency", d["efficiency"]),
-        dark_rate_cps=_num(name, sec, "dark_rate_cps", d["dark_rate_cps"]),
-        jitter_rms_s=_num(name, sec, "jitter_ps", d["jitter_ps"]) * PS,
-    )
+    # The second device has no circulator and takes the first one's excess loss.
+    second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer, circulator_loss_db=0.0)
+    return first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER))
 
 
 def _build_scan(sec: dict) -> ScanSettings:
     allowed = {"phases_rad", "phase_linspace", "n_pulses_per_point", "repetitions", "out"}
-    _require_keys("scan", sec, allowed, set())
+    _require_keys("scan", sec, allowed)
     if ("phases_rad" in sec) == ("phase_linspace" in sec):
         raise ConfigFormatError("scan: give exactly one of phases_rad or phase_linspace")
     if "phases_rad" in sec:
         raw = sec["phases_rad"]
         if not isinstance(raw, list) or not raw:
             raise ConfigFormatError("scan.phases_rad: expected a non-empty list")
-        phases = tuple(_num("scan.phases_rad", {"v": v}, "v") for v in raw)
+        phases = tuple(_number("scan.phases_rad", v) for v in raw)
     else:
         lin = sec["phase_linspace"]
         if not isinstance(lin, dict):
             raise ConfigFormatError("scan.phase_linspace: expected an object")
-        _require_keys(
-            "scan.phase_linspace", lin, {"start_rad", "stop_rad", "num"},
-            {"start_rad", "stop_rad", "num"},
-        )
+        keys = frozenset(("start_rad", "stop_rad", "num"))
+        _require_keys("scan.phase_linspace", lin, keys, keys)
         num = lin["num"]
         if not _is_int(num) or num < 1:
             raise ConfigFormatError("scan.phase_linspace.num: expected a positive integer")
-        start, stop = (_num("scan.phase_linspace", lin, k) for k in ("start_rad", "stop_rad"))
+        start, stop = (
+            _number(f"scan.phase_linspace.{k}", lin[k]) for k in ("start_rad", "stop_rad")
+        )
+        if not math.isfinite(stop - start):
+            raise ConfigFormatError("scan.phase_linspace: stop_rad - start_rad overflows")
         phases = tuple(float(x) for x in np.linspace(start, stop, num, endpoint=False))
     n_point = sec.get("n_pulses_per_point")
     if n_point is not None and (not _is_int(n_point) or n_point <= 0):
         raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")
-    reps = sec.get("repetitions", 1)
+    reps = sec.get("repetitions", ScanSettings.repetitions)
     if not _is_int(reps) or reps < 1:
         raise ConfigFormatError("scan.repetitions: expected a positive integer")
     out = sec.get("out")
@@ -267,49 +244,21 @@ def build_experiment(
     cfg: dict[str, Any], seed_override: int | None = None
 ) -> tuple[ExperimentConfig, ScanSettings | None]:
     """Turn a parsed document into an ExperimentConfig (+ scan settings)."""
-    allowed_sections = {
-        "source", "fiber_a", "fiber_b", "analyzer",
-        "detector_a", "detector_b", "windows", "run", "scan",
-    }
-    _require_keys("config", cfg, allowed_sections, set())
-    for name in allowed_sections:
-        if name in cfg and not isinstance(cfg[name], dict):
+    _require_keys("config", cfg, {*_SECTIONS, "run", "scan"})
+    for name, sec in cfg.items():
+        if not isinstance(sec, dict):
             raise ConfigFormatError(f"{name}: expected an object")
-
-    run_sec = cfg.get("run", {})
-    _require_keys("run", run_sec, {"n_pulses", "seed", "batch_size"}, set())
-    defaults = default_config_dict()
-    n_pulses = run_sec.get("n_pulses", defaults["run"]["n_pulses"])
-    seed = run_sec.get("seed", defaults["run"]["seed"])
-    batch = run_sec.get("batch_size", defaults["run"]["batch_size"])
-    for key, val in (("n_pulses", n_pulses), ("seed", seed), ("batch_size", batch)):
-        if not _is_int(val):
-            raise ConfigFormatError(f"run.{key}: expected an integer, got {val!r}")
+    run = _convert("run", cfg.get("run", {}), _RUN)
     if seed_override is not None:
-        seed = seed_override
+        run["rng_seed"] = seed_override
 
     try:
-        source = _build_source(cfg.get("source", {}))
-        windows_sec = cfg.get("windows", {})
-        _require_keys("windows", windows_sec, {"window_width_ps"}, set())
-        windows = CoincidenceWindows(
-            window_width_s=_num(
-                "windows", windows_sec, "window_width_ps", defaults["windows"]["window_width_ps"]
-            ) * PS,
-            delay_s=source.bin_separation_s,
-        )
-        experiment = ExperimentConfig(
-            source=source,
-            fiber_a=_build_fiber("fiber_a", cfg.get("fiber_a", {})),
-            fiber_b=_build_fiber("fiber_b", cfg.get("fiber_b", {})),
-            analyzers=_build_analyzers(cfg.get("analyzer", {})),
-            detector_a=_build_detector("detector_a", cfg.get("detector_a", {})),
-            detector_b=_build_detector("detector_b", cfg.get("detector_b", {})),
-            windows=windows,
-            n_pulses=n_pulses,
-            rng_seed=seed,
-            batch_size=batch,
-        )
+        parts = {
+            field: _build_analyzers(cfg.get(name, {})) if name == "analyzer"
+            else cls(**_convert(name, cfg.get(name, {}), table))
+            for name, (field, cls, table) in _SECTIONS.items()
+        }
+        experiment = ExperimentConfig(**parts, **run)
     except ConfigFormatError:
         raise
     except ValueError as exc:

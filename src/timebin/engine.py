@@ -84,20 +84,25 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete apparatus description for one run."""
+    """Complete apparatus description for one run.
 
-    source: SourceConfig
-    fiber_a: FiberSpec
-    fiber_b: FiberSpec
-    analyzers: tuple[InterferometerSpec, ...]
-    detector_a: DetectorSpec
-    detector_b: DetectorSpec
-    windows: CoincidenceWindows
-    n_pulses: int
-    rng_seed: int
+    ``ExperimentConfig()`` is the shipped default experiment.
+    """
+
+    source: SourceConfig = SourceConfig()
+    fiber_a: FiberSpec = FiberSpec()
+    fiber_b: FiberSpec = FiberSpec()
+    analyzers: tuple[InterferometerSpec, ...] = (InterferometerSpec(),)
+    detector_a: DetectorSpec = DetectorSpec()
+    detector_b: DetectorSpec = DetectorSpec()
+    windows: CoincidenceWindows = CoincidenceWindows()
+    n_pulses: int = 100_000_000
+    rng_seed: int = 20260808
     batch_size: int = 50_000_000
 
     def __post_init__(self) -> None:
+        if self.windows.window_width_s >= self.source.bin_separation_s:
+            raise ConfigurationError("window_width_s must be smaller than the bin separation")
         if self.n_pulses <= 0:
             raise ConfigurationError("n_pulses must be positive")
         if self.batch_size <= 0:
@@ -120,10 +125,6 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     "analyzer delay must match the source bin separation"
                 )
-        if abs(self.windows.delay_s - self.source.bin_separation_s) > _DELAY_MATCH_TOL_S:
-            raise ConfigurationError(
-                "window spacing must match the source bin separation"
-            )
 
 
 @dataclass(frozen=True)
@@ -208,11 +209,16 @@ class RunResult:
         return self.middle_singles_a * self.middle_singles_b / self.n_pulses
 
 
-def _classify(windows: CoincidenceWindows, times: np.ndarray) -> np.ndarray:
+def _centers(delay_s: float) -> tuple[float, float, float]:
+    """Window centres: the three arrival-time peaks, one bin separation apart."""
+    return (0.0, delay_s, 2.0 * delay_s)
+
+
+def _classify(windows: CoincidenceWindows, delay_s: float, times: np.ndarray) -> np.ndarray:
     """Window index per click time: 0, 1, 2, or 3 for none."""
     half = 0.5 * windows.window_width_s
     cls = np.full(times.shape, 3, dtype=np.int8)
-    for k, c in enumerate(windows.centers_s):
+    for k, c in enumerate(_centers(delay_s)):
         cls[(times >= c - half) & (times < c + half)] = k
     return cls
 
@@ -229,13 +235,13 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
     nbins = 3 * _HIST_BINS_PER_DELAY
     bin_edges = -0.5 * delay_s + 3.0 * delay_s / nbins * np.arange(nbins + 1)
     half = 0.5 * windows.window_width_s
-    cuts = np.array([c + sign * half for c in windows.centers_s for sign in (-1.0, 1.0)])
+    cuts = np.array([c + sign * half for c in _centers(delay_s) for sign in (-1.0, 1.0)])
     # A window edge that meets a bin edge up to rounding replaces it.
     tol = 1e-9 * (bin_edges[1] - bin_edges[0])
     inner = bin_edges[1:-1]
     inner = inner[np.abs(inner[:, None] - cuts).min(axis=1) > tol]
     edges = np.concatenate(([-np.inf], np.sort(np.concatenate((inner, cuts))), [np.inf]))
-    window = _classify(windows, edges[:-1])
+    window = _classify(windows, delay_s, edges[:-1])
     mid = np.flatnonzero(window == 1)
     bin_starts = np.searchsorted(edges, bin_edges[:-1] - tol)
     bin_starts[0] = 0
@@ -488,7 +494,6 @@ def run_phase_scan(
                 phase_rad=fringe_phase(cfg),
                 raw_count=result.triple_coincidences,
                 accidental_estimate=float(result.accidental_coincidences),
-                integration_s=result.duration_s,
             )
         )
     return FringeScan(points=tuple(points))

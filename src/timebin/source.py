@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .states import TimeBinState
 
-# 100 ps full width at half maximum, expressed as an RMS width.
-PUMP_PULSE_SIGMA_S = 100e-12 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+# 100 ps full width at half maximum as an RMS width, to five digits
+# (100 ps / (2 sqrt(2 ln 2)) = 42.46609 ps).
+PUMP_PULSE_SIGMA_S = 42.466e-12
 
 _SERIES_RTOL = 1e-15
 _SERIES_MAX_TERMS = 200
@@ -49,6 +50,8 @@ class SourceConfig:
         for t in (self.arm_attenuation_a, self.arm_attenuation_b):
             if not 0.0 <= t <= 1.0:
                 raise ValueError("arm attenuations must lie in [0, 1]")
+        if self.arm_attenuation_a + self.arm_attenuation_b <= 0.0:
+            raise ValueError("at least one pump arm must transmit")
         if self.pulse_width_s <= 0.0:
             raise ValueError("pulse_width_s must be positive")
         if self.pulse_width_s >= self.bin_separation_s:

@@ -84,7 +84,6 @@ def exact_fringe_scan(offset, visibility, repeats=1, background=0.0):
                     phase_rad=math.acos(c),
                     raw_count=int(round(lam)),
                     accidental_estimate=background,
-                    integration_s=60.0,
                 )
             )
     return tb.FringeScan(points=tuple(points))

@@ -182,7 +182,7 @@ def test_fit_calibration():
         scan = tb.FringeScan(
             points=tuple(
                 tb.FringePoint(phase_rad=float(p), raw_count=int(c),
-                               accidental_estimate=0.0, integration_s=60.0)
+                               accidental_estimate=0.0)
                 for p, c in zip(phases, counts)
             )
         )

@@ -20,7 +20,6 @@ def poisson_scan(rng, offset, visibility, n_points=16, background=0.0):
                 phase_rad=float(p),
                 raw_count=int(c),
                 accidental_estimate=background,
-                integration_s=60.0,
             )
             for p, c in zip(phases, counts)
         )
@@ -50,11 +49,9 @@ class TestSubtractAccidentals:
         assert fit_net.visibility == pytest.approx(restored, abs=1e-10)
 
     def test_clamps_negative_net_counts(self):
-        point = tb.FringePoint(
-            phase_rad=0.0, raw_count=3, accidental_estimate=5.0, integration_s=1.0
-        )
+        point = tb.FringePoint(phase_rad=0.0, raw_count=3, accidental_estimate=5.0)
         filler = [
-            tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=0.0, integration_s=1.0)
+            tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=0.0)
             for p in (0.8, 1.6, 2.4, 3.1)
         ]
         net = tb.subtract_accidentals(tb.FringeScan(points=(point, *filler)))
@@ -85,20 +82,12 @@ class TestFitFringe:
         scan = tb.FringeScan(
             points=tuple(
                 tb.FringePoint(phase_rad=float(p), raw_count=int(round(c)),
-                               accidental_estimate=0.0, integration_s=1.0)
+                               accidental_estimate=0.0)
                 for p, c in zip(phases, lam)
             )
         )
         fit = tb.fit_fringe(scan, use_net=False)
         assert fit.phase_origin_rad == pytest.approx(1.1, abs=1e-3)
-
-    def test_fixed_phase_origin(self):
-        fit = tb.fit_fringe(exact_fringe_scan(100, 0.8), use_net=False, fix_phase_origin=0.0)
-        assert fit.visibility == pytest.approx(0.8, abs=1e-12)
-
-    def test_raw_weighting_option(self):
-        fit = tb.fit_fringe(exact_fringe_scan(100, 0.8), use_net=False, weighting="raw")
-        assert fit.visibility == pytest.approx(0.8, abs=1e-12)
 
     def test_visibility_clamped_with_flag(self, rng):
         scan = poisson_scan(rng, offset=8, visibility=0.99)
@@ -114,7 +103,7 @@ class TestFitFringe:
 
     def test_too_few_points_rejected(self):
         points = tuple(
-            tb.FringePoint(phase_rad=p, raw_count=5, accidental_estimate=0.0, integration_s=1.0)
+            tb.FringePoint(phase_rad=p, raw_count=5, accidental_estimate=0.0)
             for p in (0.0, 1.0, 2.0)
         )
         with pytest.raises(DegenerateScanError):
@@ -122,7 +111,7 @@ class TestFitFringe:
 
     def test_two_distinct_phases_rejected(self):
         points = tuple(
-            tb.FringePoint(phase_rad=p, raw_count=5, accidental_estimate=0.0, integration_s=1.0)
+            tb.FringePoint(phase_rad=p, raw_count=5, accidental_estimate=0.0)
             for p in (0.0, 0.0, 2.0, 2.0, 2.0)
         )
         with pytest.raises(DegenerateScanError):
@@ -131,7 +120,7 @@ class TestFitFringe:
     def test_phases_coinciding_modulo_two_pi_rejected(self):
         points = tuple(
             tb.FringePoint(phase_rad=2.0 * math.pi * k, raw_count=5,
-                           accidental_estimate=0.0, integration_s=1.0)
+                           accidental_estimate=0.0)
             for k in range(5)
         )
         with pytest.raises(DegenerateScanError):
@@ -139,8 +128,7 @@ class TestFitFringe:
 
     def test_narrow_span_rejected(self):
         points = tuple(
-            tb.FringePoint(phase_rad=0.3 * k / 4, raw_count=5, accidental_estimate=0.0,
-                           integration_s=1.0)
+            tb.FringePoint(phase_rad=0.3 * k / 4, raw_count=5, accidental_estimate=0.0)
             for k in range(5)
         )
         with pytest.raises(DegenerateScanError):

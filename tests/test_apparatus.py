@@ -25,9 +25,10 @@ def assert_binomial(observed, n, p):
     assert abs(observed - n * p) <= Z * sigma
 
 
-def outside_window_counts(hist, windows):
+def outside_window_counts(hist, cfg):
     """Histogram counts outside the three windows; 50 ps bins share the window edges."""
-    return hist.counts[_classify(windows, hist.bin_centers_s) == 3].sum()
+    window = _classify(cfg.windows, cfg.source.bin_separation_s, hist.bin_centers_s)
+    return hist.counts[window == 3].sum()
 
 
 class TestSpecs:
@@ -36,8 +37,9 @@ class TestSpecs:
         assert interferometer.phi_analyzer == pytest.approx(0.3, abs=1e-12)
 
     def test_windows_must_not_overlap(self):
+        # 1.3 ns windows around peaks 1.2 ns apart
         with pytest.raises(ValueError):
-            tb.CoincidenceWindows(window_width_s=1.3e-9, delay_s=1.2e-9)
+            replace(ideal_experiment(), windows=tb.CoincidenceWindows(window_width_s=1.3e-9))
 
     def test_detector_bounds(self):
         with pytest.raises(ValueError):
@@ -86,11 +88,11 @@ class TestDetectClick:
         p_any = 1.0 - (1.0 - rate * 400e-12) ** 3
         assert_binomial(result.singles_a, n, p_any)
         assert_binomial(result.middle_singles_a, n, p_any / 3.0)
-        assert outside_window_counts(result.histogram_a, cfg.windows) == 0
+        assert outside_window_counts(result.histogram_a, cfg) == 0
         expected = tb.expected_tallies(cfg)
         assert expected.singles_a == pytest.approx(n * p_any, rel=1e-9)
         assert expected.middle_singles_a == pytest.approx(n * p_any / 3.0, rel=1e-9)
-        assert outside_window_counts(expected.histogram_a, cfg.windows) == 0
+        assert outside_window_counts(expected.histogram_a, cfg) == 0
 
     def test_jitter_spreads_click_times(self):
         # a click lands inside its window with probability erf(w / (2 sqrt2 sigma))
@@ -102,11 +104,11 @@ class TestDetectClick:
         p_in = math.erf(400e-12 / (2.0 * math.sqrt(2.0) * sigma_click))
         for hist, singles in ((result.histogram_a, result.singles_a),
                               (result.histogram_b, result.singles_b)):
-            assert_binomial(singles - outside_window_counts(hist, cfg.windows), singles, p_in)
+            assert_binomial(singles - outside_window_counts(hist, cfg), singles, p_in)
         expected = tb.expected_tallies(cfg)
         for hist, singles in ((expected.histogram_a, expected.singles_a),
                               (expected.histogram_b, expected.singles_b)):
-            inside = singles - outside_window_counts(hist, cfg.windows)
+            inside = singles - outside_window_counts(hist, cfg)
             assert inside / singles == pytest.approx(p_in, rel=1e-9)
 
     def test_earliest_event_wins(self):
@@ -138,16 +140,17 @@ class TestClassifyBin:
     """The half-open window rule, [centre - w/2, centre + w/2), in engine._classify."""
 
     WINDOWS = ideal_experiment(window_width_s=400e-12).windows
+    DELAY = 1.2e-9
 
     def classify(self, *times):
-        return _classify(self.WINDOWS, np.array(times)).tolist()
+        return _classify(self.WINDOWS, self.DELAY, np.array(times)).tolist()
 
     def test_window_centres(self):
         assert self.classify(0.0, 1.2e-9, 2.4e-9) == [0, 1, 2]
 
     def test_half_open_boundaries(self):
         half = 0.5 * self.WINDOWS.window_width_s
-        for k, c in enumerate(self.WINDOWS.centers_s):
+        for k, c in enumerate((0.0, self.DELAY, 2.0 * self.DELAY)):
             assert self.classify(c - half, c + half) == [k, 3]
             assert self.classify(np.nextafter(c + half, -np.inf)) == [k]
             assert self.classify(np.nextafter(c - half, -np.inf)) == [3]

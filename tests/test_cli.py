@@ -180,10 +180,12 @@ class TestScan:
             ("run.seed", -1, 2, "seed"),
             ("--seed", -1, 2, "seed"),
             ("scan.phase_linspace", {"start_rad": "0", "stop_rad": 1.0, "num": 8}, 1, "start_rad"),
+            ("--threads", "abc", 1, "--threads"),
+            ("--points", 5, 1, "unrecognized arguments: --points"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
-        if key == "--seed":
+        if key.startswith("--"):
             cfg, extra = small_config(), [key, str(value)]
         else:
             cfg, extra = small_config(**{key: value}), []
@@ -192,6 +194,10 @@ class TestScan:
         err = capsys.readouterr().err
         assert name in err
         assert "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["scan", "--help"]) == 0
+        assert "--threads" in capsys.readouterr().out
 
     def test_two_phase_scan_is_degenerate(self, tmp_path):
         cfg = small_config()

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import timebin as tb
 from timebin.config_io import (
     ConfigFormatError,
     ConfigValidationError,
@@ -25,6 +26,20 @@ class TestDefaultConfig:
         assert scan.analyzer_phases_rad[0] == 0.0
         # an empty document falls back to the same defaults, section by section
         assert build_experiment({}) == (experiment, None)
+
+    def test_one_set_of_defaults(self):
+        # the empty document, the built-in one and the dataclasses describe one experiment
+        empty, _ = build_experiment({})
+        assert empty == build_experiment(default_config_dict())[0] == tb.ExperimentConfig()
+        assert empty.source == tb.SourceConfig()
+        assert empty.fiber_a == empty.fiber_b == tb.FiberSpec()
+        assert empty.analyzers == (tb.InterferometerSpec(),)
+        assert empty.detector_a == empty.detector_b == tb.DetectorSpec()
+        assert empty.windows == tb.CoincidenceWindows()
+
+    def test_default_document_hash(self):
+        # the provenance line of every run without --config
+        assert config_hash(default_config_dict()) == "dcf810d371bd533f"
 
     def test_hash_is_order_insensitive(self):
         cfg = default_config_dict()

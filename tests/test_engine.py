@@ -68,11 +68,6 @@ class TestConfigValidation:
         with pytest.raises(tb.ConfigurationError):
             replace(cfg, analyzers=(replace(cfg.analyzers[0], delay_s=1.3e-9),))
 
-    def test_window_spacing_must_match(self):
-        cfg = ideal_experiment()
-        with pytest.raises(tb.ConfigurationError):
-            replace(cfg, windows=tb.CoincidenceWindows(window_width_s=4e-10, delay_s=1.1e-9))
-
     def test_independent_arrangement_needs_two_analyzers(self):
         cfg = ideal_experiment()
         one = replace(cfg.analyzers[0], arrangement="independent")
@@ -193,7 +188,6 @@ class TestPhaseScan:
         scan = tb.run_phase_scan(cfg, [0.0, 0.5])
         assert scan.points[0].phase_rad == pytest.approx(-0.4, abs=1e-12)
         assert scan.points[1].phase_rad == pytest.approx(2 * 0.5 - 0.4, abs=1e-12)
-        assert scan.points[0].integration_s == pytest.approx(10**5 / 8e7, rel=1e-12)
 
     def test_single_point_scan_counts_follow_probability(self):
         cfg = ideal_experiment(n_pulses=10**6, seed=5)

@@ -1,0 +1,95 @@
+"""Fuzz of ``timebin run`` and ``timebin scan`` over mutated config documents.
+
+Keys of the physics sections and the scan's phases take extreme values,
+wrong types, bools, NaN and infinities; whole sections go missing or turn
+into non-objects.  Every call must end with a documented exit code (0-4)
+instead of raising.  The run stays small (at most 1e6 pulses in one batch,
+at most 8 phases and 2 repetitions), so each example costs milliseconds.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from timebin.cli import main
+from timebin.config_io import default_config_dict
+
+PHYSICS = ("source", "fiber_a", "fiber_b", "analyzer", "detector_a", "detector_b", "windows")
+DEFAULTS = default_config_dict()
+KEYS = [(section, key) for section in PHYSICS for key in DEFAULTS[section]]
+KEYS += [("analyzer", "phase_b_rad"), ("analyzer", "excess_loss_b_db")]
+
+EXTREMES = st.sampled_from([
+    0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300,
+    sys.float_info.max, -sys.float_info.max, 10**400, math.nan, math.inf, -math.inf,
+    True, False, None, "1.0", [], {}, "folded", "independent",
+])
+VALUES = st.one_of(EXTREMES, st.floats(allow_nan=True, allow_infinity=True), st.integers())
+PHASES = st.one_of(EXTREMES, st.floats(-10.0, 10.0))
+SCANS = st.one_of(
+    st.fixed_dictionaries({"phases_rad": st.one_of(st.lists(PHASES, max_size=8), EXTREMES)}),
+    st.fixed_dictionaries({
+        "phase_linspace": st.fixed_dictionaries({
+            "start_rad": PHASES,
+            "stop_rad": PHASES,
+            "num": st.one_of(st.integers(-1, 8), st.sampled_from([True, 2.0, "4", None])),
+        }),
+    }),
+)
+
+
+@st.composite
+def documents(draw):
+    cfg = copy.deepcopy({section: DEFAULTS[section] for section in PHYSICS})
+    # A value shared between keys reaches combinations such as two zero arm attenuations.
+    shared = draw(VALUES)
+    for section, key in draw(st.lists(st.sampled_from(KEYS), max_size=4)):
+        action = draw(st.sampled_from(["shared", "own", "drop"]))
+        if action == "drop":
+            cfg[section].pop(key, None)
+        else:
+            cfg[section][key] = shared if action == "shared" else draw(VALUES)
+    for section in draw(st.lists(st.sampled_from(PHYSICS), max_size=2)):
+        if draw(st.booleans()):
+            cfg.pop(section, None)
+        else:
+            cfg[section] = draw(st.sampled_from([None, [], 1.0, "x"]))
+    n_pulses = draw(st.integers(1, 10**6))
+    cfg["run"] = {"n_pulses": n_pulses, "batch_size": n_pulses, "seed": draw(st.integers(0, 99))}
+    if draw(st.booleans()):
+        cfg["scan"] = draw(SCANS)
+        cfg["scan"]["repetitions"] = draw(st.integers(1, 2))
+    return cfg
+
+
+SMALL_RUN = {"run": {"n_pulses": 1000, "batch_size": 1000}}
+
+
+# Inputs that once raised: no transmitting pump arm, an int too large for a
+# float, and a phase grid whose span overflows.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(documents())
+@example({"source": {"arm_attenuation_a": 0, "arm_attenuation_b": 0.0}, **SMALL_RUN})
+@example({"fiber_a": {"length_km": 10**400}, **SMALL_RUN})
+@example({
+    "scan": {"phase_linspace": {"start_rad": -1e308, "stop_rad": 1e308, "num": 4}}, **SMALL_RUN
+})
+def test_run_and_scan_exit_with_a_documented_code(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        for command in ("run", "scan"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path, "--out", os.path.join(tmp, "out.csv")])
+            assert code in range(5), (command, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
