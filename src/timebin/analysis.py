@@ -76,18 +76,19 @@ class FitResult:
 
     ``visibility`` is clamped to [0, 1] (noise can push the raw estimate
     outside); ``clamped`` says whether that happened and
-    ``visibility_unclamped`` keeps the unmodified value.
+    ``visibility_unclamped`` keeps the unmodified value.  The fields are
+    in the order of a fit block of the JSON reports.
     """
 
     visibility: float
     visibility_sigma: float
+    visibility_unclamped: float
+    clamped: bool
     amplitude: float
     offset: float
     phase_origin_rad: float
     residual_chi2: float
     n_points: int
-    clamped: bool
-    visibility_unclamped: float
 
 
 def subtract_accidentals(scan: FringeScan) -> FringeScan:
@@ -176,13 +177,13 @@ def fit_fringe(scan: FringeScan, *, use_net: bool | None = None) -> FitResult:
     return FitResult(
         visibility=min(max(vis, 0.0), 1.0),
         visibility_sigma=sigma,
+        visibility_unclamped=vis,
+        clamped=clamped,
         amplitude=amp,
         offset=offset,
         phase_origin_rad=phase_origin,
         residual_chi2=chi2,
         n_points=int(phases.size),
-        clamped=clamped,
-        visibility_unclamped=vis,
     )
 
 

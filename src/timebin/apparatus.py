@@ -1,11 +1,13 @@
 """Apparatus specifications: analyzer interferometers, detectors, windows.
 
-The analyzer is an unbalanced interferometer whose delay matches the pump
-delay.  In the folded arrangement both photons traverse the same device
-and are detected on its two output ports, one reached through a
-circulator; alternatively each photon gets its own interferometer.  Either
-way each photon reaches its assigned detector through a 50/50 output
-split, a flat factor of two per photon on post-selected rates.
+The analyzer is an unbalanced interferometer whose delay is the pump's
+bin separation (``SourceConfig.bin_separation_s``, the one copy of it).
+In the folded arrangement both photons traverse the same device and are
+detected on its two output ports, one reached through a circulator; in
+the independent arrangement each photon gets its own interferometer.  The
+number of devices in ``ExperimentConfig.analyzers`` is the arrangement.
+Either way each photon reaches its assigned detector through a 50/50
+output split, a flat factor of two per photon on post-selected rates.
 
 Detectors click on an arriving photon with their quantum efficiency, fire
 spontaneously at the dark rate, and time-stamp with Gaussian jitter.  A
@@ -31,25 +33,17 @@ _TWO_PI = 2.0 * math.pi
 class InterferometerSpec:
     """One analyzer interferometer.
 
-    ``arrangement`` is "folded" (single device, circulator on one output)
-    or "independent" (one device per photon).  ``circulator_loss_db`` only
-    applies to the circulator-side detector path of a folded setup.
-    Phases are stored modulo 2*pi.
+    ``circulator_loss_db`` only applies to the circulator-side detector
+    path of a folded setup.  Phases are stored modulo 2*pi.
     """
 
-    delay_s: float = 1.2e-9
     phi_analyzer: float = 0.0
     excess_loss_db: float = 1.0
-    arrangement: str = "folded"
     circulator_loss_db: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.delay_s <= 0.0:
-            raise ValueError("delay_s must be positive")
         if self.excess_loss_db < 0.0 or self.circulator_loss_db < 0.0:
             raise ValueError("losses must be non-negative")
-        if self.arrangement not in ("folded", "independent"):
-            raise ValueError(f"unknown arrangement {self.arrangement!r}")
         object.__setattr__(self, "phi_analyzer", self.phi_analyzer % _TWO_PI)
 
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Any
 
 from . import __version__
@@ -22,7 +24,6 @@ from .analysis import (
     DegenerateScanError,
     FringePoint,
     FringeScan,
-    FitResult,
     fit_fringe,
     subtract_accidentals,
     visibility_vs_entanglement_curve,
@@ -67,15 +68,24 @@ class _IoFailure(Exception):
     pass
 
 
-def _load(config_path: str | None, seed: int | None):
-    cfg = load_config_file(config_path) if config_path else default_config_dict()
-    experiment, scan = build_experiment(cfg, seed_override=seed)
-    effective = effective_config_dict(cfg, seed_override=seed)
+def _load(args: argparse.Namespace):
+    """The experiment, scan settings and config hash of a ``run`` or ``scan``."""
+    if args.threads < 1:
+        raise ConfigFormatError(f"--threads: expected a positive integer, got {args.threads}")
+    if args.config:
+        try:
+            cfg = load_config_file(args.config)
+        except OSError as exc:
+            raise _IoFailure(f"cannot read {args.config}: {exc}") from exc
+    else:
+        cfg = default_config_dict()
+    experiment, scan = build_experiment(cfg, seed_override=args.seed)
+    effective = effective_config_dict(cfg, seed_override=args.seed)
     return experiment, scan, config_hash(effective)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    experiment, _, cfg_hash = _load(args.config, args.seed)
+    experiment, _, cfg_hash = _load(args)
     result = run_pulses(experiment, threads=args.threads)
     lines = _provenance_lines(cfg_hash, experiment.rng_seed)
     lines += [
@@ -96,27 +106,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fit_block(fit: FitResult) -> dict[str, Any]:
-    return {
-        "visibility": fit.visibility,
-        "visibility_sigma": fit.visibility_sigma,
-        "visibility_unclamped": fit.visibility_unclamped,
-        "clamped": fit.clamped,
-        "amplitude": fit.amplitude,
-        "offset": fit.offset,
-        "phase_origin_rad": fit.phase_origin_rad,
-        "residual_chi2": fit.residual_chi2,
-        "n_points": fit.n_points,
-    }
-
-
 def _scan_report(net_scan: FringeScan) -> dict[str, Any]:
     """Raw and net fits and the points of a scan with its net counts filled."""
     fit_raw = fit_fringe(net_scan, use_net=False)
     fit_net = fit_fringe(net_scan, use_net=True)
     return {
-        "v_raw": _fit_block(fit_raw),
-        "v_net": _fit_block(fit_net),
+        "v_raw": asdict(fit_raw),
+        "v_net": asdict(fit_net),
         "points": [
             {
                 "phase_rad": p.phase_rad,
@@ -130,7 +126,7 @@ def _scan_report(net_scan: FringeScan) -> dict[str, Any]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    experiment, scan_settings, cfg_hash = _load(args.config, args.seed)
+    experiment, scan_settings, cfg_hash = _load(args)
     if scan_settings is None:
         # The default phase grid; run.n_pulses sets the pulses per point.
         scan_settings = _build_scan(
@@ -225,12 +221,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_scan_csv(path: str) -> FringeScan:
+def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
+    """The scan in ``data``, the contents of the CSV file ``path``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise _IoFailure(f"cannot read {path}: {exc}") from exc
+        raw_lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = [
         (i + 1, line.strip())
         for i, line in enumerate(raw_lines)
@@ -261,6 +257,10 @@ def _parse_scan_csv(path: str) -> FringeScan:
             raise ConfigFormatError(f"{path}: line {line_no}: negative count {raw_count}")
         if acc < 0.0:
             raise ConfigFormatError(f"{path}: line {line_no}: negative accidental {acc}")
+        if not (math.isfinite(phase) and math.isfinite(acc)):
+            raise ConfigFormatError(
+                f"{path}: line {line_no}: expected finite phase_rad and accidental"
+            )
         points.append(FringePoint(phase_rad=phase, raw_count=raw_count, accidental_estimate=acc))
     if not points:
         raise ConfigFormatError(f"{path}: no data rows after header")
@@ -268,11 +268,14 @@ def _parse_scan_csv(path: str) -> FringeScan:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    scan = subtract_accidentals(_parse_scan_csv(args.scan_csv))
-    with open(args.scan_csv, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    try:
+        with open(args.scan_csv, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _IoFailure(f"cannot read {args.scan_csv}: {exc}") from exc
+    scan = subtract_accidentals(_parse_scan_csv(args.scan_csv, data))
     report = {
-        "config_hash": digest,
+        "config_hash": hashlib.sha256(data).hexdigest()[:16],
         "seed": "none",
         "version": __version__,
     }

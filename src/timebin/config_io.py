@@ -27,6 +27,13 @@ from .fiber import FiberSpec
 from .source import SourceConfig
 
 NS, PS = 1e-9, 1e-12
+# The engine counts pulses as int64, and np.linspace holds a phase grid in
+# one float64 array.
+_MAX_PULSES = 2**63 - 1
+_MAX_PHASES = int(np.iinfo(np.intp).max) // 8
+# Index + 1 is the number of interferometers.
+_ARRANGEMENTS = ("folded", "independent")
+_DELAY_MATCH_TOL_S = 1e-15
 
 # Document key -> (dataclass field, factor to SI).  The factor ``int``
 # marks an integer key, ``str`` a string its section's builder checks.
@@ -48,6 +55,8 @@ _FIBER = {
     "filter_bandwidth_nm": ("filter_bandwidth_nm", 1.0),
     "phase_jitter_rad": ("phase_jitter_rms", 1.0),
 }
+# ``arrangement`` and ``delay_ns`` fill no field: the first sets the number
+# of interferometers, the second must repeat the source's bin separation.
 _ANALYZER = {
     "arrangement": ("arrangement", str),
     "delay_ns": ("delay_s", NS),
@@ -95,10 +104,10 @@ class ScanSettings:
     out: str | None = None
 
 
-def _document(spec: Any, table: dict) -> dict[str, Any]:
-    """The document section describing ``spec``, in the section's units."""
+def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
+    """The document section holding ``fields`` (SI values by field name), in its units."""
     return {
-        key: getattr(spec, field) if unit in (int, str) else getattr(spec, field) / unit
+        key: fields[field] if unit in (int, str) else fields[field] / unit
         for key, (field, unit) in table.items()
     }
 
@@ -111,11 +120,16 @@ def default_config_dict() -> dict[str, Any]:
     nine at 11 km, with the net visibility near 0.95; see README.
     """
     default = ExperimentConfig()
-    cfg = {}
-    for name, (field, _, table) in _SECTIONS.items():
-        spec = getattr(default, field)
-        cfg[name] = _document(spec[0] if name == "analyzer" else spec, table)
-    cfg["run"] = _document(default, _RUN)
+    analyzer = {
+        **vars(default.analyzers[0]),
+        "arrangement": _ARRANGEMENTS[len(default.analyzers) - 1],
+        "delay_s": default.source.bin_separation_s,
+    }
+    cfg = {
+        name: _document(analyzer if name == "analyzer" else vars(getattr(default, field)), table)
+        for name, (field, _, table) in _SECTIONS.items()
+    }
+    cfg["run"] = _document(vars(default), _RUN)
     cfg["scan"] = {
         "phase_linspace": {"start_rad": 0.0, "stop_rad": math.pi, "num": 12},
         "n_pulses_per_point": default.n_pulses,
@@ -136,6 +150,8 @@ def load_config_file(path: str) -> dict[str, Any]:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigFormatError(f"{path}: top level must be an object")
     return cfg
@@ -184,21 +200,25 @@ def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) 
     return kwargs
 
 
-def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
+def _build_analyzers(sec: dict) -> tuple[float | None, tuple[InterferometerSpec, ...]]:
+    """The document's analyzer delay (None if not given) and interferometers."""
     kwargs = _convert("analyzer", sec, _ANALYZER, _ANALYZER_B)
-    arrangement = kwargs.get("arrangement", InterferometerSpec.arrangement)
-    if arrangement not in ("folded", "independent"):
+    arrangement = kwargs.pop("arrangement", _ARRANGEMENTS[0])
+    if arrangement not in _ARRANGEMENTS:
         raise ConfigFormatError(f"analyzer.arrangement: unknown value {arrangement!r}")
+    delay_s = kwargs.pop("delay_s", None)
+    if delay_s is not None and delay_s <= 0.0:
+        raise ValueError("delay_s must be positive")
     first = InterferometerSpec(**kwargs)
     if arrangement == "folded":
         if sec.keys() & _ANALYZER_B.keys():
             raise ConfigFormatError(
                 f"analyzer: {'/'.join(_ANALYZER_B)} only apply to the independent arrangement"
             )
-        return (first,)
+        return delay_s, (first,)
     # The second device has no circulator and takes the first one's excess loss.
     second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer, circulator_loss_db=0.0)
-    return first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER))
+    return delay_s, (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
 
 
 def _build_scan(sec: dict) -> ScanSettings:
@@ -220,6 +240,8 @@ def _build_scan(sec: dict) -> ScanSettings:
         num = lin["num"]
         if not _is_int(num) or num < 1:
             raise ConfigFormatError("scan.phase_linspace.num: expected a positive integer")
+        if num > _MAX_PHASES:
+            raise ConfigFormatError(f"scan.phase_linspace.num: at most {_MAX_PHASES} phases")
         start, stop = (
             _number(f"scan.phase_linspace.{k}", lin[k]) for k in ("start_rad", "stop_rad")
         )
@@ -229,6 +251,8 @@ def _build_scan(sec: dict) -> ScanSettings:
     n_point = sec.get("n_pulses_per_point")
     if n_point is not None and (not _is_int(n_point) or n_point <= 0):
         raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")
+    if n_point is not None and n_point > _MAX_PULSES:
+        raise ConfigFormatError(f"scan.n_pulses_per_point: at most {_MAX_PULSES} pulses")
     reps = sec.get("repetitions", ScanSettings.repetitions)
     if not _is_int(reps) or reps < 1:
         raise ConfigFormatError("scan.repetitions: expected a positive integer")
@@ -253,18 +277,24 @@ def build_experiment(
         run["rng_seed"] = seed_override
 
     try:
-        parts = {
-            field: _build_analyzers(cfg.get(name, {})) if name == "analyzer"
-            else cls(**_convert(name, cfg.get(name, {}), table))
-            for name, (field, cls, table) in _SECTIONS.items()
-        }
+        parts = {}
+        for name, (field, cls, table) in _SECTIONS.items():
+            if name == "analyzer":
+                delay_s, parts[field] = _build_analyzers(cfg.get(name, {}))
+            else:
+                parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
         experiment = ExperimentConfig(**parts, **run)
+        bin_separation_s = experiment.source.bin_separation_s
+        if delay_s is not None and abs(delay_s - bin_separation_s) > _DELAY_MATCH_TOL_S:
+            raise ValueError("analyzer delay must match the source bin separation")
     except ConfigFormatError:
         raise
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
 
     scan = _build_scan(cfg["scan"]) if "scan" in cfg else None
+    if experiment.n_pulses > _MAX_PULSES:
+        raise ConfigFormatError(f"run.n_pulses: at most {_MAX_PULSES} pulses")
     return experiment, scan
 
 

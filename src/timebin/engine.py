@@ -53,19 +53,19 @@ steps:
   where both photons of one pair beat their dark candidates is split off;
   the rest of that block are the accidental coincidences.
 
-Determinism: results depend only on (rng_seed, n_pulses, batch_size).
-Batches draw from independent counter-derived streams and merge
-additively, so any batch execution order (or thread count) gives
-bit-identical results.
+Runs.  A run draws each batch's outcome counts from the law on its own
+counter-derived random stream, sums the count vectors and tallies the sum
+once.  Results depend only on (rng_seed, n_pulses, batch_size): the sum
+does not depend on the order the batches finish in, so any thread count
+gives bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +74,6 @@ from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .source import SourceConfig, multipair_visibility
 
-_DELAY_MATCH_TOL_S = 1e-15
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
 
 
@@ -86,7 +85,10 @@ class ConfigurationError(ValueError):
 class ExperimentConfig:
     """Complete apparatus description for one run.
 
-    ``ExperimentConfig()`` is the shipped default experiment.
+    ``ExperimentConfig()`` is the shipped default experiment.  One analyzer
+    is the folded arrangement (both photons through one device), two are
+    the independent one (side a's device first).  The analyzers' delay is
+    the source's bin separation.
     """
 
     source: SourceConfig = SourceConfig()
@@ -109,22 +111,10 @@ class ExperimentConfig:
             raise ConfigurationError("batch_size must be positive")
         if self.rng_seed < 0:
             raise ConfigurationError("rng_seed must be non-negative")
-        if not self.analyzers:
-            raise ConfigurationError("at least one analyzer is required")
-        arrangement = self.analyzers[0].arrangement
-        expected = 1 if arrangement == "folded" else 2
-        if len(self.analyzers) != expected:
+        if len(self.analyzers) not in (1, 2):
             raise ConfigurationError(
-                f"{arrangement} arrangement needs {expected} analyzer(s), "
-                f"got {len(self.analyzers)}"
+                f"one or two analyzers are required, got {len(self.analyzers)}"
             )
-        if any(a.arrangement != arrangement for a in self.analyzers):
-            raise ConfigurationError("analyzers disagree on the arrangement")
-        for a in self.analyzers:
-            if abs(a.delay_s - self.source.bin_separation_s) > _DELAY_MATCH_TOL_S:
-                raise ConfigurationError(
-                    "analyzer delay must match the source bin separation"
-                )
 
 
 @dataclass(frozen=True)
@@ -133,11 +123,6 @@ class CoincidenceHistogram:
 
     bin_edges_s: np.ndarray
     counts: np.ndarray
-
-    def __add__(self, other: "CoincidenceHistogram") -> "CoincidenceHistogram":
-        if not np.array_equal(self.bin_edges_s, other.bin_edges_s):
-            raise ValueError("histograms have different binnings")
-        return CoincidenceHistogram(self.bin_edges_s, self.counts + other.counts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceHistogram):
@@ -153,7 +138,7 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Tallies of one run; merging two results adds them bin by bin.
+    """Tallies of one run.
 
     ``accidental_coincidences`` counts the central-window coincidences
     whose two clicks did not originate from one photon pair (dark counts
@@ -178,22 +163,6 @@ class RunResult:
             raise ValueError("more coincidences than singles")
         if self.accidental_coincidences > self.triple_coincidences:
             raise ValueError("more accidental coincidences than coincidences")
-
-    def __add__(self, other: "RunResult") -> "RunResult":
-        return RunResult(
-            singles_a=self.singles_a + other.singles_a,
-            singles_b=self.singles_b + other.singles_b,
-            middle_singles_a=self.middle_singles_a + other.middle_singles_a,
-            middle_singles_b=self.middle_singles_b + other.middle_singles_b,
-            triple_coincidences=self.triple_coincidences + other.triple_coincidences,
-            accidental_coincidences=(
-                self.accidental_coincidences + other.accidental_coincidences
-            ),
-            histogram_a=self.histogram_a + other.histogram_a,
-            histogram_b=self.histogram_b + other.histogram_b,
-            n_pulses=self.n_pulses + other.n_pulses,
-            duration_s=self.duration_s + other.duration_s,
-        )
 
     def singles_product_estimate(self) -> float:
         """Chance-coincidence estimate from the measured singles alone.
@@ -318,12 +287,10 @@ class _PulseLaw:
         bin_edges, _, _, self._mid, self._bin_starts = _cells(windows, delay)
         self.bin_edges_s = bin_edges.copy()  # handed to callers, unlike the cached array
 
-        analyzers = config.analyzers
-        if analyzers[0].arrangement == "folded":
-            losses_db = [analyzers[0].excess_loss_db] * 2
-            losses_db[0] += analyzers[0].circulator_loss_db
-        else:
-            losses_db = [a.excess_loss_db for a in analyzers]
+        first, last = config.analyzers[0], config.analyzers[-1]
+        losses_db = [first.excess_loss_db, last.excess_loss_db]
+        if len(config.analyzers) == 1:
+            losses_db[0] += first.circulator_loss_db
         detect, sides = [], []
         for fib, det, loss_db in zip(
             (config.fiber_a, config.fiber_b), (config.detector_a, config.detector_b), losses_db
@@ -401,13 +368,6 @@ class _PulseLaw:
         )
 
 
-def _run_batch(law: _PulseLaw, n_pulses: int, rng: np.random.Generator) -> RunResult:
-    """One multinomial draw of n_pulses i.i.d. pulse outcomes."""
-    counts = np.zeros(law.probs.size, dtype=np.int64)
-    counts[law._possible] = rng.multinomial(n_pulses, law.probs[law._possible])
-    return law.tally(counts, n_pulses)
-
-
 def expected_tallies(config: ExperimentConfig) -> RunResult:
     """Exact mean of every count of ``run_pulses(config)``, as floats.
 
@@ -421,29 +381,30 @@ def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
     """Simulate the configured number of pump pulses.
 
     Deterministic for a given (rng_seed, n_pulses, batch_size) regardless
-    of thread count; batches use independent derived random streams and
-    their results add.
+    of thread count: each batch is one multinomial draw of its pulses'
+    outcome counts on an independent derived random stream, and the run
+    tallies the sum of these counts.
     """
     law = _PulseLaw(config)
     n_batches = -(-config.n_pulses // config.batch_size)
     sizes = [config.batch_size] * (n_batches - 1)
     sizes.append(config.n_pulses - config.batch_size * (n_batches - 1))
     children = np.random.SeedSequence(config.rng_seed).spawn(n_batches)
+    possible = law._possible
+    probs = law.probs[possible]
 
-    def one(i: int) -> RunResult:
-        return _run_batch(law, sizes[i], np.random.Generator(np.random.PCG64(children[i])))
+    def draw(i: int) -> np.ndarray:
+        return np.random.Generator(np.random.PCG64(children[i])).multinomial(sizes[i], probs)
 
+    counts = np.zeros(law.probs.size, dtype=np.int64)
     if threads > 1 and n_batches > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(n_batches)))
+            for batch in pool.map(draw, range(n_batches)):
+                counts[possible] += batch
     else:
-        results = [one(i) for i in range(n_batches)]
-
-    # Summed batch durations can differ from the run's in the last bit.
-    return replace(
-        reduce(operator.add, results),
-        duration_s=config.n_pulses / config.source.rep_rate_hz,
-    )
+        for i in range(n_batches):
+            counts[possible] += draw(i)
+    return law.tally(counts, config.n_pulses)
 
 
 def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> ExperimentConfig:
@@ -452,13 +413,13 @@ def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> Exp
 
 
 def fringe_phase(config: ExperimentConfig) -> float:
-    """Interference phase of the configured apparatus (cosine argument)."""
-    analyzers = config.analyzers
-    if analyzers[0].arrangement == "folded":
-        total_phase = 2.0 * analyzers[0].phi_analyzer
-    else:
-        total_phase = analyzers[0].phi_analyzer + analyzers[1].phi_analyzer
-    return total_phase - config.source.phi_pump
+    """Interference phase of the configured apparatus (cosine argument).
+
+    Each photon picks up its own device's phase; in the folded arrangement
+    both photons pass the one device.
+    """
+    first, last = config.analyzers[0], config.analyzers[-1]
+    return first.phi_analyzer + last.phi_analyzer - config.source.phi_pump
 
 
 def run_phase_scan(

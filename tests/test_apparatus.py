@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import timebin as tb
+from timebin.cli import main
 from timebin.engine import _classify
 from .conftest import ideal_experiment
 
@@ -47,9 +49,11 @@ class TestSpecs:
         with pytest.raises(ValueError):
             tb.DetectorSpec(dark_rate_cps=-1.0)
 
-    def test_unknown_arrangement(self):
-        with pytest.raises(ValueError):
-            tb.InterferometerSpec(arrangement="stacked")
+    def test_unknown_arrangement(self, tmp_path, capsys):
+        path = tmp_path / "stacked.json"
+        path.write_text(json.dumps({"analyzer": {"arrangement": "stacked"}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "analyzer.arrangement: unknown value 'stacked'" in capsys.readouterr().err
 
 
 class TestDetectClick:

@@ -30,7 +30,8 @@ def write_config(tmp_path, cfg, name="config.json"):
 
 
 def read_rows(path):
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    with open(path) as fh:
+        lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     return header, [l.split(",") for l in lines[1:]]
 
@@ -100,9 +101,21 @@ class TestRun:
         assert code == 1
         assert repr(key.partition(".")[2]) in capsys.readouterr().err
 
-    def test_io_error_exit_code(self, tmp_path):
-        cfg_path = write_config(tmp_path, small_config())
-        assert main(["run", "--config", cfg_path, "--out", "/no/such/dir/out.csv"]) == 3
+    @pytest.mark.parametrize(
+        "config, out, code",
+        [
+            ("config.json", "no/such/dir/out.csv", 3),
+            ("no/such.json", "x.csv", 3),
+            (".", "x.csv", 3),
+            ("latin1.json", "x.csv", 1),
+        ],
+        ids=["unwritable_out", "missing_config", "config_directory", "non_utf8_config"],
+    )
+    def test_io_error_exit_code(self, tmp_path, config, out, code):
+        write_config(tmp_path, small_config())
+        (tmp_path / "latin1.json").write_bytes('{"run": {"seed": 7}} \u00e9'.encode("latin-1"))
+        assert main(["run", "--config", str(tmp_path / config),
+                     "--out", str(tmp_path / out)]) == code
 
 
 class TestScan:
@@ -182,6 +195,16 @@ class TestScan:
             ("scan.phase_linspace", {"start_rad": "0", "stop_rad": 1.0, "num": 8}, 1, "start_rad"),
             ("--threads", "abc", 1, "--threads"),
             ("--points", 5, 1, "unrecognized arguments: --points"),
+            ("run.n_pulses", 10**20, 1, "run.n_pulses"),
+            pytest.param("scan.n_pulses_per_point", 10**400, 1, "scan.n_pulses_per_point",
+                         id="scan.n_pulses_per_point-1e400-1-n_pulses_per_point"),
+            ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 10**400},
+             1, "phase_linspace.num"),
+            ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 2**62},
+             1, "phase_linspace.num"),
+            ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 2**63 - 1},
+             1, "phase_linspace.num"),
+            ("--threads", 0, 1, "--threads"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
@@ -290,7 +313,23 @@ class TestFit:
         assert main(["fit", str(csv), "--out", str(tmp_path / "r.json")]) == 1
         assert "line 2" in capsys.readouterr().err
 
-    def test_malformed_csv(self, tmp_path):
+    @pytest.mark.parametrize(
+        "last_row, message",
+        [
+            (None, "line 1: header must contain"),
+            (b"\xe9,10,1", "not UTF-8"),
+            (b"nan,10,1", "line 7: expected finite"),
+            (b"2.5,10,inf", "line 7: expected finite"),
+        ],
+        ids=["missing_column", "non_utf8", "nan_phase", "inf_accidental"],
+    )
+    def test_malformed_csv(self, tmp_path, capsys, last_row, message):
         csv = tmp_path / "mal.csv"
-        csv.write_text("phase_rad,raw\n0.0,1\n")
+        if last_row is None:
+            csv.write_text("phase_rad,raw\n0.0,1\n")
+        else:
+            # five good rows spanning half a fringe, then the bad one
+            good = b"0.0,100,1\n0.5,80,1\n1.0,50,1\n1.5,20,1\n2.0,5,1\n"
+            csv.write_bytes(b"phase_rad,raw,accidental\n" + good + last_row + b"\n")
         assert main(["fit", str(csv), "--out", str(tmp_path / "r.json")]) == 1
+        assert message in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import timebin as tb
+from timebin.cli import main
 from timebin.config_io import build_experiment, default_config_dict
 from .conftest import analyzer_phases, ideal_experiment, truncated_mean_inverse
 
@@ -63,16 +65,18 @@ def chi2_z(observed, expected):
 
 
 class TestConfigValidation:
-    def test_delay_must_match_bin_separation(self):
-        cfg = ideal_experiment()
-        with pytest.raises(tb.ConfigurationError):
-            replace(cfg, analyzers=(replace(cfg.analyzers[0], delay_s=1.3e-9),))
+    def test_delay_must_match_bin_separation(self, tmp_path, capsys):
+        path = tmp_path / "delay.json"
+        path.write_text(json.dumps({"analyzer": {"delay_ns": 1.3}}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "analyzer delay must match the source bin separation" in capsys.readouterr().err
 
     def test_independent_arrangement_needs_two_analyzers(self):
+        # one analyzer is the folded arrangement, two the independent one
         cfg = ideal_experiment()
-        one = replace(cfg.analyzers[0], arrangement="independent")
-        with pytest.raises(tb.ConfigurationError):
-            replace(cfg, analyzers=(one,))
+        for analyzers in ((), cfg.analyzers * 3):
+            with pytest.raises(tb.ConfigurationError):
+                replace(cfg, analyzers=analyzers)
 
     def test_positive_pulse_count(self):
         with pytest.raises(tb.ConfigurationError):
@@ -101,15 +105,6 @@ class TestRunPulses:
         result = tb.run_pulses(cfg)
         assert result.histogram_a.counts.sum() == result.singles_a
         assert result.histogram_b.counts.sum() == result.singles_b
-
-    def test_merge_is_associative_and_commutative(self):
-        runs = [
-            tb.run_pulses(ideal_experiment(mu=0.05, n_pulses=10**5, seed=s))
-            for s in (1, 2, 3)
-        ]
-        a, b, c = runs
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
 
     def test_windows_below_float_resolution_stay_empty(self):
         # a 1e-312 s window vanishes around the 1.2 ns and 2.4 ns centres
@@ -206,9 +201,8 @@ class TestPhaseScan:
         folded = ideal_experiment(phi_analyzer=0.7, phi_pump=0.2)
         assert tb.fringe_phase(folded) == pytest.approx(2 * 0.7 - 0.2, abs=1e-12)
         pair = (
-            replace(folded.analyzers[0], arrangement="independent", phi_analyzer=0.7),
-            replace(folded.analyzers[0], arrangement="independent", phi_analyzer=0.3,
-                    circulator_loss_db=0.0),
+            replace(folded.analyzers[0], phi_analyzer=0.7),
+            replace(folded.analyzers[0], phi_analyzer=0.3, circulator_loss_db=0.0),
         )
         independent = replace(folded, analyzers=pair)
         assert tb.fringe_phase(independent) == pytest.approx(0.7 + 0.3 - 0.2, abs=1e-12)
@@ -247,10 +241,7 @@ class TestAgainstClosedForms:
         phases = analyzer_phases(12)
         folded = ideal_experiment(mu=0.01, n_pulses=10**7, seed=51)
         fiber_short = tb.FiberSpec(length_km=2.4, phase_jitter_rms=0.0)
-        pair = (
-            replace(folded.analyzers[0], arrangement="independent"),
-            replace(folded.analyzers[0], arrangement="independent"),
-        )
+        pair = (folded.analyzers[0], folded.analyzers[0])
         independent = replace(
             folded, analyzers=pair, fiber_a=fiber_short, fiber_b=fiber_short, rng_seed=52
         )
