@@ -3,96 +3,69 @@
 Analytic state machinery, a pulse-level Monte Carlo of the full
 source / fiber / analyzer / detector chain, and the fringe-fit reduction
 that turns phase scans into visibilities.
+
+The exported names are loaded from their submodules on first use
+(PEP 562), so ``import timebin`` alone imports neither the submodules nor
+numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .analysis import (
-    DegenerateScanError,
-    FitResult,
-    FringePoint,
-    FringeScan,
-    bootstrap_visibility_sigma,
-    fit_fringe,
-    subtract_accidentals,
-    visibility_vs_entanglement_curve,
-    visibility_vs_mu_curve,
-)
-from .apparatus import (
-    CoincidenceWindows,
-    DetectorSpec,
-    InterferometerSpec,
-)
-from .engine import (
-    CoincidenceHistogram,
-    ConfigurationError,
-    ExperimentConfig,
-    RunResult,
-    expected_tallies,
-    fringe_phase,
-    run_phase_scan,
-    run_pulses,
-)
-from .fiber import (
-    FiberSpec,
-    apply_phase_jitter,
-    bin_overlap_probability,
-    broadened_pulse_width,
-    dispersion_spread,
-    survival_probability,
-)
-from .source import (
-    PUMP_PULSE_SIGMA_S,
-    SourceConfig,
-    estimate_mu,
-    multipair_visibility,
-    state_from_attenuations,
-)
-from .states import (
-    AnalyzerState,
-    TimeBinState,
-    coincidence_probability,
-    entropy_of_entanglement,
-    evolve_through_analyzer,
-    ideal_visibility,
-)
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "AnalyzerState": "states",
+    "CoincidenceHistogram": "engine",
+    "CoincidenceWindows": "apparatus",
+    "ConfigurationError": "engine",
+    "DegenerateScanError": "analysis",
+    "DetectorSpec": "apparatus",
+    "ExperimentConfig": "engine",
+    "FiberSpec": "fiber",
+    "FitResult": "analysis",
+    "FringePoint": "analysis",
+    "FringeScan": "analysis",
+    "InterferometerSpec": "apparatus",
+    "PUMP_PULSE_SIGMA_S": "source",
+    "RunResult": "engine",
+    "SourceConfig": "source",
+    "TimeBinState": "states",
+    "apply_phase_jitter": "fiber",
+    "bin_overlap_probability": "fiber",
+    "bootstrap_visibility_sigma": "analysis",
+    "broadened_pulse_width": "fiber",
+    "coincidence_probability": "states",
+    "dispersion_spread": "fiber",
+    "entropy_of_entanglement": "states",
+    "estimate_mu": "source",
+    "evolve_through_analyzer": "states",
+    "expected_tallies": "engine",
+    "fit_fringe": "analysis",
+    "fringe_phase": "engine",
+    "ideal_visibility": "states",
+    "multipair_visibility": "source",
+    "run_phase_scan": "engine",
+    "run_pulses": "engine",
+    "state_from_attenuations": "source",
+    "subtract_accidentals": "analysis",
+    "survival_probability": "fiber",
+    "visibility_vs_entanglement_curve": "analysis",
+    "visibility_vs_mu_curve": "analysis",
+}
 
-__all__ = [
-    "AnalyzerState",
-    "CoincidenceHistogram",
-    "CoincidenceWindows",
-    "ConfigurationError",
-    "DegenerateScanError",
-    "DetectorSpec",
-    "ExperimentConfig",
-    "FiberSpec",
-    "FitResult",
-    "FringePoint",
-    "FringeScan",
-    "InterferometerSpec",
-    "PUMP_PULSE_SIGMA_S",
-    "RunResult",
-    "SourceConfig",
-    "TimeBinState",
-    "apply_phase_jitter",
-    "bin_overlap_probability",
-    "bootstrap_visibility_sigma",
-    "broadened_pulse_width",
-    "coincidence_probability",
-    "dispersion_spread",
-    "entropy_of_entanglement",
-    "estimate_mu",
-    "evolve_through_analyzer",
-    "expected_tallies",
-    "fit_fringe",
-    "fringe_phase",
-    "ideal_visibility",
-    "multipair_visibility",
-    "run_phase_scan",
-    "run_pulses",
-    "state_from_attenuations",
-    "subtract_accidentals",
-    "survival_probability",
-    "visibility_vs_entanglement_curve",
-    "visibility_vs_mu_curve",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

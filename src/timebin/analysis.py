@@ -106,13 +106,25 @@ def _check_design(phases: np.ndarray) -> None:
         raise DegenerateScanError(
             f"need at least {_MIN_POINTS} points, got {phases.size}"
         )
-    distinct = np.unique(phases)
-    if distinct.size < _MIN_DISTINCT_PHASES:
+    n_distinct = _count_distinct(phases)
+    if n_distinct < _MIN_DISTINCT_PHASES:
         raise DegenerateScanError(
-            f"need at least {_MIN_DISTINCT_PHASES} distinct phases, got {distinct.size}"
+            f"need at least {_MIN_DISTINCT_PHASES} distinct phases, got {n_distinct}"
         )
-    if distinct.max() - distinct.min() < _MIN_PHASE_SPAN:
+    if phases.max() - phases.min() < _MIN_PHASE_SPAN:
         raise DegenerateScanError("phase span below pi/2 cannot constrain a fringe")
+
+
+def _count_distinct(values: np.ndarray) -> int:
+    """Number of distinct numbers in the non-empty ``values``.
+
+    The count ``np.unique`` gives (0.0 and -0.0 are one number, and so are
+    all NaNs), without its import of ``numpy.ma``.  Sorting puts the NaNs
+    last, so a NaN is new only after a number.
+    """
+    ordered = np.sort(values)
+    new = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    return 1 + int(np.count_nonzero(new))
 
 
 def fit_fringe(scan: FringeScan, *, use_net: bool | None = None) -> FitResult:

@@ -15,9 +15,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from typing import Any
+
+# Set before numpy loads: its OpenBLAS would start a thread pool that the
+# CLI's few-row matrix products never use.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .analysis import (
@@ -197,7 +202,12 @@ def _cmd_curve(args: argparse.Namespace) -> int:
                 grid = [float(tok) for tok in args.mu.split(",") if tok.strip()]
             except ValueError as exc:
                 raise ConfigFormatError(f"--mu: {exc}") from exc
+            if not all(math.isfinite(mu) for mu in grid):
+                raise ConfigFormatError(f"--mu: expected finite numbers, got {args.mu}")
         else:
+            for option, value in (("--mu-min", args.mu_min), ("--mu-max", args.mu_max)):
+                if not math.isfinite(value):
+                    raise ConfigFormatError(f"{option}: expected a finite number, got {value}")
             if args.points < 2 or args.mu_min <= 0 or args.mu_max <= args.mu_min:
                 raise ConfigFormatError("bad mu grid parameters")
             step = (args.mu_max - args.mu_min) / (args.points - 1)

@@ -63,7 +63,6 @@ gives bit-identical results.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -398,6 +397,10 @@ def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
 
     counts = np.zeros(law.probs.size, dtype=np.int64)
     if threads > 1 and n_batches > 1:
+        # Imported here: the pool's import (logging, queue) is start-up
+        # cost that a single-threaded run would pay for nothing.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for batch in pool.map(draw, range(n_batches)):
                 counts[possible] += batch

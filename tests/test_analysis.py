@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import timebin as tb
+from timebin import analysis
 from timebin.analysis import DegenerateScanError
 from .conftest import exact_fringe_scan
 
@@ -133,6 +134,19 @@ class TestFitFringe:
         )
         with pytest.raises(DegenerateScanError):
             tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
+
+    @pytest.mark.parametrize(
+        "phases",
+        [
+            [0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+            [0.0, -0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+            [-0.0, 0.0, 2.0, 2.0, 2.0],
+            [0.0, 1.0, 2.0, math.nan, math.nan],
+        ],
+    )
+    def test_repeated_phases_counted_as_np_unique_counts(self, phases):
+        values = np.array(phases)
+        assert analysis._count_distinct(values) == np.unique(values).size
 
     @given(st.integers(min_value=2, max_value=50))
     @settings(max_examples=20, deadline=None)

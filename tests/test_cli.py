@@ -280,6 +280,16 @@ class TestCurve:
         assert main(["curve", "v_vs_e", "--points", "1",
                      "--out", str(tmp_path / "y.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--mu", "nan"), ("--mu", "0.1,inf"), ("--mu-min", "nan"), ("--mu-max", "inf")],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, option, value):
+        out = tmp_path / "vmu.csv"
+        assert main(["curve", "v_vs_mu", option, value, "--out", str(out)]) == 1
+        assert option in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_round_trip_matches_inline_fit(self, tmp_path):
