@@ -91,7 +91,7 @@ def _load(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     experiment, _, cfg_hash = _load(args)
-    result = run_pulses(experiment, threads=args.threads)
+    result = run_pulses(experiment)
     lines = _provenance_lines(cfg_hash, experiment.rng_seed)
     lines += [
         f"# n_pulses={result.n_pulses}",
@@ -149,7 +149,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
             cfg_rep,
             list(scan_settings.analyzer_phases_rad),
             n_pulses_per_point=scan_settings.n_pulses_per_point,
-            threads=args.threads,
         )
         scan = subtract_accidentals(scan)
         reports.append(_scan_report(scan))
@@ -305,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON experiment description (default: built-in)")
         p.add_argument("--out", required=out_required, help="output CSV path")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for batches")
+        # Accepted and checked, but a run is one draw: the perfbench
+        # workloads still pass it.
+        p.add_argument("--threads", type=int, default=1, help="ignored (a run is one draw)")
 
     p_run = sub.add_parser("run", help="simulate pulses, write the arrival histogram")
     common(p_run)

@@ -72,7 +72,7 @@ _DETECTOR = {
     "jitter_ps": ("jitter_rms_s", PS),
 }
 _WINDOWS = {"window_width_ps": ("window_width_s", PS)}
-_RUN = {"n_pulses": ("n_pulses", int), "seed": ("rng_seed", int), "batch_size": ("batch_size", int)}
+_RUN = {"n_pulses": ("n_pulses", int), "seed": ("rng_seed", int)}
 
 # Section -> (ExperimentConfig field, dataclass, key table), in build order.
 _SECTIONS = {
@@ -272,7 +272,11 @@ def build_experiment(
     for name, sec in cfg.items():
         if not isinstance(sec, dict):
             raise ConfigFormatError(f"{name}: expected an object")
-    run = _convert("run", cfg.get("run", {}), _RUN)
+    # ``batch_size`` fills no field: a run is one draw.  It is still accepted
+    # and checked because a perfbench workload sets it; the built-in document
+    # leaves it out.
+    run = _convert("run", cfg.get("run", {}), {**_RUN, "batch_size": ("batch_size", int)})
+    batch_size = run.pop("batch_size", None)
     if seed_override is not None:
         run["rng_seed"] = seed_override
 
@@ -284,6 +288,8 @@ def build_experiment(
             else:
                 parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
         experiment = ExperimentConfig(**parts, **run)
+        if batch_size is not None and batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         bin_separation_s = experiment.source.bin_separation_s
         if delay_s is not None and abs(delay_s - bin_separation_s) > _DELAY_MATCH_TOL_S:
             raise ValueError("analyzer delay must match the source bin separation")

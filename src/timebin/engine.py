@@ -32,7 +32,7 @@ The law.  Pulses are i.i.d., and every count of a RunResult is a sum over
 pulses of one function of the pulse's outcome: side a's click cell, side
 b's click cell and, for two central-window clicks, whether both are
 photons of one pair.  The cells are the histogram bins split at the window
-edges, plus "no click".  A batch of n pulses is therefore exactly one
+edges, plus "no click".  A run of n pulses is therefore exactly one
 multinomial draw over these outcomes (Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. X), and the mean of every count is n times a sum of
 outcome probabilities (``expected_tallies``).  The law is built in three
@@ -53,11 +53,10 @@ steps:
   where both photons of one pair beat their dark candidates is split off;
   the rest of that block are the accidental coincidences.
 
-Runs.  A run draws each batch's outcome counts from the law on its own
-counter-derived random stream, sums the count vectors and tallies the sum
-once.  Results depend only on (rng_seed, n_pulses, batch_size): the sum
-does not depend on the order the batches finish in, so any thread count
-gives bit-identical results.
+Runs.  A run draws its outcome counts from the law in one multinomial
+draw, for any n_pulses up to 2**63 - 1, and tallies them once.  Its random
+stream is the first child of the run seed's SeedSequence, so results
+depend only on (rng_seed, n_pulses).
 """
 
 from __future__ import annotations
@@ -99,15 +98,12 @@ class ExperimentConfig:
     windows: CoincidenceWindows = CoincidenceWindows()
     n_pulses: int = 100_000_000
     rng_seed: int = 20260808
-    batch_size: int = 50_000_000
 
     def __post_init__(self) -> None:
         if self.windows.window_width_s >= self.source.bin_separation_s:
             raise ConfigurationError("window_width_s must be smaller than the bin separation")
         if self.n_pulses <= 0:
             raise ConfigurationError("n_pulses must be positive")
-        if self.batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
         if self.rng_seed < 0:
             raise ConfigurationError("rng_seed must be non-negative")
         if len(self.analyzers) not in (1, 2):
@@ -376,37 +372,19 @@ def expected_tallies(config: ExperimentConfig) -> RunResult:
     return law.tally(config.n_pulses * law.probs, config.n_pulses)
 
 
-def run_pulses(config: ExperimentConfig, *, threads: int = 1) -> RunResult:
+def run_pulses(config: ExperimentConfig) -> RunResult:
     """Simulate the configured number of pump pulses.
 
-    Deterministic for a given (rng_seed, n_pulses, batch_size) regardless
-    of thread count: each batch is one multinomial draw of its pulses'
-    outcome counts on an independent derived random stream, and the run
-    tallies the sum of these counts.
+    One multinomial draw of the pulses' outcome counts on the first child
+    stream of ``SeedSequence(rng_seed)``, so the result depends only on
+    (rng_seed, n_pulses); the run tallies these counts.
     """
     law = _PulseLaw(config)
-    n_batches = -(-config.n_pulses // config.batch_size)
-    sizes = [config.batch_size] * (n_batches - 1)
-    sizes.append(config.n_pulses - config.batch_size * (n_batches - 1))
-    children = np.random.SeedSequence(config.rng_seed).spawn(n_batches)
-    possible = law._possible
-    probs = law.probs[possible]
-
-    def draw(i: int) -> np.ndarray:
-        return np.random.Generator(np.random.PCG64(children[i])).multinomial(sizes[i], probs)
-
+    stream = np.random.SeedSequence(config.rng_seed).spawn(1)[0]
     counts = np.zeros(law.probs.size, dtype=np.int64)
-    if threads > 1 and n_batches > 1:
-        # Imported here: the pool's import (logging, queue) is start-up
-        # cost that a single-threaded run would pay for nothing.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch in pool.map(draw, range(n_batches)):
-                counts[possible] += batch
-    else:
-        for i in range(n_batches):
-            counts[possible] += draw(i)
+    counts[law._possible] = np.random.Generator(np.random.PCG64(stream)).multinomial(
+        config.n_pulses, law.probs[law._possible]
+    )
     return law.tally(counts, config.n_pulses)
 
 
@@ -430,7 +408,6 @@ def run_phase_scan(
     phases: "list[float] | np.ndarray",
     *,
     n_pulses_per_point: int | None = None,
-    threads: int = 1,
 ) -> FringeScan:
     """Scan the (first) analyzer phase and record one fringe point per value.
 
@@ -452,7 +429,7 @@ def run_phase_scan(
     points = []
     for phi, seed in zip(phases, point_seeds):
         cfg = _with_analyzer_phase(base, phi, seed)
-        result = run_pulses(cfg, threads=threads)
+        result = run_pulses(cfg)
         points.append(
             FringePoint(
                 phase_rad=fringe_phase(cfg),

@@ -12,7 +12,6 @@ def small_config(**overrides):
     """Default document scaled down to CLI-test size."""
     cfg = default_config_dict()
     cfg["run"]["n_pulses"] = 2_000_000
-    cfg["run"]["batch_size"] = 1_000_000
     cfg["scan"] = {
         "phase_linspace": {"start_rad": 0.0, "stop_rad": math.pi, "num": 8},
         "n_pulses_per_point": 500_000,
@@ -59,6 +58,36 @@ class TestRun:
         assert main(["run", "--config", cfg_path, "--out", str(out1)]) == 0
         assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_results_depend_on_seed_and_pulses_alone(self, tmp_path):
+        # run.batch_size and --threads are accepted but change nothing; only
+        # the config_hash line, a hash of the document as written, differs.
+        def body(path):
+            return [l for l in path.read_text().splitlines() if not l.startswith("# config_hash=")]
+
+        bodies = []
+        for batch_size in (None, 1_000_000, 2_000_000):
+            cfg = small_config()
+            if batch_size is not None:
+                cfg["run"]["batch_size"] = batch_size
+            cfg_path = write_config(tmp_path, cfg, f"{batch_size}.json")
+            outs = [tmp_path / f"{batch_size}_t{threads}.csv" for threads in (1, 2)]
+            for threads, out in zip((1, 2), outs):
+                assert main(["run", "--config", cfg_path, "--out", str(out),
+                             "--threads", str(threads)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+            bodies.append(body(outs[0]))
+        assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_largest_pulse_count_runs(self, tmp_path):
+        n_pulses = 2**63 - 1
+        out = tmp_path / "huge.csv"
+        cfg = small_config(**{"run.n_pulses": n_pulses})
+        assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header = dict(l[2:].split("=") for l in out.read_text().splitlines() if l.startswith("# "))
+        assert int(header["n_pulses"]) == n_pulses
+        assert 0 < int(header["singles_a"]) <= n_pulses
+        assert 0 < int(header["singles_b"]) <= n_pulses
 
     def test_seed_override_changes_output_and_header(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
@@ -205,6 +234,9 @@ class TestScan:
             ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 2**63 - 1},
              1, "phase_linspace.num"),
             ("--threads", 0, 1, "--threads"),
+            ("run.batch_size", 0, 2, "batch_size must be positive"),
+            ("run.batch_size", True, 1, "run.batch_size"),
+            ("run.batch_size", 1.5, 1, "run.batch_size"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
@@ -221,6 +253,20 @@ class TestScan:
     def test_help_exits_zero(self, capsys):
         assert main(["scan", "--help"]) == 0
         assert "--threads" in capsys.readouterr().out
+
+    def test_largest_pulse_count_per_point_scans(self, tmp_path):
+        n_pulses = 2**63 - 1
+        cfg = small_config()
+        cfg["scan"] = {
+            "phase_linspace": {"start_rad": 0.0, "stop_rad": math.pi, "num": 5},
+            "n_pulses_per_point": n_pulses,
+        }
+        out = tmp_path / "huge.csv"
+        assert main(["scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        raw = [int(r[header.index("raw")]) for r in rows]
+        assert len(raw) == 5
+        assert all(0 < count <= n_pulses for count in raw)
 
     def test_two_phase_scan_is_degenerate(self, tmp_path):
         cfg = small_config()

@@ -96,10 +96,6 @@ class TestRunPulses:
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=11)
         assert tb.run_pulses(cfg) == tb.run_pulses(cfg)
 
-    def test_thread_count_does_not_change_result(self):
-        cfg = replace(ideal_experiment(mu=0.05, n_pulses=10**6, seed=11), batch_size=200_000)
-        assert tb.run_pulses(cfg) == tb.run_pulses(cfg, threads=3)
-
     def test_histogram_totals_equal_singles(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=7)
         result = tb.run_pulses(cfg)

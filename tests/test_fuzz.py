@@ -3,8 +3,8 @@
 Keys of the physics sections and the scan's phases take extreme values,
 wrong types, bools, NaN and infinities; whole sections go missing or turn
 into non-objects.  Every call must end with a documented exit code (0-4)
-instead of raising.  The run stays small (at most 1e6 pulses in one batch,
-at most 8 phases and 2 repetitions), so each example costs milliseconds.
+instead of raising.  The run stays small (at most 1e6 pulses, at most 8
+phases and 2 repetitions), so each example costs milliseconds.
 """
 
 import contextlib
@@ -63,14 +63,14 @@ def documents(draw):
         else:
             cfg[section] = draw(st.sampled_from([None, [], 1.0, "x"]))
     n_pulses = draw(st.integers(1, 10**6))
-    cfg["run"] = {"n_pulses": n_pulses, "batch_size": n_pulses, "seed": draw(st.integers(0, 99))}
+    cfg["run"] = {"n_pulses": n_pulses, "seed": draw(st.integers(0, 99))}
     if draw(st.booleans()):
         cfg["scan"] = draw(SCANS)
         cfg["scan"]["repetitions"] = draw(st.integers(1, 2))
     return cfg
 
 
-SMALL_RUN = {"run": {"n_pulses": 1000, "batch_size": 1000}}
+SMALL_RUN = {"run": {"n_pulses": 1000}}
 
 
 # Inputs that once raised: no transmitting pump arm, an int too large for a
