@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Any
 
 # Set before numpy loads: its OpenBLAS would start a thread pool that the
@@ -35,9 +35,9 @@ from .analysis import (
     visibility_vs_mu_curve,
 )
 from .config_io import (
+    MAX_SCAN_POINTS,
     ConfigFormatError,
     ConfigValidationError,
-    _build_scan,
     build_experiment,
     config_hash,
     default_config_dict,
@@ -131,58 +131,47 @@ def _scan_report(net_scan: FringeScan) -> dict[str, Any]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    experiment, scan_settings, cfg_hash = _load(args)
-    if scan_settings is None:
-        # The default phase grid; run.n_pulses sets the pulses per point.
-        scan_settings = _build_scan(
-            {"phase_linspace": default_config_dict()["scan"]["phase_linspace"]}
-        )
-    out_path = args.out or scan_settings.out
-    if out_path is None:
-        raise ConfigFormatError("no output path: pass --out or set scan.out")
+    experiment, settings, cfg_hash = _load(args)
+    # One scan over the grid repeated: point k draws child k of
+    # SeedSequence(seed), so repetition 0 is the one-repetition scan and no
+    # repetition draws the points of another seed's scan.
+    n_phases = len(settings.analyzer_phases_rad)
+    points = run_phase_scan(
+        experiment,
+        list(settings.analyzer_phases_rad) * settings.repetitions,
+        n_pulses_per_point=settings.n_pulses_per_point,
+    ).points
+    scans = [
+        subtract_accidentals(FringeScan(points=points[i : i + n_phases]))
+        for i in range(0, len(points), n_phases)
+    ]
+    reports = [_scan_report(scan) for scan in scans]
 
-    reports = []
-    all_rows: list[tuple[int, FringePoint]] = []
-    for rep in range(scan_settings.repetitions):
-        cfg_rep = replace(experiment, rng_seed=experiment.rng_seed + rep)
-        scan = run_phase_scan(
-            cfg_rep,
-            list(scan_settings.analyzer_phases_rad),
-            n_pulses_per_point=scan_settings.n_pulses_per_point,
-        )
-        scan = subtract_accidentals(scan)
-        reports.append(_scan_report(scan))
-        all_rows.extend((rep, p) for p in scan.points)
-
-    multi = scan_settings.repetitions > 1
+    multi = settings.repetitions > 1
     lines = _provenance_lines(cfg_hash, experiment.rng_seed)
     lines.append(("rep," if multi else "") + "phase_rad,raw,accidental,net")
-    for rep, p in all_rows:
+    for rep, scan in enumerate(scans):
         prefix = f"{rep}," if multi else ""
-        lines.append(
-            prefix
-            + f"{_fmt(p.phase_rad)},{p.raw_count},{_fmt(p.accidental_estimate)},{_fmt(p.net_count)}"
-        )
-    _write_text(out_path, "\n".join(lines) + "\n")
+        lines += [
+            f"{prefix}{_fmt(p.phase_rad)},{p.raw_count},{_fmt(p.accidental_estimate)},"
+            f"{_fmt(p.net_count)}"
+            for p in scan.points
+        ]
+    _write_text(args.out, "\n".join(lines) + "\n")
 
     report: dict[str, Any] = {
         "config_hash": cfg_hash,
         "seed": experiment.rng_seed,
         "version": __version__,
     }
-    if multi:
-        report["repetitions"] = reports
-    else:
-        report.update(reports[0])
-    _write_text(_report_path(out_path), json.dumps(report, indent=2) + "\n")
+    report.update({"repetitions": reports} if multi else reports[0])
+    _write_text(args.out + ".fit.json", json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
-def _report_path(out_path: str) -> str:
-    return out_path + ".fit.json"
-
-
 def _cmd_curve(args: argparse.Namespace) -> int:
+    if args.points > MAX_SCAN_POINTS:
+        raise ConfigFormatError(f"--points: at most {MAX_SCAN_POINTS} points")
     if args.kind == "v_vs_e":
         if args.points < 2:
             raise ConfigFormatError("--points must be at least 2")
@@ -300,9 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON experiment description (default: built-in)")
-        p.add_argument("--out", required=out_required, help="output CSV path")
+        p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--seed", type=int, help="override the config seed")
         # Accepted and checked, but a run is one draw: the perfbench
         # workloads still pass it.
@@ -313,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_scan = sub.add_parser("scan", help="phase scan, subtraction and fringe fit")
-    common(p_scan, out_required=False)
+    common(p_scan)
     p_scan.set_defaults(func=_cmd_scan)
 
     p_curve = sub.add_parser("curve", help="write an analytic theory curve")

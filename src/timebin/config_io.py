@@ -7,7 +7,10 @@ factor; the allowed keys, the unit conversions and the built-in document
 all come from these tables.  A key left out takes its dataclass's own
 default, so every default is written once, in the dataclasses.  Unknown
 keys are rejected so typos fail loudly instead of silently falling back
-to defaults.
+to defaults.  The scan follows the same rule: a document without a grid
+scans the default one, and without ``n_pulses_per_point`` each point runs
+``run.n_pulses`` pulses, so ``build_experiment`` always returns complete
+scan settings.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ from .fiber import FiberSpec
 from .source import SourceConfig
 
 NS, PS = 1e-9, 1e-12
-# The engine counts pulses as int64, and np.linspace holds a phase grid in
-# one float64 array.
+# The engine counts pulses as int64.  Every grid the program allocates (a
+# scan's phases times its repetitions, a curve's points) has at most
+# MAX_SCAN_POINTS points; a scan that long takes about 70 s on one core.
 _MAX_PULSES = 2**63 - 1
-_MAX_PHASES = int(np.iinfo(np.intp).max) // 8
+MAX_SCAN_POINTS = 10**5
+# The phase grid of a document that gives none: one fringe period of the
+# folded arrangement.
+_DEFAULT_PHASE_LINSPACE = {"start_rad": 0.0, "stop_rad": math.pi, "num": 12}
 # Index + 1 is the number of interferometers.
 _ARRANGEMENTS = ("folded", "independent")
 _DELAY_MATCH_TOL_S = 1e-15
@@ -99,9 +106,8 @@ class ScanSettings:
     """Phase-scan description attached to a config."""
 
     analyzer_phases_rad: tuple[float, ...]
-    n_pulses_per_point: int | None = None
+    n_pulses_per_point: int
     repetitions: int = 1
-    out: str | None = None
 
 
 def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
@@ -131,7 +137,7 @@ def default_config_dict() -> dict[str, Any]:
     }
     cfg["run"] = _document(vars(default), _RUN)
     cfg["scan"] = {
-        "phase_linspace": {"start_rad": 0.0, "stop_rad": math.pi, "num": 12},
+        "phase_linspace": dict(_DEFAULT_PHASE_LINSPACE),
         "n_pulses_per_point": default.n_pulses,
         "repetitions": ScanSettings.repetitions,
     }
@@ -221,18 +227,19 @@ def _build_analyzers(sec: dict) -> tuple[float | None, tuple[InterferometerSpec,
     return delay_s, (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
 
 
-def _build_scan(sec: dict) -> ScanSettings:
-    allowed = {"phases_rad", "phase_linspace", "n_pulses_per_point", "repetitions", "out"}
+def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
+    """The scan of section ``sec``; points run ``n_pulses`` pulses unless it says otherwise."""
+    allowed = {"phases_rad", "phase_linspace", "n_pulses_per_point", "repetitions"}
     _require_keys("scan", sec, allowed)
-    if ("phases_rad" in sec) == ("phase_linspace" in sec):
-        raise ConfigFormatError("scan: give exactly one of phases_rad or phase_linspace")
+    if "phases_rad" in sec and "phase_linspace" in sec:
+        raise ConfigFormatError("scan: give at most one of phases_rad or phase_linspace")
     if "phases_rad" in sec:
         raw = sec["phases_rad"]
         if not isinstance(raw, list) or not raw:
             raise ConfigFormatError("scan.phases_rad: expected a non-empty list")
         phases = tuple(_number("scan.phases_rad", v) for v in raw)
     else:
-        lin = sec["phase_linspace"]
+        lin = sec.get("phase_linspace", _DEFAULT_PHASE_LINSPACE)
         if not isinstance(lin, dict):
             raise ConfigFormatError("scan.phase_linspace: expected an object")
         keys = frozenset(("start_rad", "stop_rad", "num"))
@@ -240,34 +247,34 @@ def _build_scan(sec: dict) -> ScanSettings:
         num = lin["num"]
         if not _is_int(num) or num < 1:
             raise ConfigFormatError("scan.phase_linspace.num: expected a positive integer")
-        if num > _MAX_PHASES:
-            raise ConfigFormatError(f"scan.phase_linspace.num: at most {_MAX_PHASES} phases")
+        if num > MAX_SCAN_POINTS:
+            raise ConfigFormatError(f"scan.phase_linspace.num: at most {MAX_SCAN_POINTS} phases")
         start, stop = (
             _number(f"scan.phase_linspace.{k}", lin[k]) for k in ("start_rad", "stop_rad")
         )
         if not math.isfinite(stop - start):
             raise ConfigFormatError("scan.phase_linspace: stop_rad - start_rad overflows")
         phases = tuple(float(x) for x in np.linspace(start, stop, num, endpoint=False))
-    n_point = sec.get("n_pulses_per_point")
-    if n_point is not None and (not _is_int(n_point) or n_point <= 0):
+    n_point = sec.get("n_pulses_per_point", n_pulses)
+    if not _is_int(n_point) or n_point <= 0:
         raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")
-    if n_point is not None and n_point > _MAX_PULSES:
+    if n_point > _MAX_PULSES:
         raise ConfigFormatError(f"scan.n_pulses_per_point: at most {_MAX_PULSES} pulses")
     reps = sec.get("repetitions", ScanSettings.repetitions)
     if not _is_int(reps) or reps < 1:
         raise ConfigFormatError("scan.repetitions: expected a positive integer")
-    out = sec.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigFormatError("scan.out: expected a string path")
-    return ScanSettings(
-        analyzer_phases_rad=phases, n_pulses_per_point=n_point, repetitions=reps, out=out
-    )
+    if len(phases) * reps > MAX_SCAN_POINTS:
+        raise ConfigFormatError(
+            f"scan: {len(phases)} phases x {reps} repetitions is more than"
+            f" {MAX_SCAN_POINTS} points"
+        )
+    return ScanSettings(analyzer_phases_rad=phases, n_pulses_per_point=n_point, repetitions=reps)
 
 
 def build_experiment(
     cfg: dict[str, Any], seed_override: int | None = None
-) -> tuple[ExperimentConfig, ScanSettings | None]:
-    """Turn a parsed document into an ExperimentConfig (+ scan settings)."""
+) -> tuple[ExperimentConfig, ScanSettings]:
+    """Turn a parsed document into an ExperimentConfig and its scan settings."""
     _require_keys("config", cfg, {*_SECTIONS, "run", "scan"})
     for name, sec in cfg.items():
         if not isinstance(sec, dict):
@@ -298,10 +305,9 @@ def build_experiment(
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
 
-    scan = _build_scan(cfg["scan"]) if "scan" in cfg else None
     if experiment.n_pulses > _MAX_PULSES:
         raise ConfigFormatError(f"run.n_pulses: at most {_MAX_PULSES} pulses")
-    return experiment, scan
+    return experiment, _build_scan(cfg.get("scan", {}), experiment.n_pulses)
 
 
 def effective_config_dict(

@@ -412,7 +412,8 @@ def run_phase_scan(
     """Scan the (first) analyzer phase and record one fringe point per value.
 
     Each point runs ``n_pulses_per_point`` pulses (default: the config's
-    n_pulses) on an independent random stream derived from the run seed.
+    n_pulses).  Point k draws from child k of ``SeedSequence(rng_seed)`` for
+    any number of phases, so a scan begins with the points of its prefixes.
     Points store the interference phase, the raw central-window
     coincidence count, and the accidental-coincidence count (clicks not
     originating from one photon pair).

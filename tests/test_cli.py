@@ -6,6 +6,7 @@ import pytest
 
 from timebin.cli import main
 from timebin.config_io import default_config_dict
+from timebin.source import multipair_visibility
 
 
 def small_config(**overrides):
@@ -79,6 +80,18 @@ class TestRun:
             bodies.append(body(outs[0]))
         assert bodies[0] == bodies[1] == bodies[2]
 
+    @pytest.mark.parametrize("command, suffixes", [("run", [""]), ("scan", ["", ".fit.json"])])
+    def test_built_in_document_without_config(self, tmp_path, command, suffixes):
+        built_in, saved = tmp_path / "built_in.csv", tmp_path / "saved.csv"
+        assert main([command, "--out", str(built_in)]) == 0
+        assert main([command, "--config", write_config(tmp_path, default_config_dict()),
+                     "--out", str(saved)]) == 0
+        assert built_in.read_text().splitlines()[0] == "# config_hash=a4bfe46762380eb3"
+        for suffix in suffixes:
+            assert (tmp_path / f"built_in.csv{suffix}").read_bytes() == (
+                tmp_path / f"saved.csv{suffix}"
+            ).read_bytes()
+
     def test_largest_pulse_count_runs(self, tmp_path):
         n_pulses = 2**63 - 1
         out = tmp_path / "huge.csv"
@@ -122,7 +135,8 @@ class TestRun:
         assert "window_width" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("run.out", "hist.csv"), ("detector_a.dead_time_us", 10.0)]
+        "key, value",
+        [("run.out", "hist.csv"), ("detector_a.dead_time_us", 10.0), ("scan.out", "scan.csv")],
     )
     def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
         code = main(["run", "--config", write_config(tmp_path, small_config(**{key: value})),
@@ -186,13 +200,6 @@ class TestScan:
         r2 = json.loads((tmp_path / "s2.csv.fit.json").read_text())
         assert r1 == r2
 
-    def test_scan_out_key_used_when_flag_absent(self, tmp_path):
-        cfg = small_config()
-        cfg["scan"]["n_pulses_per_point"] = 200_000
-        cfg["scan"]["out"] = str(tmp_path / "from_config.csv")
-        assert main(["scan", "--config", write_config(tmp_path, cfg)]) == 0
-        assert (tmp_path / "from_config.csv").exists()
-
     def test_config_without_scan_uses_default_grid(self, tmp_path):
         bare = small_config()
         del bare["scan"]
@@ -202,15 +209,16 @@ class TestScan:
             "phase_linspace": default_config_dict()["scan"]["phase_linspace"],
             "n_pulses_per_point": 100_000,
         }
-        columns = []
-        for name, cfg in (("bare", bare), ("grid", with_grid)):
+        no_grid = small_config()
+        no_grid["scan"] = {"n_pulses_per_point": 100_000}
+        tables = []
+        for name, cfg in (("bare", bare), ("grid", with_grid), ("no_grid", no_grid)):
             out = tmp_path / f"{name}.csv"
             assert main(["scan", "--config", write_config(tmp_path, cfg, f"{name}.json"),
                          "--out", str(out)]) == 0
-            header, rows = read_rows(out)
-            columns.append([r[header.index("phase_rad")] for r in rows])
-        assert len(columns[0]) == 12
-        assert columns[0] == columns[1]
+            tables.append(read_rows(out))
+        assert len(tables[0][1]) == 12
+        assert tables[0] == tables[1] == tables[2]
 
     @pytest.mark.parametrize(
         "key, value, code, name",
@@ -237,6 +245,10 @@ class TestScan:
             ("run.batch_size", 0, 2, "batch_size must be positive"),
             ("run.batch_size", True, 1, "run.batch_size"),
             ("run.batch_size", 1.5, 1, "run.batch_size"),
+            ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 10**5 + 1},
+             1, "phase_linspace.num"),
+            # 8 phases x 12 501 repetitions: the first count above 1e5 points
+            ("scan.repetitions", 12_501, 1, "repetitions is more than 100000 points"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
@@ -279,12 +291,29 @@ class TestScan:
         cfg = small_config()
         cfg["scan"]["repetitions"] = 2
         out = tmp_path / "reps.csv"
-        assert main(["scan", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert main(["scan", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
         header, rows = read_rows(out)
         assert header[0] == "rep"
         assert {r[0] for r in rows} == {"0", "1"}
         report = json.loads((tmp_path / "reps.csv.fit.json").read_text())
         assert len(report["repetitions"]) == 2
+
+        single_path = write_config(tmp_path, small_config(), "single.json")
+        singles = {}
+        for seed in (5, 6):
+            single = tmp_path / f"single{seed}.csv"
+            assert main(["scan", "--config", single_path, "--out", str(single),
+                         "--seed", str(seed)]) == 0
+            singles[seed] = read_rows(single)[1]
+        single_report = json.loads((tmp_path / "single5.csv.fit.json").read_text())
+        # Repetition 0 is the one-repetition scan at the same seed ...
+        assert [r[1:] for r in rows if r[0] == "0"] == singles[5]
+        assert report["repetitions"][0] == {
+            key: single_report[key] for key in ("v_raw", "v_net", "points")
+        }
+        # ... and repetition 1 is not the next seed's scan.
+        assert [r[1:] for r in rows if r[0] == "1"] != singles[6]
 
     def test_missing_out_and_scan_out(self, tmp_path):
         cfg = small_config()
@@ -320,11 +349,31 @@ class TestCurve:
         assert float(rows[1][0]) == 1.0
         assert float(rows[1][1]) == pytest.approx(0.767, abs=5e-4)
 
-    def test_bad_params_exit_one(self, tmp_path):
-        assert main(["curve", "v_vs_mu", "--mu", "-1.0",
-                     "--out", str(tmp_path / "x.csv")]) == 1
-        assert main(["curve", "v_vs_e", "--points", "1",
-                     "--out", str(tmp_path / "y.csv")]) == 1
+    def test_mu_curve_from_range(self, tmp_path):
+        out = tmp_path / "vmu.csv"
+        assert main(["curve", "v_vs_mu", "--mu-min", "0.1", "--mu-max", "0.5", "--points", "5",
+                     "--v-max", "0.9", "--out", str(out)]) == 0
+        header, rows = read_rows(out)
+        assert header == ["mu", "visibility"]
+        mus = [float(r[0]) for r in rows]
+        assert mus == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
+        assert [float(r[1]) for r in rows] == [multipair_visibility(mu, 0.9) for mu in mus]
+
+    def test_bad_params_exit_one(self, tmp_path, capsys):
+        bad = [
+            ["v_vs_mu", "--mu", "-1.0"],
+            ["v_vs_e", "--points", "1"],
+            ["v_vs_e", "--points", "100001"],
+            ["v_vs_mu", "--points", "100001"],
+            ["v_vs_e", "--scale", "1.5"],
+            ["v_vs_mu", "--mu-min", "0.5", "--mu-max", "0.5"],
+            ["v_vs_mu", "--mu", "0.1", "--v-max", "0"],
+        ]
+        for args in bad:
+            out = tmp_path / "x.csv"
+            assert main(["curve", *args, "--out", str(out)]) == 1, args
+            assert "Traceback" not in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "option, value",

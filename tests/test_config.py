@@ -25,7 +25,7 @@ class TestDefaultConfig:
         assert len(scan.analyzer_phases_rad) == 12
         assert scan.analyzer_phases_rad[0] == 0.0
         # an empty document falls back to the same defaults, section by section
-        assert build_experiment({}) == (experiment, None)
+        assert build_experiment({}) == (experiment, scan)
 
     def test_one_set_of_defaults(self):
         # the empty document, the built-in one and the dataclasses describe one experiment
@@ -83,6 +83,20 @@ class TestValidation:
         cfg["scan"]["phases_rad"] = [0.0, 1.0]
         with pytest.raises(ConfigFormatError):
             build_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda n: {"phase_linspace": {"start_rad": 0.0, "stop_rad": 1.0, "num": n}},
+            lambda n: {"phases_rad": [0.0], "repetitions": n},
+        ],
+        ids=["linspace", "repetitions"],
+    )
+    def test_scan_points_bounded(self, scan):
+        _, settings = build_experiment({"scan": scan(10**5)})
+        assert len(settings.analyzer_phases_rad) * settings.repetitions == 10**5
+        with pytest.raises(ConfigFormatError, match="100000"):
+            build_experiment({"scan": scan(10**5 + 1)})
 
     def test_phase_list_accepted(self):
         cfg = default_config_dict()
