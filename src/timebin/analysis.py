@@ -127,20 +127,18 @@ def _count_distinct(values: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(new))
 
 
-def fit_fringe(scan: FringeScan, *, use_net: bool | None = None) -> FitResult:
+def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     """Weighted least-squares fit of O * [1 + V cos(phi - phi0)].
 
     Counting weights are Poissonian with a one-count variance floor.  The
     fit starts from raw-count weights and then reweights once from the
     fitted predictions, which keeps the quoted uncertainty calibrated down
     to a few counts per point (raw-count weights overweight downward
-    fluctuations there).  By default the net counts are fitted when
-    present, else the raw counts.
+    fluctuations there).  ``use_net`` fits the net counts, which
+    subtract_accidentals fills; otherwise the raw counts are fitted.
     """
     phases = scan.phases
     _check_design(phases)
-    if use_net is None:
-        use_net = scan.net_counts is not None
     counts = scan.net_counts if use_net else scan.raw_counts
     if counts is None:
         raise ValueError("scan has no net counts; run subtract_accidentals first")
@@ -204,7 +202,7 @@ def bootstrap_visibility_sigma(
     *,
     n_resamples: int = 500,
     rng: np.random.Generator | None = None,
-    use_net: bool | None = None,
+    use_net: bool = True,
 ) -> float:
     """Cross-check of the fit uncertainty by resampling scan points."""
     if rng is None:
@@ -223,14 +221,11 @@ def bootstrap_visibility_sigma(
     return float(np.std(values, ddof=1))
 
 
-def visibility_vs_entanglement_curve(
-    n_points: int, scale: float = 1.0
-) -> list[tuple[float, float]]:
+def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]:
     """Parametric (entanglement, visibility) theory curve.
 
     Sweeps the early-bin weight from 0.5 (maximally entangled: E = 1,
-    V = 1) to 1.0 (product state: E = 0, V = 0).  ``scale`` multiplies the
-    visibility column to overlay an apparatus ceiling.
+    V = 1) to 1.0 (product state: E = 0, V = 0).
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -241,7 +236,7 @@ def visibility_vs_entanglement_curve(
         a2 = float(alpha_sq)
         ent = entropy_of_entanglement(a2)
         vis = 2.0 * math.sqrt(a2 * (1.0 - a2))
-        curve.append((ent, scale * vis))
+        curve.append((ent, vis))
     return curve
 
 

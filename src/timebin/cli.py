@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Any
 
 # Set before numpy loads: its OpenBLAS would start a thread pool that the
@@ -35,6 +35,7 @@ from .analysis import (
     visibility_vs_mu_curve,
 )
 from .config_io import (
+    MAX_PULSES,
     MAX_SCAN_POINTS,
     ConfigFormatError,
     ConfigValidationError,
@@ -137,9 +138,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # repetition draws the points of another seed's scan.
     n_phases = len(settings.analyzer_phases_rad)
     points = run_phase_scan(
-        experiment,
+        replace(experiment, n_pulses=settings.n_pulses_per_point),
         list(settings.analyzer_phases_rad) * settings.repetitions,
-        n_pulses_per_point=settings.n_pulses_per_point,
     ).points
     scans = [
         subtract_accidentals(FringeScan(points=points[i : i + n_phases]))
@@ -180,9 +180,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
         if args.scale is not None:
             if not 0.0 < args.scale <= 1.0:
                 raise ConfigFormatError("--scale must lie in (0, 1]")
-            scaled = visibility_vs_entanglement_curve(args.points, scale=args.scale)
             header += ",visibility_scaled"
-            rows = [(e, v, sv) for (e, v), (_, sv) in zip(rows, scaled)]
+            rows = [(e, v, args.scale * v) for e, v in rows]
         params = {"kind": args.kind, "points": args.points, "scale": args.scale}
     else:
         if args.mu:
@@ -253,6 +252,8 @@ def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
             raise ConfigFormatError(f"{path}: line {line_no}: {exc}") from exc
         if raw_count < 0:
             raise ConfigFormatError(f"{path}: line {line_no}: negative count {raw_count}")
+        if raw_count > MAX_PULSES:
+            raise ConfigFormatError(f"{path}: line {line_no}: count above {MAX_PULSES}")
         if acc < 0.0:
             raise ConfigFormatError(f"{path}: line {line_no}: negative accidental {acc}")
         if not (math.isfinite(phase) and math.isfinite(acc)):

@@ -1,6 +1,6 @@
 """JSON experiment description: parsing, validation, hashing.
 
-Every physical quantity carries its unit in the key name (delay_ns,
+Every physical quantity carries its unit in the key name (bin_separation_ns,
 window_width_ps, dark_rate_cps, ...) and is converted to SI on load.  One
 table per section maps each document key to its dataclass field and SI
 factor; the allowed keys, the unit conversions and the built-in document
@@ -30,17 +30,17 @@ from .fiber import FiberSpec
 from .source import SourceConfig
 
 NS, PS = 1e-9, 1e-12
-# The engine counts pulses as int64.  Every grid the program allocates (a
-# scan's phases times its repetitions, a curve's points) has at most
-# MAX_SCAN_POINTS points; a scan that long takes about 70 s on one core.
-_MAX_PULSES = 2**63 - 1
+# The engine counts pulses as int64, so no run, and no count of one, exceeds
+# MAX_PULSES.  Every grid the program allocates (a scan's phases times its
+# repetitions, a curve's points) has at most MAX_SCAN_POINTS points; a scan
+# that long takes about 70 s on one core.
+MAX_PULSES = 2**63 - 1
 MAX_SCAN_POINTS = 10**5
 # The phase grid of a document that gives none: one fringe period of the
 # folded arrangement.
 _DEFAULT_PHASE_LINSPACE = {"start_rad": 0.0, "stop_rad": math.pi, "num": 12}
 # Index + 1 is the number of interferometers.
 _ARRANGEMENTS = ("folded", "independent")
-_DELAY_MATCH_TOL_S = 1e-15
 
 # Document key -> (dataclass field, factor to SI).  The factor ``int``
 # marks an integer key, ``str`` a string its section's builder checks.
@@ -62,11 +62,10 @@ _FIBER = {
     "filter_bandwidth_nm": ("filter_bandwidth_nm", 1.0),
     "phase_jitter_rad": ("phase_jitter_rms", 1.0),
 }
-# ``arrangement`` and ``delay_ns`` fill no field: the first sets the number
-# of interferometers, the second must repeat the source's bin separation.
+# ``arrangement`` fills no field: it sets the number of interferometers.
+# The analyzers' delay is the source's bin separation.
 _ANALYZER = {
     "arrangement": ("arrangement", str),
-    "delay_ns": ("delay_s", NS),
     "phase_rad": ("phi_analyzer", 1.0),
     "excess_loss_db": ("excess_loss_db", 1.0),
     "circulator_loss_db": ("circulator_loss_db", 1.0),
@@ -129,7 +128,6 @@ def default_config_dict() -> dict[str, Any]:
     analyzer = {
         **vars(default.analyzers[0]),
         "arrangement": _ARRANGEMENTS[len(default.analyzers) - 1],
-        "delay_s": default.source.bin_separation_s,
     }
     cfg = {
         name: _document(analyzer if name == "analyzer" else vars(getattr(default, field)), table)
@@ -206,25 +204,22 @@ def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) 
     return kwargs
 
 
-def _build_analyzers(sec: dict) -> tuple[float | None, tuple[InterferometerSpec, ...]]:
-    """The document's analyzer delay (None if not given) and interferometers."""
+def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
+    """The document's interferometers."""
     kwargs = _convert("analyzer", sec, _ANALYZER, _ANALYZER_B)
     arrangement = kwargs.pop("arrangement", _ARRANGEMENTS[0])
     if arrangement not in _ARRANGEMENTS:
         raise ConfigFormatError(f"analyzer.arrangement: unknown value {arrangement!r}")
-    delay_s = kwargs.pop("delay_s", None)
-    if delay_s is not None and delay_s <= 0.0:
-        raise ValueError("delay_s must be positive")
     first = InterferometerSpec(**kwargs)
     if arrangement == "folded":
         if sec.keys() & _ANALYZER_B.keys():
             raise ConfigFormatError(
                 f"analyzer: {'/'.join(_ANALYZER_B)} only apply to the independent arrangement"
             )
-        return delay_s, (first,)
+        return (first,)
     # The second device has no circulator and takes the first one's excess loss.
     second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer, circulator_loss_db=0.0)
-    return delay_s, (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
+    return (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
 
 
 def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
@@ -258,8 +253,8 @@ def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
     n_point = sec.get("n_pulses_per_point", n_pulses)
     if not _is_int(n_point) or n_point <= 0:
         raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")
-    if n_point > _MAX_PULSES:
-        raise ConfigFormatError(f"scan.n_pulses_per_point: at most {_MAX_PULSES} pulses")
+    if n_point > MAX_PULSES:
+        raise ConfigFormatError(f"scan.n_pulses_per_point: at most {MAX_PULSES} pulses")
     reps = sec.get("repetitions", ScanSettings.repetitions)
     if not _is_int(reps) or reps < 1:
         raise ConfigFormatError("scan.repetitions: expected a positive integer")
@@ -291,22 +286,19 @@ def build_experiment(
         parts = {}
         for name, (field, cls, table) in _SECTIONS.items():
             if name == "analyzer":
-                delay_s, parts[field] = _build_analyzers(cfg.get(name, {}))
+                parts[field] = _build_analyzers(cfg.get(name, {}))
             else:
                 parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
         experiment = ExperimentConfig(**parts, **run)
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        bin_separation_s = experiment.source.bin_separation_s
-        if delay_s is not None and abs(delay_s - bin_separation_s) > _DELAY_MATCH_TOL_S:
-            raise ValueError("analyzer delay must match the source bin separation")
     except ConfigFormatError:
         raise
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
 
-    if experiment.n_pulses > _MAX_PULSES:
-        raise ConfigFormatError(f"run.n_pulses: at most {_MAX_PULSES} pulses")
+    if experiment.n_pulses > MAX_PULSES:
+        raise ConfigFormatError(f"run.n_pulses: at most {MAX_PULSES} pulses")
     return experiment, _build_scan(cfg.get("scan", {}), experiment.n_pulses)
 
 

@@ -403,17 +403,12 @@ def fringe_phase(config: ExperimentConfig) -> float:
     return first.phi_analyzer + last.phi_analyzer - config.source.phi_pump
 
 
-def run_phase_scan(
-    config: ExperimentConfig,
-    phases: "list[float] | np.ndarray",
-    *,
-    n_pulses_per_point: int | None = None,
-) -> FringeScan:
+def run_phase_scan(config: ExperimentConfig, phases: "list[float] | np.ndarray") -> FringeScan:
     """Scan the (first) analyzer phase and record one fringe point per value.
 
-    Each point runs ``n_pulses_per_point`` pulses (default: the config's
-    n_pulses).  Point k draws from child k of ``SeedSequence(rng_seed)`` for
-    any number of phases, so a scan begins with the points of its prefixes.
+    Each point runs the config's n_pulses pulses.  Point k draws from child
+    k of ``SeedSequence(rng_seed)`` for any number of phases, so a scan
+    begins with the points of its prefixes.
     Points store the interference phase, the raw central-window
     coincidence count, and the accidental-coincidence count (clicks not
     originating from one photon pair).
@@ -421,15 +416,13 @@ def run_phase_scan(
     phases = list(phases)
     if not phases:
         raise ValueError("at least one phase is required")
-    n_point = config.n_pulses if n_pulses_per_point is None else int(n_pulses_per_point)
-    base = replace(config, n_pulses=n_point)
     point_seeds = [
         int(ss.generate_state(1, dtype=np.uint64)[0])
         for ss in np.random.SeedSequence(config.rng_seed).spawn(len(phases))
     ]
     points = []
     for phi, seed in zip(phases, point_seeds):
-        cfg = _with_analyzer_phase(base, phi, seed)
+        cfg = _with_analyzer_phase(config, phi, seed)
         result = run_pulses(cfg)
         points.append(
             FringePoint(

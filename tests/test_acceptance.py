@@ -39,8 +39,8 @@ def criterion(number, label):
     return decorate
 
 
-def fit_scan(config, phases, n_pulses_per_point=None):
-    scan = tb.run_phase_scan(config, phases, n_pulses_per_point=n_pulses_per_point)
+def fit_scan(config, phases):
+    scan = tb.run_phase_scan(config, phases)
     scan = tb.subtract_accidentals(scan)
     return tb.fit_fringe(scan, use_net=False), tb.fit_fringe(scan, use_net=True)
 
@@ -87,7 +87,7 @@ def test_distance_robustness_over_repetitions():
         raw_fits, net_fits = {}, {}
         for km in (0.0, 11.0):
             cfg = default_experiment(length_km=km, seed=3000 + 97 * rep + int(km))
-            raw_fits[km], net_fits[km] = fit_scan(cfg, phases, n_pulses_per_point=2 * 10**8)
+            raw_fits[km], net_fits[km] = fit_scan(replace(cfg, n_pulses=2 * 10**8), phases)
         if raw_fits[11.0].visibility_unclamped < raw_fits[0.0].visibility_unclamped:
             ordering_holds += 1
         net0.append(net_fits[0.0].visibility_unclamped)
@@ -109,7 +109,7 @@ def test_subtraction_improvement_bounds():
     improvements = {}
     for km in (0.0, 11.0):
         cfg = default_experiment(length_km=km, seed=777)
-        raw, net = fit_scan(cfg, phases, n_pulses_per_point=2 * 10**8)
+        raw, net = fit_scan(replace(cfg, n_pulses=2 * 10**8), phases)
         improvements[km] = net.visibility - raw.visibility
         assert net.visibility >= raw.visibility
     assert improvements[0.0] < 0.05, f"0 km improvement {improvements[0.0]:.3f}"

@@ -135,6 +135,11 @@ class TestFitFringe:
         with pytest.raises(DegenerateScanError):
             tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
 
+    def test_default_fits_net_counts_only(self):
+        # the default is the net fit; an unsubtracted scan has nothing to fit
+        with pytest.raises(ValueError, match="no net counts"):
+            tb.fit_fringe(exact_fringe_scan(100, 0.8))
+
     @pytest.mark.parametrize(
         "phases",
         [
@@ -173,10 +178,6 @@ class TestCurves:
         ent, vis = curve[60]  # early weight 0.8
         assert ent == pytest.approx(0.7219280948873623, abs=1e-12)
         assert vis == pytest.approx(0.8, abs=1e-12)
-
-    def test_entanglement_curve_scaled(self):
-        curve = tb.visibility_vs_entanglement_curve(11, scale=0.95)
-        assert max(v for _, v in curve) == pytest.approx(0.95, abs=1e-12)
 
     def test_entanglement_curve_needs_two_points(self):
         with pytest.raises(ValueError):

@@ -86,7 +86,7 @@ class TestRun:
         assert main([command, "--out", str(built_in)]) == 0
         assert main([command, "--config", write_config(tmp_path, default_config_dict()),
                      "--out", str(saved)]) == 0
-        assert built_in.read_text().splitlines()[0] == "# config_hash=a4bfe46762380eb3"
+        assert built_in.read_text().splitlines()[0] == "# config_hash=20ee04b04bfedd75"
         for suffix in suffixes:
             assert (tmp_path / f"built_in.csv{suffix}").read_bytes() == (
                 tmp_path / f"saved.csv{suffix}"
@@ -136,7 +136,12 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("run.out", "hist.csv"), ("detector_a.dead_time_us", 10.0), ("scan.out", "scan.csv")],
+        [
+            ("run.out", "hist.csv"),
+            ("detector_a.dead_time_us", 10.0),
+            ("scan.out", "scan.csv"),
+            ("analyzer.delay_ns", 1.2),
+        ],
     )
     def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
         code = main(["run", "--config", write_config(tmp_path, small_config(**{key: value})),
@@ -341,6 +346,7 @@ class TestCurve:
         header, rows = read_rows(out)
         assert header[-1] == "visibility_scaled"
         assert max(float(r[-1]) for r in rows) == pytest.approx(0.95, abs=1e-12)
+        assert all(float(r[2]) == 0.95 * float(r[1]) for r in rows)
 
     def test_mu_curve_reference_value(self, tmp_path):
         out = tmp_path / "vmu.csv"
@@ -425,8 +431,9 @@ class TestFit:
             (b"\xe9,10,1", "not UTF-8"),
             (b"nan,10,1", "line 7: expected finite"),
             (b"2.5,10,inf", "line 7: expected finite"),
+            (b"2.5," + b"9" * 401 + b",1", "line 7: count above"),
         ],
-        ids=["missing_column", "non_utf8", "nan_phase", "inf_accidental"],
+        ids=["missing_column", "non_utf8", "nan_phase", "inf_accidental", "oversized_count"],
     )
     def test_malformed_csv(self, tmp_path, capsys, last_row, message):
         csv = tmp_path / "mal.csv"

@@ -39,7 +39,7 @@ class TestDefaultConfig:
 
     def test_default_document_hash(self):
         # the provenance line of every run without --config
-        assert config_hash(default_config_dict()) == "a4bfe46762380eb3"
+        assert config_hash(default_config_dict()) == "20ee04b04bfedd75"
 
     def test_hash_is_order_insensitive(self):
         cfg = default_config_dict()

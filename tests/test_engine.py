@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -6,7 +5,6 @@ import numpy as np
 import pytest
 
 import timebin as tb
-from timebin.cli import main
 from timebin.config_io import build_experiment, default_config_dict
 from .conftest import analyzer_phases, ideal_experiment, truncated_mean_inverse
 
@@ -65,12 +63,6 @@ def chi2_z(observed, expected):
 
 
 class TestConfigValidation:
-    def test_delay_must_match_bin_separation(self, tmp_path, capsys):
-        path = tmp_path / "delay.json"
-        path.write_text(json.dumps({"analyzer": {"delay_ns": 1.3}}))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
-        assert "analyzer delay must match the source bin separation" in capsys.readouterr().err
-
     def test_independent_arrangement_needs_two_analyzers(self):
         # one analyzer is the folded arrangement, two the independent one
         cfg = ideal_experiment()
