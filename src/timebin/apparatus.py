@@ -44,7 +44,9 @@ class InterferometerSpec:
     def __post_init__(self) -> None:
         if self.excess_loss_db < 0.0 or self.circulator_loss_db < 0.0:
             raise ValueError("losses must be non-negative")
-        object.__setattr__(self, "phi_analyzer", self.phi_analyzer % _TWO_PI)
+        # A tiny negative phase modulo 2*pi rounds up to 2*pi itself; the
+        # second modulo takes that to 0, so the stored phase lies in [0, 2*pi).
+        object.__setattr__(self, "phi_analyzer", self.phi_analyzer % _TWO_PI % _TWO_PI)
 
 
 @dataclass(frozen=True)

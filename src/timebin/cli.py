@@ -41,13 +41,14 @@ from .config_io import (
     ConfigValidationError,
     build_experiment,
     config_hash,
-    default_config_dict,
     effective_config_dict,
     load_config_file,
 )
 from .engine import run_phase_scan, run_pulses
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO, EXIT_DEGENERATE = 0, 1, 2, 3, 4
+# The grid of ``curve v_vs_mu`` without --mu.
+_MU_RANGE = {"--mu-min": 0.01, "--mu-max": 1.0, "--points": 101}
 
 
 def _fmt(x: float) -> str:
@@ -84,10 +85,10 @@ def _load(args: argparse.Namespace):
         except OSError as exc:
             raise _IoFailure(f"cannot read {args.config}: {exc}") from exc
     else:
-        cfg = default_config_dict()
-    experiment, scan = build_experiment(cfg, seed_override=args.seed)
-    effective = effective_config_dict(cfg, seed_override=args.seed)
-    return experiment, scan, config_hash(effective)
+        cfg = {}
+    # The hash covers the complete document, and that document is what runs.
+    document = effective_config_dict(cfg, seed_override=args.seed)
+    return (*build_experiment(document), config_hash(document))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -169,53 +170,64 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
-    if args.points > MAX_SCAN_POINTS:
-        raise ConfigFormatError(f"--points: at most {MAX_SCAN_POINTS} points")
-    if args.kind == "v_vs_e":
-        if args.points < 2:
-            raise ConfigFormatError("--points must be at least 2")
-        rows = visibility_vs_entanglement_curve(args.points)
-        header = "entanglement_bits,visibility"
-        if args.scale is not None:
-            if not 0.0 < args.scale <= 1.0:
-                raise ConfigFormatError("--scale must lie in (0, 1]")
-            header += ",visibility_scaled"
-            rows = [(e, v, args.scale * v) for e, v in rows]
-        params = {"kind": args.kind, "points": args.points, "scale": args.scale}
-    else:
-        if args.mu:
-            try:
-                grid = [float(tok) for tok in args.mu.split(",") if tok.strip()]
-            except ValueError as exc:
-                raise ConfigFormatError(f"--mu: {exc}") from exc
-            if not all(math.isfinite(mu) for mu in grid):
-                raise ConfigFormatError(f"--mu: expected finite numbers, got {args.mu}")
-        else:
-            for option, value in (("--mu-min", args.mu_min), ("--mu-max", args.mu_max)):
-                if not math.isfinite(value):
-                    raise ConfigFormatError(f"{option}: expected a finite number, got {value}")
-            if args.points < 2 or args.mu_min <= 0 or args.mu_max <= args.mu_min:
-                raise ConfigFormatError("bad mu grid parameters")
-            step = (args.mu_max - args.mu_min) / (args.points - 1)
-            grid = [args.mu_min + step * i for i in range(args.points)]
-        if not grid or min(grid) <= 0.0:
-            raise ConfigFormatError("mu values must be positive")
-        if not 0.0 < args.v_max <= 1.0:
-            raise ConfigFormatError("--v-max must lie in (0, 1]")
-        rows = visibility_vs_mu_curve(grid, v_max=args.v_max)
-        header = "mu,visibility"
-        params = {"kind": args.kind, "mu": grid, "v_max": args.v_max}
-
-    params_hash = hashlib.sha256(
-        json.dumps(params, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    lines = _provenance_lines(params_hash, "none")
+def _write_curve(args: argparse.Namespace, params: dict[str, Any], header: str, rows) -> int:
+    lines = _provenance_lines(config_hash(params), "none")
     lines.append(header)
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
+    lines += [",".join(_fmt(x) for x in row) for row in rows]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _check_points(points: int) -> None:
+    if not 2 <= points <= MAX_SCAN_POINTS:
+        raise ConfigFormatError(f"--points: expected 2 to {MAX_SCAN_POINTS} points, got {points}")
+
+
+def _cmd_curve_e(args: argparse.Namespace) -> int:
+    _check_points(args.points)
+    rows = visibility_vs_entanglement_curve(args.points)
+    header = "entanglement_bits,visibility"
+    if args.scale is not None:
+        if not 0.0 < args.scale <= 1.0:
+            raise ConfigFormatError("--scale must lie in (0, 1]")
+        header += ",visibility_scaled"
+        rows = [(e, v, args.scale * v) for e, v in rows]
+    params = {"kind": "v_vs_e", "points": args.points, "scale": args.scale}
+    return _write_curve(args, params, header, rows)
+
+
+def _cmd_curve_mu(args: argparse.Namespace) -> int:
+    # The grid options default to None, so that giving one beside --mu is seen.
+    grid_options = {"--mu-min": args.mu_min, "--mu-max": args.mu_max, "--points": args.points}
+    given = [option for option, value in grid_options.items() if value is not None]
+    if args.mu is not None:
+        if given:
+            raise ConfigFormatError(f"--mu: cannot be combined with {', '.join(given)}")
+        try:
+            grid = [float(tok) for tok in args.mu.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigFormatError(f"--mu: {exc}") from exc
+        if not all(math.isfinite(mu) for mu in grid):
+            raise ConfigFormatError(f"--mu: expected finite numbers, got {args.mu}")
+    else:
+        mu_min, mu_max, points = (
+            _MU_RANGE[option] if value is None else value for option, value in grid_options.items()
+        )
+        for option, value in (("--mu-min", mu_min), ("--mu-max", mu_max)):
+            if not math.isfinite(value):
+                raise ConfigFormatError(f"{option}: expected a finite number, got {value}")
+        _check_points(points)
+        if mu_min <= 0 or mu_max <= mu_min:
+            raise ConfigFormatError("bad mu grid parameters")
+        step = (mu_max - mu_min) / (points - 1)
+        grid = [mu_min + step * i for i in range(points)]
+    if not grid or min(grid) <= 0.0:
+        raise ConfigFormatError("mu values must be positive")
+    if not 0.0 < args.v_max <= 1.0:
+        raise ConfigFormatError("--v-max must lie in (0, 1]")
+    rows = visibility_vs_mu_curve(grid, v_max=args.v_max)
+    params = {"kind": "v_vs_mu", "mu": grid, "v_max": args.v_max}
+    return _write_curve(args, params, "mu,visibility", rows)
 
 
 def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
@@ -307,15 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_curve = sub.add_parser("curve", help="write an analytic theory curve")
-    p_curve.add_argument("kind", choices=["v_vs_e", "v_vs_mu"])
-    p_curve.add_argument("--out", required=True)
-    p_curve.add_argument("--points", type=int, default=101)
-    p_curve.add_argument("--scale", type=float, help="extra scaled column (v_vs_e)")
-    p_curve.add_argument("--mu", help="comma-separated mean pair numbers (v_vs_mu)")
-    p_curve.add_argument("--mu-min", type=float, default=0.01)
-    p_curve.add_argument("--mu-max", type=float, default=1.0)
-    p_curve.add_argument("--v-max", type=float, default=1.0)
-    p_curve.set_defaults(func=_cmd_curve)
+    kinds = p_curve.add_subparsers(dest="kind", required=True)
+    p_e = kinds.add_parser("v_vs_e", help="visibility against entanglement")
+    p_e.add_argument("--out", required=True)
+    p_e.add_argument("--points", type=int, default=101)
+    p_e.add_argument("--scale", type=float, help="add a column of visibility times SCALE")
+    p_e.set_defaults(func=_cmd_curve_e)
+    p_mu = kinds.add_parser("v_vs_mu", help="visibility against mean pair number")
+    p_mu.add_argument("--out", required=True)
+    p_mu.add_argument("--mu", help="comma-separated mean pair numbers")
+    p_mu.add_argument("--mu-min", type=float, help=f"grid start (default {_MU_RANGE['--mu-min']})")
+    p_mu.add_argument("--mu-max", type=float, help=f"grid stop (default {_MU_RANGE['--mu-max']})")
+    p_mu.add_argument("--points", type=int, help=f"grid size (default {_MU_RANGE['--points']})")
+    p_mu.add_argument("--v-max", type=float, default=1.0)
+    p_mu.set_defaults(func=_cmd_curve_mu)
 
     p_fit = sub.add_parser("fit", help="fit an existing scan CSV")
     p_fit.add_argument("scan_csv", help="CSV with phase_rad, raw, accidental columns")

@@ -10,7 +10,9 @@ keys are rejected so typos fail loudly instead of silently falling back
 to defaults.  The scan follows the same rule: a document without a grid
 scans the default one, and without ``n_pulses_per_point`` each point runs
 ``run.n_pulses`` pulses, so ``build_experiment`` always returns complete
-scan settings.
+scan settings.  ``effective_config_dict`` writes what was built back out
+as a complete document, which is what ``config_hash`` covers: documents
+that describe the same run share one hash.
 """
 
 from __future__ import annotations
@@ -117,29 +119,33 @@ def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
     }
 
 
+def _written(experiment: ExperimentConfig, scan: ScanSettings) -> dict[str, Any]:
+    """The inverse of ``build_experiment``: every key written, the scan as ``phases_rad``."""
+    first, *rest = experiment.analyzers
+    analyzer = {**vars(first), "arrangement": _ARRANGEMENTS[len(rest)]}
+    doc = {
+        name: _document(analyzer if name == "analyzer" else vars(getattr(experiment, field)), table)
+        for name, (field, _, table) in _SECTIONS.items()
+    }
+    for second in rest:
+        doc["analyzer"].update(_document(vars(second), _ANALYZER_B))
+    doc["run"] = _document(vars(experiment), _RUN)
+    doc["scan"] = {
+        "phases_rad": list(scan.analyzer_phases_rad),
+        "n_pulses_per_point": scan.n_pulses_per_point,
+        "repetitions": scan.repetitions,
+    }
+    return doc
+
+
 def default_config_dict() -> dict[str, Any]:
-    """Built-in experiment description: ``ExperimentConfig()`` as a document.
+    """Built-in experiment description: ``ExperimentConfig()`` and the default scan.
 
     Noise and loss figures are tuned so that accidental subtraction adds a
     few points of fitted visibility at zero distance and somewhat under
     nine at 11 km, with the net visibility near 0.95; see README.
     """
-    default = ExperimentConfig()
-    analyzer = {
-        **vars(default.analyzers[0]),
-        "arrangement": _ARRANGEMENTS[len(default.analyzers) - 1],
-    }
-    cfg = {
-        name: _document(analyzer if name == "analyzer" else vars(getattr(default, field)), table)
-        for name, (field, _, table) in _SECTIONS.items()
-    }
-    cfg["run"] = _document(vars(default), _RUN)
-    cfg["scan"] = {
-        "phase_linspace": dict(_DEFAULT_PHASE_LINSPACE),
-        "n_pulses_per_point": default.n_pulses,
-        "repetitions": ScanSettings.repetitions,
-    }
-    return cfg
+    return effective_config_dict({})
 
 
 def config_hash(cfg: dict[str, Any]) -> str:
@@ -149,13 +155,15 @@ def config_hash(cfg: dict[str, Any]) -> str:
 
 
 def load_config_file(path: str) -> dict[str, Any]:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigFormatError(f"{path}: invalid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+        # ValueError covers JSONDecodeError and integer literals past Python's
+        # digit limit; RecursionError, arrays or objects nested too deep.
+        except (ValueError, RecursionError) as exc:
+            raise ConfigFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigFormatError(f"{path}: top level must be an object")
     return cfg
@@ -305,9 +313,9 @@ def build_experiment(
 def effective_config_dict(
     cfg: dict[str, Any], seed_override: int | None = None
 ) -> dict[str, Any]:
-    """Config document with any seed override applied (what the run used)."""
-    if seed_override is None:
-        return cfg
-    out = json.loads(json.dumps(cfg))
-    out.setdefault("run", {})["seed"] = seed_override
-    return out
+    """The complete document of the experiment and scan that ``cfg`` describes.
+
+    Every key is filled in and any seed override applied, so documents that
+    describe the same run give the same document, and the same hash.
+    """
+    return _written(*build_experiment(cfg, seed_override))

@@ -42,6 +42,17 @@ def ideal_experiment(
     )
 
 
+def built_in_spellings():
+    """Documents that spell the built-in run differently: each describes the same run."""
+    with_batch_size = default_config_dict()
+    with_batch_size["run"]["batch_size"] = 1000
+    as_linspace = default_config_dict()
+    del as_linspace["scan"]["phases_rad"]
+    as_linspace["scan"]["phase_linspace"] = {"start_rad": 0.0, "stop_rad": math.pi, "num": 12}
+    return {"empty": {}, "built_in": default_config_dict(), "batch_size": with_batch_size,
+            "linspace": as_linspace}
+
+
 def default_experiment(length_km=0.0, seed=20260808, n_pulses=None):
     """The shipped defaults, optionally with both fiber spools stretched."""
     cfg = default_config_dict()

@@ -38,6 +38,13 @@ class TestSpecs:
         interferometer = tb.InterferometerSpec(phi_analyzer=2.0 * math.pi + 0.3)
         assert interferometer.phi_analyzer == pytest.approx(0.3, abs=1e-12)
 
+    def test_tiny_negative_phase_wraps_below_two_pi(self):
+        # -5e-324 % (2 pi) is 2 pi itself in floating point.
+        interferometer = tb.InterferometerSpec(phi_analyzer=-5e-324)
+        assert 0.0 <= interferometer.phi_analyzer < 2.0 * math.pi
+        again = tb.InterferometerSpec(phi_analyzer=interferometer.phi_analyzer)
+        assert again == interferometer
+
     def test_windows_must_not_overlap(self):
         # 1.3 ns windows around peaks 1.2 ns apart
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from timebin.cli import main
-from timebin.config_io import default_config_dict
+from timebin.config_io import default_config_dict, effective_config_dict
 from timebin.source import multipair_visibility
+
+from .conftest import built_in_spellings
 
 
 def small_config(**overrides):
@@ -61,11 +63,7 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_results_depend_on_seed_and_pulses_alone(self, tmp_path):
-        # run.batch_size and --threads are accepted but change nothing; only
-        # the config_hash line, a hash of the document as written, differs.
-        def body(path):
-            return [l for l in path.read_text().splitlines() if not l.startswith("# config_hash=")]
-
+        # run.batch_size and --threads are accepted but change nothing.
         bodies = []
         for batch_size in (None, 1_000_000, 2_000_000):
             cfg = small_config()
@@ -77,7 +75,7 @@ class TestRun:
                 assert main(["run", "--config", cfg_path, "--out", str(out),
                              "--threads", str(threads)]) == 0
             assert outs[0].read_bytes() == outs[1].read_bytes()
-            bodies.append(body(outs[0]))
+            bodies.append(outs[0].read_bytes())
         assert bodies[0] == bodies[1] == bodies[2]
 
     @pytest.mark.parametrize("command, suffixes", [("run", [""]), ("scan", ["", ".fit.json"])])
@@ -86,11 +84,23 @@ class TestRun:
         assert main([command, "--out", str(built_in)]) == 0
         assert main([command, "--config", write_config(tmp_path, default_config_dict()),
                      "--out", str(saved)]) == 0
-        assert built_in.read_text().splitlines()[0] == "# config_hash=20ee04b04bfedd75"
+        assert built_in.read_text().splitlines()[0] == "# config_hash=4688626638e2b0f8"
         for suffix in suffixes:
             assert (tmp_path / f"built_in.csv{suffix}").read_bytes() == (
                 tmp_path / f"saved.csv{suffix}"
             ).read_bytes()
+
+    @pytest.mark.parametrize("command, suffixes", [("run", [""]), ("scan", ["", ".fit.json"])])
+    def test_spellings_of_one_experiment_share_one_output(self, tmp_path, command, suffixes):
+        spellings = built_in_spellings()
+        for cfg in spellings.values():
+            assert effective_config_dict(cfg) == default_config_dict()
+        for name, cfg in spellings.items():
+            assert main([command, "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        for suffix in suffixes:
+            outputs = {(tmp_path / f"{name}.csv{suffix}").read_bytes() for name in spellings}
+            assert len(outputs) == 1
 
     def test_largest_pulse_count_runs(self, tmp_path):
         n_pulses = 2**63 - 1
@@ -121,10 +131,18 @@ class TestRun:
         assert all(int(r[1]) == 0 and int(r[2]) == 0 for r in rows)
         assert "# triple_coincidences=0" in out.read_text()
 
-    def test_parse_error_exit_code(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    def test_parse_error_exit_code(self, tmp_path, capsys):
+        # An integer past Python's 4300-digit limit (a float key, so that it
+        # still exits 1 where there is no limit), and arrays nested too deep.
+        texts = ["{nope", '{"source": {"mean_pairs": 1%s}}' % ("0" * 5000),
+                 "[" * 100_000 + "]" * 100_000]
+        for text in texts:
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            for command in ("run", "scan"):
+                assert main([command, "--config", str(bad),
+                             "--out", str(tmp_path / "x.csv")]) == 1
+                assert "Traceback" not in capsys.readouterr().err
 
     def test_validation_error_exit_code_names_invariant(self, tmp_path, capsys):
         cfg = small_config()
@@ -211,7 +229,7 @@ class TestScan:
         bare["run"]["n_pulses"] = 100_000
         with_grid = small_config()
         with_grid["scan"] = {
-            "phase_linspace": default_config_dict()["scan"]["phase_linspace"],
+            "phases_rad": default_config_dict()["scan"]["phases_rad"],
             "n_pulses_per_point": 100_000,
         }
         no_grid = small_config()
@@ -374,6 +392,11 @@ class TestCurve:
             ["v_vs_e", "--scale", "1.5"],
             ["v_vs_mu", "--mu-min", "0.5", "--mu-max", "0.5"],
             ["v_vs_mu", "--mu", "0.1", "--v-max", "0"],
+            ["v_vs_e", "--mu", "0.1", "--v-max", "0.5"],
+            ["v_vs_mu", "--mu", "0.1,0.2", "--scale", "0.5", "--points", "3"],
+            ["v_vs_mu", "--mu", "0.1,0.2", "--mu-min", "nan"],
+            ["v_vs_mu", "--mu", "0.1,0.2", "--mu-max", "0.5"],
+            ["v_vs_mu", "--mu", "0.1,0.2", "--points", "3"],
         ]
         for args in bad:
             out = tmp_path / "x.csv"

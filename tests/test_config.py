@@ -10,8 +10,21 @@ from timebin.config_io import (
     build_experiment,
     config_hash,
     default_config_dict,
+    effective_config_dict,
     load_config_file,
 )
+
+from .conftest import built_in_spellings
+
+
+def _spellings():
+    """The built-in run's spellings and a two-interferometer document."""
+    independent = {
+        "analyzer": {"arrangement": "independent", "phase_rad": 7.0, "phase_b_rad": 0.25},
+        "fiber_a": {"length_km": 11.0},
+        "scan": {"phases_rad": [0.0, 1.0, 2.0], "repetitions": 3},
+    }
+    return {**built_in_spellings(), "independent": independent}
 
 
 class TestDefaultConfig:
@@ -39,7 +52,17 @@ class TestDefaultConfig:
 
     def test_default_document_hash(self):
         # the provenance line of every run without --config
-        assert config_hash(default_config_dict()) == "20ee04b04bfedd75"
+        assert config_hash(default_config_dict()) == "4688626638e2b0f8"
+
+    @pytest.mark.parametrize("seed", [None, 99])
+    @pytest.mark.parametrize("name", sorted(_spellings()))
+    def test_complete_document_builds_the_same_run(self, name, seed):
+        cfg = _spellings()[name]
+        document = effective_config_dict(cfg, seed)
+        assert build_experiment(document) == build_experiment(cfg, seed)
+        assert effective_config_dict(document) == document
+        if seed is not None:
+            assert document["run"]["seed"] == seed
 
     def test_hash_is_order_insensitive(self):
         cfg = default_config_dict()
@@ -80,7 +103,7 @@ class TestValidation:
 
     def test_scan_requires_exactly_one_phase_spec(self):
         cfg = default_config_dict()
-        cfg["scan"]["phases_rad"] = [0.0, 1.0]
+        cfg["scan"]["phase_linspace"] = {"start_rad": 0.0, "stop_rad": 1.0, "num": 2}
         with pytest.raises(ConfigFormatError):
             build_experiment(cfg)
 

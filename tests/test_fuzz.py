@@ -4,7 +4,9 @@ Keys of the physics sections and the scan's phases take extreme values,
 wrong types, bools, NaN and infinities; whole sections go missing or turn
 into non-objects.  Every call must end with a documented exit code (0-4)
 instead of raising.  The run stays small (at most 1e6 pulses, at most 8
-phases and 2 repetitions), so each example costs milliseconds.
+phases and 2 repetitions), so each example costs milliseconds.  A document
+that builds must build the same run from its complete document, the one
+``run`` and ``scan`` hash.
 """
 
 import contextlib
@@ -16,11 +18,17 @@ import os
 import sys
 import tempfile
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timebin.cli import main
-from timebin.config_io import default_config_dict
+from timebin.config_io import (
+    ConfigFormatError,
+    ConfigValidationError,
+    build_experiment,
+    default_config_dict,
+    effective_config_dict,
+)
 
 PHYSICS = ("source", "fiber_a", "fiber_b", "analyzer", "detector_a", "detector_b", "windows")
 DEFAULTS = default_config_dict()
@@ -93,3 +101,15 @@ def test_run_and_scan_exit_with_a_documented_code(cfg):
                 code = main([command, "--config", path, "--out", os.path.join(tmp, "out.csv")])
             assert code in range(5), (command, code, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# A tiny negative analyzer phase once wrapped to 2 pi, and then to 0 when rebuilt.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(documents(), st.one_of(st.none(), st.integers(0, 2**64)))
+@example({"analyzer": {"phase_rad": -5e-324}}, None)
+def test_complete_document_builds_the_same_run(cfg, seed):
+    try:
+        built = build_experiment(cfg, seed)
+    except (ConfigFormatError, ConfigValidationError):
+        assume(False)
+    assert build_experiment(effective_config_dict(cfg, seed)) == built
