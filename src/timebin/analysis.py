@@ -12,8 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .grid import linspace
+
+# numpy is imported by the functions that compute, not here: a command that
+# only parses, validates or writes a curve never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _MIN_POINTS = 5
 _MIN_DISTINCT_PHASES = 3
@@ -57,16 +63,22 @@ class FringeScan:
 
     @property
     def phases(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.phase_rad for p in self.points])
 
     @property
     def raw_counts(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([p.raw_count for p in self.points], dtype=float)
 
     @property
     def net_counts(self) -> np.ndarray | None:
         if any(p.net_count is None for p in self.points):
             return None
+        import numpy as np
+
         return np.array([p.net_count for p in self.points])
 
 
@@ -122,6 +134,8 @@ def _count_distinct(values: np.ndarray) -> int:
     all NaNs), without its import of ``numpy.ma``.  Sorting puts the NaNs
     last, so a NaN is new only after a number.
     """
+    import numpy as np
+
     ordered = np.sort(values)
     new = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
     return 1 + int(np.count_nonzero(new))
@@ -137,6 +151,8 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     fluctuations there).  ``use_net`` fits the net counts, which
     subtract_accidentals fills; otherwise the raw counts are fitted.
     """
+    import numpy as np
+
     phases = scan.phases
     _check_design(phases)
     counts = scan.net_counts if use_net else scan.raw_counts
@@ -205,6 +221,8 @@ def bootstrap_visibility_sigma(
     use_net: bool = True,
 ) -> float:
     """Cross-check of the fit uncertainty by resampling scan points."""
+    import numpy as np
+
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(scan.points)
@@ -232,8 +250,7 @@ def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]
     from .states import entropy_of_entanglement
 
     curve = []
-    for alpha_sq in np.linspace(0.5, 1.0, n_points):
-        a2 = float(alpha_sq)
+    for a2 in linspace(0.5, 1.0, n_points):
         ent = entropy_of_entanglement(a2)
         vis = 2.0 * math.sqrt(a2 * (1.0 - a2))
         curve.append((ent, vis))

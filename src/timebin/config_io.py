@@ -24,11 +24,10 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
-import numpy as np
-
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .engine import ExperimentConfig
 from .fiber import FiberSpec
+from .grid import linspace
 from .source import SourceConfig
 
 NS, PS = 1e-9, 1e-12
@@ -257,7 +256,7 @@ def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
         )
         if not math.isfinite(stop - start):
             raise ConfigFormatError("scan.phase_linspace: stop_rad - start_rad overflows")
-        phases = tuple(float(x) for x in np.linspace(start, stop, num, endpoint=False))
+        phases = tuple(linspace(start, stop, num, endpoint=False))
     n_point = sec.get("n_pulses_per_point", n_pulses)
     if not _is_int(n_point) or n_point <= 0:
         raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")

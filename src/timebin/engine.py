@@ -64,13 +64,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analysis import FringePoint, FringeScan
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .source import SourceConfig, multipair_visibility
+
+# numpy is imported by the functions that compute, not here: a command loads
+# it only when it draws or fits, never to parse or validate its input.
+if TYPE_CHECKING:
+    import numpy as np
 
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
 
@@ -122,6 +126,8 @@ class CoincidenceHistogram:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoincidenceHistogram):
             return NotImplemented
+        import numpy as np
+
         return np.array_equal(self.bin_edges_s, other.bin_edges_s) and np.array_equal(
             self.counts, other.counts
         )
@@ -180,6 +186,8 @@ def _centers(delay_s: float) -> tuple[float, float, float]:
 
 def _classify(windows: CoincidenceWindows, delay_s: float, times: np.ndarray) -> np.ndarray:
     """Window index per click time: 0, 1, 2, or 3 for none."""
+    import numpy as np
+
     half = 0.5 * windows.window_width_s
     cls = np.full(times.shape, 3, dtype=np.int8)
     for k, c in enumerate(_centers(delay_s)):
@@ -196,6 +204,8 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
     the slice of central-window cells and the first cell of every bin.
     The arrays are shared between calls and read-only.
     """
+    import numpy as np
+
     nbins = 3 * _HIST_BINS_PER_DELAY
     bin_edges = -0.5 * delay_s + 3.0 * delay_s / nbins * np.arange(nbins + 1)
     half = 0.5 * windows.window_width_s
@@ -228,6 +238,8 @@ def _click_law(
     (3 x cells), the part of rows 0-2 where the photon beat the dark
     candidate.  The arrays are shared between calls and read-only.
     """
+    import numpy as np
+
     _, edges, in_window, _, _ = _cells(windows, delay_s)
     width = windows.window_width_s
     p_dark = 1.0 - (1.0 - min(dark_rate_cps * width, 1.0)) ** 3
@@ -275,6 +287,8 @@ class _PulseLaw:
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
+        import numpy as np
+
         src, windows = config.source, config.windows
         state = src.state()
         delay = src.bin_separation_s
@@ -334,6 +348,8 @@ class _PulseLaw:
 
     def tally(self, per_outcome: np.ndarray, n_pulses: int) -> RunResult:
         """Every RunResult field from per-outcome counts (or their means)."""
+        import numpy as np
+
         mid = self._mid
         m = mid.stop - mid.start
         k = per_outcome.size - m * m
@@ -379,6 +395,8 @@ def run_pulses(config: ExperimentConfig) -> RunResult:
     stream of ``SeedSequence(rng_seed)``, so the result depends only on
     (rng_seed, n_pulses); the run tallies these counts.
     """
+    import numpy as np
+
     law = _PulseLaw(config)
     stream = np.random.SeedSequence(config.rng_seed).spawn(1)[0]
     counts = np.zeros(law.probs.size, dtype=np.int64)
@@ -413,6 +431,8 @@ def run_phase_scan(config: ExperimentConfig, phases: "list[float] | np.ndarray")
     coincidence count, and the accidental-coincidence count (clicks not
     originating from one photon pair).
     """
+    import numpy as np
+
     phases = list(phases)
     if not phases:
         raise ValueError("at least one phase is required")

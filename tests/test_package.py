@@ -1,8 +1,11 @@
+import json
 import os
 import subprocess
 import sys
 
 import timebin
+
+from .conftest import built_in_spellings
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(timebin.__file__)))
 
@@ -31,13 +34,51 @@ def test_cli_sets_one_openblas_thread_unless_set():
     assert run_python(code, OPENBLAS_NUM_THREADS="3") == "3"
 
 
-def test_scan_and_fit_import_neither_masked_arrays_nor_thread_pool(tmp_path):
-    scan_csv, fit_json = str(tmp_path / "s.csv"), str(tmp_path / "f.json")
+def test_numpy_loads_only_to_draw_or_fit(tmp_path):
+    """Parsing, validation, the config build, every error exit and ``curve`` run without numpy.
+
+    numpy loads when ``scan`` draws; ``scan`` and ``fit`` still import
+    neither numpy's masked arrays nor a thread pool.
+    """
+    config, negative, bad_csv = tmp_path / "c.json", tmp_path / "n.json", tmp_path / "bad.csv"
+    config.write_text(json.dumps(built_in_spellings()["linspace"]))
+    negative.write_text(json.dumps({"source": {"mean_pairs": -1}}))
+    bad_csv.write_text("phase_rad,raw,accidental\n0.0,x,0.0\n")
+    out, scan_csv = str(tmp_path / "out"), str(tmp_path / "s.csv")
+
+    def exits(code, *argv):
+        return f"assert main({[str(arg) for arg in argv]!r}) == {code}"
+
+    steps = {
+        "import": (
+            "from timebin.cli import build_experiment, build_parser, config_hash,"
+            " effective_config_dict, load_config_file, main"
+        ),
+        # The five calls of perfbench/setup_probe.py.
+        "setup probe": (
+            f"args = build_parser().parse_args({['scan', '--config', str(config), '--out', out]})\n"
+            "cfg = load_config_file(args.config)\n"
+            "build_experiment(cfg, seed_override=args.seed)\n"
+            "config_hash(effective_config_dict(cfg, seed_override=args.seed))"
+        ),
+        "help": exits(0, "--help"),
+        "malformed CSV": exits(1, "fit", bad_csv, "--out", out),
+        "negative mean_pairs": exits(2, "scan", "--config", negative, "--out", out),
+        "missing config": exits(3, "run", "--config", tmp_path / "none.json", "--out", out),
+        "curve v_vs_e": exits(0, "curve", "v_vs_e", "--out", out),
+        "curve v_vs_mu": exits(0, "curve", "v_vs_mu", "--out", out),
+        "scan": exits(0, "scan", "--out", scan_csv),
+        "fit": exits(0, "fit", scan_csv, "--out", out),
+    }
     code = (
-        "import sys\n"
-        "from timebin.cli import main\n"
-        f"assert main(['scan', '--out', {scan_csv!r}]) == 0\n"
-        f"assert main(['fit', {scan_csv!r}, '--out', {fit_json!r}]) == 0\n"
-        "print(sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules))"
+        "import json, sys\n"
+        "numpy_loaded = {}\n"
+        f"for name, statement in {steps!r}.items():\n"
+        "    exec(statement)\n"
+        "    numpy_loaded[name] = 'numpy' in sys.modules\n"
+        "print(json.dumps([numpy_loaded,"
+        " sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules)]))"
     )
-    assert run_python(code) == "[]"
+    numpy_loaded, heavy = json.loads(run_python(code).splitlines()[-1])
+    assert numpy_loaded == {name: name in ("scan", "fit") for name in steps}
+    assert heavy == []
