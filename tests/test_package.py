@@ -37,8 +37,8 @@ def test_cli_sets_one_openblas_thread_unless_set():
 def test_numpy_loads_only_to_draw_or_fit(tmp_path):
     """Parsing, validation, the config build, every error exit and ``curve`` run without numpy.
 
-    numpy loads when ``scan`` draws; ``scan`` and ``fit`` still import
-    neither numpy's masked arrays nor a thread pool.
+    numpy loads when ``scan`` draws and when ``fit`` fits, each in its own
+    interpreter; neither imports numpy's masked arrays or a thread pool.
     """
     config, negative, bad_csv = tmp_path / "c.json", tmp_path / "n.json", tmp_path / "bad.csv"
     config.write_text(json.dumps(built_in_spellings()["linspace"]))
@@ -49,10 +49,26 @@ def test_numpy_loads_only_to_draw_or_fit(tmp_path):
     def exits(code, *argv):
         return f"assert main({[str(arg) for arg in argv]!r}) == {code}"
 
+    def numpy_loaded(steps):
+        """Whether numpy is loaded after each step, all run in one fresh interpreter."""
+        code = (
+            "import json, sys\n"
+            "from timebin.cli import main\n"
+            "loaded = {}\n"
+            f"for name, statement in {steps!r}.items():\n"
+            "    exec(statement)\n"
+            "    loaded[name] = 'numpy' in sys.modules\n"
+            "print(json.dumps([loaded,"
+            " sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules)]))"
+        )
+        loaded, heavy = json.loads(run_python(code).splitlines()[-1])
+        assert heavy == []
+        return loaded
+
     steps = {
         "import": (
             "from timebin.cli import build_experiment, build_parser, config_hash,"
-            " effective_config_dict, load_config_file, main"
+            " effective_config_dict, load_config_file"
         ),
         # The five calls of perfbench/setup_probe.py.
         "setup probe": (
@@ -68,17 +84,6 @@ def test_numpy_loads_only_to_draw_or_fit(tmp_path):
         "curve v_vs_e": exits(0, "curve", "v_vs_e", "--out", out),
         "curve v_vs_mu": exits(0, "curve", "v_vs_mu", "--out", out),
         "scan": exits(0, "scan", "--out", scan_csv),
-        "fit": exits(0, "fit", scan_csv, "--out", out),
     }
-    code = (
-        "import json, sys\n"
-        "numpy_loaded = {}\n"
-        f"for name, statement in {steps!r}.items():\n"
-        "    exec(statement)\n"
-        "    numpy_loaded[name] = 'numpy' in sys.modules\n"
-        "print(json.dumps([numpy_loaded,"
-        " sorted(m for m in ('numpy.ma', 'concurrent.futures') if m in sys.modules)]))"
-    )
-    numpy_loaded, heavy = json.loads(run_python(code).splitlines()[-1])
-    assert numpy_loaded == {name: name in ("scan", "fit") for name in steps}
-    assert heavy == []
+    assert numpy_loaded(steps) == {name: name == "scan" for name in steps}
+    assert numpy_loaded({"fit": exits(0, "fit", scan_csv, "--out", out)}) == {"fit": True}
