@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 # Each exported name and the submodule that defines it.
 _EXPORTS = {
-    "AnalyzerState": "states",
     "CoincidenceHistogram": "engine",
     "CoincidenceWindows": "apparatus",
     "ConfigurationError": "engine",
@@ -27,19 +26,14 @@ _EXPORTS = {
     "FringePoint": "analysis",
     "FringeScan": "analysis",
     "InterferometerSpec": "apparatus",
-    "PUMP_PULSE_SIGMA_S": "source",
     "RunResult": "engine",
     "SourceConfig": "source",
     "TimeBinState": "states",
     "apply_phase_jitter": "fiber",
-    "bin_overlap_probability": "fiber",
-    "bootstrap_visibility_sigma": "analysis",
     "broadened_pulse_width": "fiber",
-    "coincidence_probability": "states",
     "dispersion_spread": "fiber",
     "entropy_of_entanglement": "states",
     "estimate_mu": "source",
-    "evolve_through_analyzer": "states",
     "expected_tallies": "engine",
     "fit_fringe": "analysis",
     "fringe_phase": "engine",

@@ -213,32 +213,6 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     )
 
 
-def bootstrap_visibility_sigma(
-    scan: FringeScan,
-    *,
-    n_resamples: int = 500,
-    rng: np.random.Generator | None = None,
-    use_net: bool = True,
-) -> float:
-    """Cross-check of the fit uncertainty by resampling scan points."""
-    import numpy as np
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    n = len(scan.points)
-    values = []
-    for _ in range(n_resamples):
-        idx = rng.integers(0, n, n)
-        resampled = FringeScan(points=tuple(scan.points[i] for i in idx))
-        try:
-            values.append(fit_fringe(resampled, use_net=use_net).visibility_unclamped)
-        except DegenerateScanError:
-            continue
-    if len(values) < 2:
-        raise DegenerateScanError("too few valid resamples for a bootstrap estimate")
-    return float(np.std(values, ddof=1))
-
-
 def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]:
     """Parametric (entanglement, visibility) theory curve.
 

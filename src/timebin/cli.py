@@ -45,6 +45,7 @@ from .config_io import (
     load_config_file,
 )
 from .engine import run_phase_scan, run_pulses
+from .grid import linspace
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO, EXIT_DEGENERATE = 0, 1, 2, 3, 4
 # The grid of ``curve v_vs_mu`` without --mu.
@@ -219,8 +220,7 @@ def _cmd_curve_mu(args: argparse.Namespace) -> int:
         _check_points(points)
         if mu_min <= 0 or mu_max <= mu_min:
             raise ConfigFormatError("bad mu grid parameters")
-        step = (mu_max - mu_min) / (points - 1)
-        grid = [mu_min + step * i for i in range(points)]
+        grid = linspace(mu_min, mu_max, points)
     if not grid or min(grid) <= 0.0:
         raise ConfigFormatError("mu values must be positive")
     if not 0.0 < args.v_max <= 1.0:
@@ -245,17 +245,24 @@ def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
         raise ConfigFormatError(f"{path}: no data rows")
     header_no, header = rows[0]
     cols = [c.strip() for c in header.split(",")]
-    try:
-        i_phase, i_raw, i_acc = cols.index("phase_rad"), cols.index("raw"), cols.index("accidental")
-    except ValueError:
+    named = ("phase_rad", "raw", "accidental")
+    if not all(name in cols for name in named):
         raise ConfigFormatError(
             f"{path}: line {header_no}: header must contain phase_rad, raw, accidental"
-        ) from None
+        )
+    for name in named:
+        if cols.count(name) > 1:
+            raise ConfigFormatError(
+                f"{path}: line {header_no}: header names {name} more than once"
+            )
+    i_phase, i_raw, i_acc = (cols.index(name) for name in named)
     points = []
     for line_no, line in rows[1:]:
         parts = [c.strip() for c in line.split(",")]
-        if len(parts) < len(cols):
-            raise ConfigFormatError(f"{path}: line {line_no}: expected {len(cols)} fields")
+        if len(parts) != len(cols):
+            raise ConfigFormatError(
+                f"{path}: line {line_no}: expected {len(cols)} fields, got {len(parts)}"
+            )
         try:
             phase = float(parts[i_phase])
             raw_count = int(parts[i_raw])

@@ -81,20 +81,6 @@ def broadened_pulse_width(fiber: FiberSpec, input_width_s: float) -> float:
     return math.hypot(input_width_s, spread)
 
 
-def bin_overlap_probability(width_s: float, bin_separation_s: float) -> float:
-    """Probability a Gaussian-broadened photon leaks past the bin midpoint.
-
-    Two-sided tail beyond half the bin separation, 2 * Phi(-sep / (2 w)),
-    clipped to [0, 1).  This is the time-bin flip probability for a photon
-    whose arrival spread has grown to RMS width w.
-    """
-    if width_s <= 0.0 or bin_separation_s <= 0.0:
-        raise ValueError("width and separation must be positive")
-    z = bin_separation_s / (2.0 * width_s)
-    p = math.erfc(z / math.sqrt(2.0))
-    return min(p, math.nextafter(1.0, 0.0))
-
-
 def apply_phase_jitter(visibility: float, jitter_rms: float) -> float:
     """Visibility left after Gaussian phase wander: V * exp(-sigma^2 / 2)."""
     if not 0.0 <= visibility <= 1.0:

@@ -1,4 +1,4 @@
-"""Two-photon time-bin states and their closed-form interference observables.
+"""Two-photon time-bin states: the pair state and its closed-form measures.
 
 A pulsed pump split over a short and a long interferometer arm produces a
 photon pair in a coherent superposition of "both early" and "both late",
@@ -11,19 +11,18 @@ delay matches the pump delay, the joint arrival pattern spreads over three
 time bins per side; the central bin receives two indistinguishable
 contributions whose relative phase drives the coincidence fringe.
 
-Everything here is analytic and serves as the oracle the Monte Carlo
-engine is checked against.
+The engine's outcome law carries that fringe through the whole apparatus.
+This module holds the state the source prepares and two closed-form
+measures of it: its entanglement entropy and the fringe visibility of an
+ideal apparatus, 2*alpha*beta.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 _NORM_TOL = 1e-12
-
-_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -46,27 +45,6 @@ class TimeBinState:
             raise ValueError(f"state not normalised: alpha^2 + beta^2 = {norm!r}")
 
 
-@dataclass(frozen=True)
-class AnalyzerState:
-    """Four-component superposition after the analyzer interferometer.
-
-    ``amplitudes`` holds, in order: both photons in the first bin, the
-    central-bin component that picked up twice the analyzer phase, the
-    central-bin component carrying the pump phase, and both photons in the
-    last bin.  The two central components are kept separate; they only
-    interfere when projected onto a central-bin coincidence.  The global
-    phase is fixed by making the first-bin amplitude real non-negative.
-    """
-
-    amplitudes: tuple[complex, complex, complex, complex]
-    phi_analyzer: float
-
-    def __post_init__(self) -> None:
-        total = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"analyzer state not normalised: {total!r}")
-
-
 def entropy_of_entanglement(alpha_sq: float) -> float:
     """Entanglement of the pure pair state, in bits, from the early weight.
 
@@ -85,37 +63,3 @@ def entropy_of_entanglement(alpha_sq: float) -> float:
 def ideal_visibility(state: TimeBinState) -> float:
     """Fringe contrast of the central-bin coincidences: 2*alpha*beta."""
     return 2.0 * state.alpha * state.beta
-
-
-def evolve_through_analyzer(state: TimeBinState, phi_analyzer: float) -> AnalyzerState:
-    """Propagate the pair through a matched analyzer interferometer.
-
-    Both photons taking short arms leaves the early component in the first
-    bin; both taking long arms pushes it to the central bin with phase
-    2*phi_analyzer.  The late component reaches the central bin via short
-    arms (phase phi_pump) or the last bin via long arms.  Amplitudes are
-    normalised to unit total probability; splitting losses are an
-    apparatus-level concern, not part of this state map.
-    """
-    a, b = state.alpha, state.beta
-    phi_p = state.phi_pump
-    amps = (
-        complex(a * _SQRT_HALF),
-        a * _SQRT_HALF * cmath.exp(2j * phi_analyzer),
-        b * _SQRT_HALF * cmath.exp(1j * phi_p),
-        b * _SQRT_HALF * cmath.exp(1j * (2.0 * phi_analyzer - phi_p)),
-    )
-    return AnalyzerState(amplitudes=amps, phi_analyzer=phi_analyzer)
-
-
-def coincidence_probability(state: TimeBinState, phi_analyzer: float) -> float:
-    """Post-selected probability of a central-bin coincidence.
-
-    Equals 0.5 * [alpha^2 + beta^2 + 2*alpha*beta*cos(phi)] with
-    phi = 2*phi_analyzer - phi_pump, i.e. the squared magnitude of the
-    coherent sum of the two central-bin amplitudes.  Ranges over
-    [0.5*(1 - V), 0.5*(1 + V)] with V = 2*alpha*beta.
-    """
-    a, b = state.alpha, state.beta
-    phi = 2.0 * phi_analyzer - state.phi_pump
-    return 0.5 * (a * a + b * b + 2.0 * a * b * math.cos(phi))

@@ -9,6 +9,7 @@ import timebin as tb
 from timebin import analysis
 from timebin.analysis import DegenerateScanError
 from .conftest import exact_fringe_scan
+from .reference import bootstrap_visibility_sigma
 
 
 def poisson_scan(rng, offset, visibility, n_points=16, background=0.0):
@@ -163,7 +164,7 @@ class TestFitFringe:
     def test_bootstrap_sigma_comparable_to_covariance_sigma(self, rng):
         scan = poisson_scan(rng, offset=300, visibility=0.7)
         fit = tb.fit_fringe(scan, use_net=False)
-        boot = tb.bootstrap_visibility_sigma(scan, n_resamples=300, rng=rng, use_net=False)
+        boot = bootstrap_visibility_sigma(scan, n_resamples=300, rng=rng, use_net=False)
         assert 0.3 * fit.visibility_sigma <= boot <= 3.0 * fit.visibility_sigma
 
 

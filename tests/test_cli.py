@@ -383,6 +383,14 @@ class TestCurve:
         assert mus == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
         assert [float(r[1]) for r in rows] == [multipair_visibility(mu, 0.9) for mu in mus]
 
+    def test_default_mu_grid_ends_exactly_at_one(self, tmp_path):
+        out = tmp_path / "vmu.csv"
+        assert main(["curve", "v_vs_mu", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 101
+        assert rows[0][0] == "0.01"
+        assert rows[-1][0] == "1"
+
     def test_bad_params_exit_one(self, tmp_path, capsys):
         bad = [
             ["v_vs_mu", "--mu", "-1.0"],
@@ -413,6 +421,11 @@ class TestCurve:
         assert main(["curve", "v_vs_mu", option, value, "--out", str(out)]) == 1
         assert option in capsys.readouterr().err
         assert not out.exists()
+
+
+# Five good rows spanning half a fringe: a malformed CSV adds a bad row or has a bad header.
+_SCAN_HEADER = b"phase_rad,raw,accidental\n"
+_GOOD_ROWS = b"0.0,100,1\n0.5,80,1\n1.0,50,1\n1.5,20,1\n2.0,5,1\n"
 
 
 class TestFit:
@@ -448,23 +461,31 @@ class TestFit:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "last_row, message",
+        "contents, message",
         [
-            (None, "line 1: header must contain"),
-            (b"\xe9,10,1", "not UTF-8"),
-            (b"nan,10,1", "line 7: expected finite"),
-            (b"2.5,10,inf", "line 7: expected finite"),
-            (b"2.5," + b"9" * 401 + b",1", "line 7: count above"),
+            (b"phase_rad,raw\n0.0,1\n", "line 1: header must contain"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"\xe9,10,1\n", "not UTF-8"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"nan,10,1\n", "line 7: expected finite"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,inf\n", "line 7: expected finite"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"2.5," + b"9" * 401 + b",1\n", "line 7: count above"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,1,4\n", "line 7: expected 3 fields, got 4"),
+            (
+                b"phase_rad,raw,accidental,raw\n" + _GOOD_ROWS.replace(b"\n", b",0\n"),
+                "line 1: header names raw more than once",
+            ),
         ],
-        ids=["missing_column", "non_utf8", "nan_phase", "inf_accidental", "oversized_count"],
+        ids=[
+            "missing_column",
+            "non_utf8",
+            "nan_phase",
+            "inf_accidental",
+            "oversized_count",
+            "extra_field",
+            "duplicate_column",
+        ],
     )
-    def test_malformed_csv(self, tmp_path, capsys, last_row, message):
+    def test_malformed_csv(self, tmp_path, capsys, contents, message):
         csv = tmp_path / "mal.csv"
-        if last_row is None:
-            csv.write_text("phase_rad,raw\n0.0,1\n")
-        else:
-            # five good rows spanning half a fringe, then the bad one
-            good = b"0.0,100,1\n0.5,80,1\n1.0,50,1\n1.5,20,1\n2.0,5,1\n"
-            csv.write_bytes(b"phase_rad,raw,accidental\n" + good + last_row + b"\n")
+        csv.write_bytes(contents)
         assert main(["fit", str(csv), "--out", str(tmp_path / "r.json")]) == 1
         assert message in capsys.readouterr().err

@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate
 
 from timebin import (
     FiberSpec,
     apply_phase_jitter,
-    bin_overlap_probability,
     broadened_pulse_width,
     dispersion_spread,
     survival_probability,
@@ -86,33 +85,6 @@ class TestBroadenedPulseWidth:
     def test_requires_positive_width(self):
         with pytest.raises(ValueError):
             broadened_pulse_width(FiberSpec(), 0.0)
-
-
-class TestBinOverlapProbability:
-    def test_narrow_pulse_negligible(self):
-        assert bin_overlap_probability(1.2e-12, 1.2e-9) < 1e-100
-
-    def test_half_separation_width(self):
-        # two-sided standard normal tail beyond one sigma
-        expected = math.erfc(1.0 / math.sqrt(2.0))
-        assert bin_overlap_probability(0.6e-9, 1.2e-9) == pytest.approx(expected, abs=1e-15)
-        assert bin_overlap_probability(0.6e-9, 1.2e-9) == pytest.approx(
-            0.3173105078629141, abs=1e-12
-        )
-
-    def test_source_defaults_fully_resolved(self):
-        from timebin import PUMP_PULSE_SIGMA_S
-
-        assert bin_overlap_probability(PUMP_PULSE_SIGMA_S, 1.2e-9) < 1e-6
-
-    @given(st.floats(min_value=1e-12, max_value=1e-8), st.floats(min_value=1e-12, max_value=1e-8))
-    @settings(max_examples=60)
-    def test_monotone_in_width(self, width, wider_by):
-        sep = 1.2e-9
-        assert bin_overlap_probability(width + abs(wider_by), sep) >= bin_overlap_probability(
-            width, sep
-        )
-        assert 0.0 <= bin_overlap_probability(width, sep) < 1.0
 
 
 class TestApplyPhaseJitter:

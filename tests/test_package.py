@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import timebin
 
 from .conftest import built_in_spellings
@@ -22,6 +24,31 @@ def run_python(code, **env_changes):
 
 def test_every_exported_name_resolves():
     assert [name for name in timebin.__all__ if not hasattr(timebin, name)] == []
+
+
+def test_public_surface_is_what_the_law_cli_and_benchmark_use():
+    assert sorted(timebin.__all__) == [
+        "CoincidenceHistogram", "CoincidenceWindows", "ConfigurationError",
+        "DegenerateScanError", "DetectorSpec", "ExperimentConfig", "FiberSpec",
+        "FitResult", "FringePoint", "FringeScan", "InterferometerSpec", "RunResult",
+        "SourceConfig", "TimeBinState", "apply_phase_jitter", "broadened_pulse_width",
+        "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_tallies",
+        "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
+        "run_phase_scan", "run_pulses", "state_from_attenuations", "subtract_accidentals",
+        "survival_probability", "visibility_vs_entanglement_curve", "visibility_vs_mu_curve",
+    ]
+    # Test references (tests/reference.py), a deleted model, and a constant
+    # that is only SourceConfig's default.
+    for name in (
+        "AnalyzerState",
+        "PUMP_PULSE_SIGMA_S",
+        "bin_overlap_probability",
+        "bootstrap_visibility_sigma",
+        "coincidence_probability",
+        "evolve_through_analyzer",
+    ):
+        with pytest.raises(AttributeError):
+            getattr(timebin, name)
 
 
 def test_import_loads_no_numpy():
