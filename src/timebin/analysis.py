@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING
 
 from .grid import linspace
 
-# numpy is imported by the functions that compute, not here: a command that
-# only parses, validates or writes a curve never loads it.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -61,26 +59,6 @@ class FringeScan:
         if not self.points:
             raise ValueError("scan has no points")
 
-    @property
-    def phases(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([p.phase_rad for p in self.points])
-
-    @property
-    def raw_counts(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([p.raw_count for p in self.points], dtype=float)
-
-    @property
-    def net_counts(self) -> np.ndarray | None:
-        if any(p.net_count is None for p in self.points):
-            return None
-        import numpy as np
-
-        return np.array([p.net_count for p in self.points])
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -113,32 +91,48 @@ def subtract_accidentals(scan: FringeScan) -> FringeScan:
     return FringeScan(points=tuple(points))
 
 
-def _check_design(phases: np.ndarray) -> None:
-    if phases.size < _MIN_POINTS:
+def _check_design(phases: list[float]) -> None:
+    if len(phases) < _MIN_POINTS:
         raise DegenerateScanError(
-            f"need at least {_MIN_POINTS} points, got {phases.size}"
+            f"need at least {_MIN_POINTS} points, got {len(phases)}"
         )
     n_distinct = _count_distinct(phases)
     if n_distinct < _MIN_DISTINCT_PHASES:
         raise DegenerateScanError(
             f"need at least {_MIN_DISTINCT_PHASES} distinct phases, got {n_distinct}"
         )
-    if phases.max() - phases.min() < _MIN_PHASE_SPAN:
+    if max(phases) - min(phases) < _MIN_PHASE_SPAN:
         raise DegenerateScanError("phase span below pi/2 cannot constrain a fringe")
 
 
-def _count_distinct(values: np.ndarray) -> int:
+def _count_distinct(values: list[float]) -> int:
     """Number of distinct numbers in the non-empty ``values``.
 
-    The count ``np.unique`` gives (0.0 and -0.0 are one number, and so are
-    all NaNs), without its import of ``numpy.ma``.  Sorting puts the NaNs
-    last, so a NaN is new only after a number.
+    The count ``numpy.unique`` gives: 0.0 and -0.0 are one number (they
+    compare and hash equal), and so are all NaNs.
     """
-    import numpy as np
+    numbers = {v for v in values if v == v}
+    return len(numbers) + any(v != v for v in values)
 
-    ordered = np.sort(values)
-    new = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
-    return 1 + int(np.count_nonzero(new))
+
+def _inverse(matrix: list[list[float]]) -> list[list[float]]:
+    """Inverse of a square matrix by Gauss-Jordan elimination with partial pivoting."""
+    n = len(matrix)
+    rows = [list(row) + [float(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[pivot][col] == 0.0:
+            # distinct-looking phases can still coincide modulo 2*pi
+            raise DegenerateScanError("singular fit design: zero pivot")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        scale = 1.0 / top[col]
+        top[:] = [v * scale for v in top]
+        for r, row in enumerate(rows):
+            if r != col and row[col] != 0.0:
+                factor = row[col]
+                row[:] = [v - factor * t for v, t in zip(row, top)]
+    return [row[n:] for row in rows]
 
 
 def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
@@ -150,40 +144,42 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     to a few counts per point (raw-count weights overweight downward
     fluctuations there).  ``use_net`` fits the net counts, which
     subtract_accidentals fills; otherwise the raw counts are fitted.
+    Each fit solves the 3 x 3 weighted normal equations.
     """
-    import numpy as np
-
-    phases = scan.phases
+    phases = [p.phase_rad for p in scan.points]
     _check_design(phases)
-    counts = scan.net_counts if use_net else scan.raw_counts
-    if counts is None:
-        raise ValueError("scan has no net counts; run subtract_accidentals first")
+    if use_net:
+        if any(p.net_count is None for p in scan.points):
+            raise ValueError("scan has no net counts; run subtract_accidentals first")
+        counts = [p.net_count for p in scan.points]
+        # Counting variance of a net point is still the raw count's variance;
+        # the subtracted background shifts the mean, not the noise.
+        background = [p.accidental_estimate for p in scan.points]
+    else:
+        counts = [float(p.raw_count) for p in scan.points]
+        background = [0.0] * len(phases)
+    if not all(math.isfinite(v) for v in (*phases, *counts, *background)):
+        raise DegenerateScanError("phases, counts and accidentals must be finite")
 
-    # Counting variance of a net point is still the raw count's variance;
-    # the subtracted background shifts the mean, not the noise.
-    background = (
-        np.array([p.accidental_estimate for p in scan.points]) if use_net else 0.0
-    )
-
-    design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    sigma2 = np.maximum(scan.raw_counts, 1.0)
+    design = [(1.0, math.cos(phi), math.sin(phi)) for phi in phases]
+    sigma2 = [max(float(p.raw_count), 1.0) for p in scan.points]
     for _ in range(2):
-        w = 1.0 / np.sqrt(sigma2)
-        a_w = design * w[:, None]
-        y_w = counts * w
-        coef, *_ = np.linalg.lstsq(a_w, y_w, rcond=None)
-        sigma2 = np.maximum(design @ coef + background, 1.0)
-    resid = y_w - a_w @ coef
-    chi2 = float(resid @ resid)
-    try:
-        cov = np.linalg.inv(a_w.T @ a_w)
-    except np.linalg.LinAlgError as exc:
-        # distinct-looking phases can still coincide modulo 2*pi
-        raise DegenerateScanError(f"singular fit design: {exc}") from exc
+        weights = [1.0 / s2 for s2 in sigma2]
+        cov = _inverse(
+            [
+                [sum(w * x[i] * x[j] for w, x in zip(weights, design)) for j in range(3)]
+                for i in range(3)
+            ]
+        )
+        rhs = [sum(w * x[i] * y for w, x, y in zip(weights, design, counts)) for i in range(3)]
+        coef = [sum(c * b for c, b in zip(row, rhs)) for row in cov]
+        predicted = [sum(c * v for c, v in zip(coef, x)) for x in design]
+        sigma2 = [max(f + b, 1.0) for f, b in zip(predicted, background)]
+    chi2 = sum(w * (y - f) ** 2 for w, y, f in zip(weights, counts, predicted))
 
-    offset = float(coef[0])
-    amp = float(np.hypot(coef[1], coef[2]))
-    phase_origin = float(math.atan2(coef[2], coef[1]))
+    offset = coef[0]
+    amp = math.hypot(coef[1], coef[2])
+    phase_origin = math.atan2(coef[2], coef[1])
 
     if offset == 0.0:
         raise DegenerateScanError("fitted offset is zero; visibility undefined")
@@ -191,11 +187,11 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
 
     # First-order propagation of the linear-parameter covariance to V.
     if amp > 0.0:
-        grad = np.array([-amp / offset**2, coef[1] / (amp * offset), coef[2] / (amp * offset)])
+        grad = [-amp / offset**2, coef[1] / (amp * offset), coef[2] / (amp * offset)]
     else:
         # At zero amplitude the magnitude is direction-independent.
-        grad = np.array([0.0, 1.0 / offset, 1.0 / offset])
-    var = float(grad @ cov @ grad)
+        grad = [0.0, 1.0 / offset, 1.0 / offset]
+    var = sum(g * c * h for g, row in zip(grad, cov) for c, h in zip(row, grad))
     sigma = math.sqrt(max(var, 0.0))
     sigma = max(sigma, _SIGMA_FLOOR)
 
@@ -209,7 +205,7 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
         offset=offset,
         phase_origin_rad=phase_origin,
         residual_chi2=chi2,
-        n_points=int(phases.size),
+        n_points=len(phases),
     )
 
 

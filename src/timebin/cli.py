@@ -20,8 +20,9 @@ import sys
 from dataclasses import asdict, replace
 from typing import Any
 
-# Set before numpy loads: its OpenBLAS would start a thread pool that the
-# CLI's few-row matrix products never use.  A value already set wins.
+# Set before numpy loads (``run`` draws its histograms with it): its OpenBLAS
+# would start a thread pool that the few-row matrix products of the outcome
+# law never use.  A value already set wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
@@ -135,9 +136,9 @@ def _scan_report(net_scan: FringeScan) -> dict[str, Any]:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     experiment, settings, cfg_hash = _load(args)
-    # One scan over the grid repeated: point k draws child k of
-    # SeedSequence(seed), so repetition 0 is the one-repetition scan and no
-    # repetition draws the points of another seed's scan.
+    # One scan over the grid repeated: point k's seed is the k-th 64-bit word
+    # of random.Random(seed), so repetition 0 is the one-repetition scan and
+    # no repetition draws the points of another seed's scan.
     n_phases = len(settings.analyzer_phases_rad)
     points = run_phase_scan(
         replace(experiment, n_pulses=settings.n_pulses_per_point),

@@ -34,7 +34,7 @@ NS, PS = 1e-9, 1e-12
 # The engine counts pulses as int64, so no run, and no count of one, exceeds
 # MAX_PULSES.  Every grid the program allocates (a scan's phases times its
 # repetitions, a curve's points) has at most MAX_SCAN_POINTS points; a scan
-# that long takes about 70 s on one core.
+# that long takes about 18 s on one core.
 MAX_PULSES = 2**63 - 1
 MAX_SCAN_POINTS = 10**5
 # The phase grid of a document that gives none: one fringe period of the

@@ -53,26 +53,35 @@ steps:
   where both photons of one pair beat their dark candidates is split off;
   the rest of that block are the accidental coincidences.
 
-Runs.  A run draws its outcome counts from the law in one multinomial
-draw, for any n_pulses up to 2**63 - 1, and tallies them once.  Its random
-stream is the first child of the run seed's SeedSequence, so results
-depend only on (rng_seed, n_pulses).
+Runs.  Every scalar count of a RunResult depends on a pulse's outcome
+only through its class: each side clicks in the central window, clicks
+elsewhere or does not click, and a central-central coincidence is one-pair
+or accidental, ten classes in all.  Summing the outcomes of a multinomial
+by class gives a multinomial, so a run draws its ten class counts, as
+conditional binomials on ``random.Random(rng_seed)``, and its scalars have
+the law of one draw over all outcomes, for any n_pulses up to 2**63 - 1
+and without numpy.  The histograms are drawn on first read: numpy splits
+each class count over the class's outcomes, on a stream seeded with
+rng_seed, which completes that one draw.  Results depend only on
+(rng_seed, n_pulses).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import TYPE_CHECKING
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .analysis import FringePoint, FringeScan
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .source import SourceConfig, multipair_visibility
 
-# numpy is imported by the functions that compute, not here: a command loads
-# it only when it draws or fits, never to parse or validate its input.
+# numpy is imported by the functions that compute histograms, not here: a
+# command loads it only to write or compare them, never to scan or fit.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -145,7 +154,8 @@ class RunResult:
     whose two clicks did not originate from one photon pair (dark counts
     involved, or photons of different pairs in a multi-pair pulse) - the
     noise floor an experimenter estimates with a shifted coincidence
-    window, known exactly here.
+    window, known exactly here.  The two histograms are made on the first
+    read of either, and ``==`` compares the other fields only.
     """
 
     singles_a: int
@@ -154,16 +164,29 @@ class RunResult:
     middle_singles_b: int
     triple_coincidences: int
     accidental_coincidences: int
-    histogram_a: CoincidenceHistogram
-    histogram_b: CoincidenceHistogram
     n_pulses: int
     duration_s: float
+    _histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]] = field(
+        repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.triple_coincidences > min(self.singles_a, self.singles_b):
             raise ValueError("more coincidences than singles")
         if self.accidental_coincidences > self.triple_coincidences:
             raise ValueError("more accidental coincidences than coincidences")
+
+    @cached_property
+    def _histogram_pair(self) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
+        return self._histograms()
+
+    @property
+    def histogram_a(self) -> CoincidenceHistogram:
+        return self._histogram_pair[0]
+
+    @property
+    def histogram_b(self) -> CoincidenceHistogram:
+        return self._histogram_pair[1]
 
     def singles_product_estimate(self) -> float:
         """Chance-coincidence estimate from the measured singles alone.
@@ -184,15 +207,13 @@ def _centers(delay_s: float) -> tuple[float, float, float]:
     return (0.0, delay_s, 2.0 * delay_s)
 
 
-def _classify(windows: CoincidenceWindows, delay_s: float, times: np.ndarray) -> np.ndarray:
+def _classify(windows: CoincidenceWindows, delay_s: float, times: Iterable[float]) -> list[int]:
     """Window index per click time: 0, 1, 2, or 3 for none."""
-    import numpy as np
-
     half = 0.5 * windows.window_width_s
-    cls = np.full(times.shape, 3, dtype=np.int8)
-    for k, c in enumerate(_centers(delay_s)):
-        cls[(times >= c - half) & (times < c + half)] = k
-    return cls
+    centers = _centers(delay_s)
+    return [
+        next((k for k, c in enumerate(centers) if c - half <= t < c + half), 3) for t in times
+    ]
 
 
 @lru_cache(maxsize=32)
@@ -201,113 +222,113 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
 
     Returns the histogram's bin edges, the cell edges (from -inf to inf:
     the outer cells belong to the edge bins), which cells lie in a window,
-    the slice of central-window cells and the first cell of every bin.
-    The arrays are shared between calls and read-only.
+    the slice of central-window cells and the first cell of every bin, as
+    tuples shared between calls.
     """
-    import numpy as np
-
     nbins = 3 * _HIST_BINS_PER_DELAY
-    bin_edges = -0.5 * delay_s + 3.0 * delay_s / nbins * np.arange(nbins + 1)
+    step = 3.0 * delay_s / nbins
+    bin_edges = tuple(-0.5 * delay_s + step * i for i in range(nbins + 1))
     half = 0.5 * windows.window_width_s
-    cuts = np.array([c + sign * half for c in _centers(delay_s) for sign in (-1.0, 1.0)])
+    cuts = [c + sign * half for c in _centers(delay_s) for sign in (-1.0, 1.0)]
     # A window edge that meets a bin edge up to rounding replaces it.
     tol = 1e-9 * (bin_edges[1] - bin_edges[0])
-    inner = bin_edges[1:-1]
-    inner = inner[np.abs(inner[:, None] - cuts).min(axis=1) > tol]
-    edges = np.concatenate(([-np.inf], np.sort(np.concatenate((inner, cuts))), [np.inf]))
+    inner = [e for e in bin_edges[1:-1] if min(abs(e - cut) for cut in cuts) > tol]
+    edges = (-math.inf, *sorted(inner + cuts), math.inf)
     window = _classify(windows, delay_s, edges[:-1])
-    mid = np.flatnonzero(window == 1)
-    bin_starts = np.searchsorted(edges, bin_edges[:-1] - tol)
-    bin_starts[0] = 0
-    in_window = window < 3
-    for a in (bin_edges, edges, in_window, bin_starts):
-        a.flags.writeable = False
-    mid = slice(mid[0], mid[-1] + 1) if mid.size else slice(0, 0)  # empty below float resolution
-    return bin_edges, edges, in_window, mid, bin_starts
+    central = [i for i, k in enumerate(window) if k == 1]
+    # The central window is empty below float resolution.
+    mid = slice(central[0], central[-1] + 1) if central else slice(0, 0)
+    bin_starts = (0, *(bisect_left(edges, e - tol) for e in bin_edges[1:-1]))
+    return bin_edges, edges, tuple(k < 3 for k in window), mid, bin_starts
 
 
 @lru_cache(maxsize=32)
-def _click_law(
-    windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Click-cell law of one detector for each photon state.
+def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float):
+    """Click-cell law of one detector for each photon state, and its class sums.
 
-    Returns ``clicks`` (4 x cells+1): row x < 3 for a photon arriving
-    around x * delay with Gaussian spread ``sigma_s``, row 3 for no
-    photon, the last column for no click; and ``photon_first``
-    (3 x cells), the part of rows 0-2 where the photon beat the dark
-    candidate.  The arrays are shared between calls and read-only.
+    Returns ``clicks`` (4 rows of cells + 1): row x < 3 for a photon
+    arriving around x * delay with Gaussian spread ``sigma_s``, row 3 for
+    no photon, the last column for no click; ``photon_first`` (3 rows of
+    cells), the part of rows 0-2 where the photon beat the dark candidate;
+    ``classes``, each row of ``clicks`` summed into (central-window click,
+    other click, no click); and ``photon_central``, each row of
+    ``photon_first`` summed over the central window.  All are tuples,
+    shared between calls.
     """
-    import numpy as np
-
-    _, edges, in_window, _, _ = _cells(windows, delay_s)
+    _, edges, in_window, mid, _ = _cells(windows, delay_s)
     width = windows.window_width_s
     p_dark = 1.0 - (1.0 - min(dark_rate_cps * width, 1.0)) ** 3
     density = p_dark / (3.0 * width)
-    lo, hi = edges[:-1], edges[1:]
-    q = density * in_window
-    dark = density * np.where(in_window, hi - lo, 0.0)
-    no_dark_yet = 1.0 - np.concatenate(([0.0], np.cumsum(dark)[:-1]))
+    cells = list(zip(edges[:-1], edges[1:], in_window))
+    dark = [density * (hi - lo) if inside else 0.0 for lo, hi, inside in cells]
+    no_dark_yet = [1.0 - before for before in accumulate(dark[:-1], initial=0.0)]
+    root_half, root_two_pi = math.sqrt(0.5), math.sqrt(2.0 * math.pi)
 
-    mean = delay_s * np.arange(3.0)[:, None]
-    z = (edges - mean) / sigma_s
-    scaled = (np.abs(z) * math.sqrt(0.5)).ravel().tolist()
-    tail = 0.5 * np.fromiter(map(math.erfc, scaled), np.float64, len(scaled)).reshape(z.shape)
-    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    t_lo, t_hi = tail[:, :-1], tail[:, 1:]
-    # Photon mass per cell from the smaller Gaussian tails, accurate far out.
-    mass = np.where(
-        z[:, :-1] >= 0.0, t_lo - t_hi, np.where(z[:, 1:] <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi)
+    clicks, photon_first = [], []
+    for x in range(3):
+        mean = delay_s * x
+        z = [(edge - mean) / sigma_s for edge in edges]
+        tail = [0.5 * math.erfc(abs(zi) * root_half) for zi in z]
+        pdf = [math.exp(-0.5 * zi * zi) / root_two_pi for zi in z]
+        # Dark candidate first: its density times P(photon later), integrated
+        # with the antiderivative sigma * (z * P(Z > z) - pdf(z)).
+        antider = [
+            (zi if math.isfinite(zi) else 0.0) * (t if zi >= 0.0 else 1.0 - t) - g
+            for zi, t, g in zip(z, tail, pdf)
+        ]
+        photon, click = [], []
+        for i, (lo, _, inside) in enumerate(cells):
+            z_lo, z_hi, t_lo, t_hi = z[i], z[i + 1], tail[i], tail[i + 1]
+            # Photon mass per cell from the smaller Gaussian tails, accurate far out.
+            if z_lo >= 0.0:
+                mass = t_lo - t_hi
+            elif z_hi <= 0.0:
+                mass = t_hi - t_lo
+            else:
+                mass = 1.0 - t_lo - t_hi
+            # Photon first: its density times P(no dark candidate yet), which
+            # falls linearly inside a window.
+            q = density if inside else 0.0
+            first = no_dark_yet[i] * mass - q * (
+                (mean - (lo if inside else 0.0)) * mass + sigma_s * (pdf[i] - pdf[i + 1])
+            )
+            photon.append(first)
+            click.append(first + q * sigma_s * (antider[i + 1] - antider[i]))
+        photon_first.append(tuple(photon))
+        clicks.append((*click, 0.0))
+    clicks.append((*dark, 1.0 - sum(dark)))
+
+    classes = tuple(
+        (sum(row[mid]), sum(row[: mid.start]) + sum(row[mid.stop : -1]), row[-1]) for row in clicks
     )
-    # Photon first: its density times P(no dark candidate yet), which falls
-    # linearly inside a window.
-    photon = no_dark_yet * mass - q * (
-        (mean - np.where(in_window, lo, 0.0)) * mass + sigma_s * (pdf[:, :-1] - pdf[:, 1:])
-    )
-    # Dark candidate first: its density times P(photon later), integrated
-    # with the antiderivative sigma * (z * P(Z > z) - pdf(z)).
-    upper = np.where(z >= 0.0, tail, 1.0 - tail)
-    antider = np.where(np.isfinite(z), z, 0.0) * upper - pdf
-    dark_first = q * sigma_s * (antider[:, 1:] - antider[:, :-1])
-
-    clicks = np.zeros((4, lo.size + 1))
-    clicks[:3, :-1] = photon + dark_first
-    clicks[3, :-1] = dark
-    clicks[3, -1] = 1.0 - dark.sum()
-    clicks.flags.writeable = photon.flags.writeable = False
-    return clicks, photon
+    photon_central = tuple(sum(row[mid]) for row in photon_first)
+    return tuple(clicks), tuple(photon_first), classes, photon_central
 
 
-class _PulseLaw:
-    """Probability of every per-pulse outcome of one configured run.
+class _Law:
+    """The per-pulse outcome law of one configured run, in plain Python.
 
-    ``probs`` lists the outcome probabilities: first the cells x cells
-    joint law of the two click cells, whose central-window block holds
-    only the one-pair part, then that block's accidental part.
+    ``sides`` holds the ``_click_law`` of detectors a and b, ``weights`` the
+    photon-state law W (4 x 4) and ``pair`` its part where both sides'
+    photons come from one pair (3 x 3).
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
-        import numpy as np
-
         src, windows = config.source, config.windows
         state = src.state()
         delay = src.bin_separation_s
-        self.rep_rate_hz = src.rep_rate_hz
-        bin_edges, _, _, self._mid, self._bin_starts = _cells(windows, delay)
-        self.bin_edges_s = bin_edges.copy()  # handed to callers, unlike the cached array
 
         first, last = config.analyzers[0], config.analyzers[-1]
         losses_db = [first.excess_loss_db, last.excess_loss_db]
         if len(config.analyzers) == 1:
             losses_db[0] += first.circulator_loss_db
-        detect, sides = [], []
+        detect, self.sides = [], []
         for fib, det, loss_db in zip(
             (config.fiber_a, config.fiber_b), (config.detector_a, config.detector_b), losses_db
         ):
             detect.append(survival_probability(fib) * 10.0 ** (-loss_db / 10.0) * det.efficiency)
             sigma = math.hypot(broadened_pulse_width(fib, src.pulse_width_s), det.jitter_rms_s)
-            sides.append(_click_law(windows, delay, det.dark_rate_cps, sigma))
-        (clicks_a, first_a), (clicks_b, first_b) = sides
+            self.sides.append(_click_law(windows, delay, det.dark_rate_cps, sigma))
 
         # Photon states (bin 0, 1, 2, none) of the two sides.  A pair's
         # pattern-and-bins weights are w/16 with w affine in f.
@@ -319,32 +340,101 @@ class _PulseLaw:
             * math.exp(-0.5 * sigma_phase * sigma_phase)
         )
         both, crossed = (
-            np.maximum([[a2, a2, 0.0], [a2, 1.0 + sign * f, b2], [0.0, b2, b2]], 0.0) / 16.0
+            [
+                [max(w, 0.0) / 16.0 for w in row]
+                for row in ((a2, a2, 0.0), (a2, 1.0 + sign * f, b2), (0.0, b2, b2))
+            ]
             for sign in (1.0, -1.0)
         )
         eta_a, eta_b = detect
-        same = np.zeros((4, 4))
-        same[:3, :3] = eta_a * eta_b * both
-        same[:3, 3] = eta_a * ((1.0 - eta_b) * both.sum(axis=1) + crossed.sum(axis=1))
-        same[3, :3] = eta_b * ((1.0 - eta_a) * both.sum(axis=0) + crossed.sum(axis=0))
-        same[3, 3] = 1.0 - same.sum()
-        apart = np.outer(
-            *(np.array([eta * a2, eta, eta * b2, 4.0 - 2.0 * eta]) / 4.0 for eta in detect)
+        same = [
+            [eta_a * eta_b * w for w in row] + [eta_a * ((1.0 - eta_b) * sum(row) + sum(cross))]
+            for row, cross in zip(both, crossed)
+        ]
+        same.append(
+            [
+                eta_b * ((1.0 - eta_a) * sum(col) + sum(cross))
+                for col, cross in zip(zip(*both), zip(*crossed))
+            ]
+            + [0.0]
+        )
+        same[3][3] = 1.0 - sum(map(sum, same))
+        apart_a, apart_b = (
+            [eta * a2 / 4.0, eta / 4.0, eta * b2 / 4.0, (4.0 - 2.0 * eta) / 4.0] for eta in detect
         )
         mu = src.mean_pairs
         self.p_same = multipair_visibility(mu) if mu > 0.0 else 1.0
         p_pair = -math.expm1(-mu)
-        weights = p_pair * (self.p_same * same + (1.0 - self.p_same) * apart)
-        weights[3, 3] += math.exp(-mu)
+        self.weights = [
+            [
+                p_pair * (self.p_same * s + (1.0 - self.p_same) * (u * v))
+                for s, v in zip(row, apart_b)
+            ]
+            for row, u in zip(same, apart_a)
+        ]
+        self.weights[3][3] += math.exp(-mu)
+        self.pair = [[p_pair * self.p_same * s for s in row[:3]] for row in same[:3]]
+
+    def class_probs(self) -> list[float]:
+        """Probabilities of the ten outcome classes, in the order of ``_from_classes``.
+
+        With side classes (central, other, none): the central-central
+        one-pair and accidental classes, then the other eight pairs of side
+        classes in row-major order, "none, none" last.
+        """
+        (_, _, classes_a, central_a), (_, _, classes_b, central_b) = self.sides
+        through = [
+            [sum(classes_a[x][i] * self.weights[x][y] for x in range(4)) for y in range(4)]
+            for i in range(3)
+        ]
+        joint = [
+            [sum(row[y] * classes_b[y][j] for y in range(4)) for j in range(3)] for row in through
+        ]
+        pair = sum(
+            central_a[x] * self.pair[x][y] * central_b[y] for x in range(3) for y in range(3)
+        )
+        probs = [pair, joint[0][0] - pair, *joint[0][1:], *joint[1], *joint[2]]
+        return [max(p, 0.0) for p in probs]
+
+
+class _PulseLaw(_Law):
+    """Probability of every per-pulse outcome of one configured run.
+
+    ``_Law``'s lists expanded with numpy.  ``probs`` lists the outcome
+    probabilities: first the cells x cells joint law of the two click
+    cells, whose central-window block holds only the one-pair part, then
+    that block's accidental part.  ``outcome_class`` gives the class of
+    every outcome, numbered as in ``_Law.class_probs``.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        super().__init__(config)
+        import numpy as np
+
+        bin_edges, _, _, self._mid, self._bin_starts = _cells(
+            config.windows, config.source.bin_separation_s
+        )
+        self.bin_edges_s = np.array(bin_edges)
+        self.rep_rate_hz = config.source.rep_rate_hz
+        (clicks_a, first_a), (clicks_b, first_b) = (
+            (np.array(side[0]), np.array(side[1])) for side in self.sides
+        )
 
         mid = self._mid
-        joint = clicks_a.T @ weights @ clicks_b
-        one_pair = first_a[:, mid].T @ (p_pair * self.p_same * same[:3, :3]) @ first_b[:, mid]
+        joint = clicks_a.T @ np.array(self.weights) @ clicks_b
+        one_pair = first_a[:, mid].T @ np.array(self.pair) @ first_b[:, mid]
         accidental = joint[mid, mid] - one_pair
         joint[mid, mid] = one_pair
         probs = np.maximum(np.concatenate((joint.ravel(), accidental.ravel())), 0.0)
         self.probs = probs / probs.sum()
-        self._possible = np.flatnonzero(self.probs)
+
+        side = np.ones(joint.shape[0], dtype=np.int64)  # 0 central, 1 other, 2 none
+        side[mid] = 0
+        side[-1] = 2
+        pairs = 3 * side[:, None] + side
+        self.outcome_class = np.concatenate(
+            ((pairs + (pairs > 0)).ravel(), np.ones(accidental.size, dtype=np.int64))
+        )
 
     def tally(self, per_outcome: np.ndarray, n_pulses: int) -> RunResult:
         """Every RunResult field from per-outcome counts (or their means)."""
@@ -361,10 +451,10 @@ class _PulseLaw:
         sides[1][mid] += accidental.sum(axis=0)
         singles = [side[:-1].sum().item() for side in sides]
         middle = [side[mid].sum().item() for side in sides]
-        hists = [
+        hists = tuple(
             CoincidenceHistogram(self.bin_edges_s, np.add.reduceat(side[:-1], self._bin_starts))
             for side in sides
-        ]
+        )
         return RunResult(
             singles_a=singles[0],
             singles_b=singles[1],
@@ -372,10 +462,9 @@ class _PulseLaw:
             middle_singles_b=middle[1],
             triple_coincidences=(joint[mid, mid].sum() + accidental.sum()).item(),
             accidental_coincidences=accidental.sum().item(),
-            histogram_a=hists[0],
-            histogram_b=hists[1],
             n_pulses=n_pulses,
             duration_s=n_pulses / self.rep_rate_hz,
+            _histograms=lambda: hists,
         )
 
 
@@ -388,22 +477,80 @@ def expected_tallies(config: ExperimentConfig) -> RunResult:
     return law.tally(config.n_pulses * law.probs, config.n_pulses)
 
 
+def _draw_classes(config: ExperimentConfig) -> list[int]:
+    """The run's ten class counts, one multinomial draw on ``random.Random(rng_seed)``.
+
+    Class i is a binomial draw from the pulses that classes 0 to i-1 left,
+    at its share of the probability those classes left; the last class,
+    no click on either side, takes the rest.
+    """
+    import random
+
+    from .binomial import binomial
+
+    probs = _Law(config).class_probs()
+    rng = random.Random(config.rng_seed)
+    rests = list(accumulate(reversed(probs)))[::-1]  # of class i and those after it
+    left, counts = config.n_pulses, []
+    for p, rest in zip(probs[:-1], rests):
+        count = binomial(rng, left, p / rest) if rest > 0.0 else 0
+        counts.append(count)
+        left -= count
+    return counts + [left]
+
+
+def _split_classes(law: _PulseLaw, counts: list[int], seed: int) -> np.ndarray:
+    """Per-outcome counts: each class count split over its outcomes by a multinomial."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    per_outcome = np.zeros(law.probs.size, dtype=np.int64)
+    for cls, count in enumerate(counts):
+        if count:
+            outcomes = np.flatnonzero(law.outcome_class == cls)
+            p = law.probs[outcomes]
+            total = p.sum()
+            # Rounding can leave a class above zero in the class law and at
+            # zero in every one of its outcomes.
+            per_outcome[outcomes] = rng.multinomial(
+                count, p / total if total > 0.0 else np.full(p.size, 1.0 / p.size)
+            )
+    return per_outcome
+
+
+def _drawn_histograms(
+    config: ExperimentConfig, counts: list[int]
+) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
+    law = _PulseLaw(config)
+    result = law.tally(_split_classes(law, counts, config.rng_seed), config.n_pulses)
+    return result.histogram_a, result.histogram_b
+
+
+def _from_classes(config: ExperimentConfig, counts: list[int]) -> RunResult:
+    """The RunResult of a run with these class counts; its histograms are drawn on first read."""
+    pair, accidental, co, cn, oc, oo, on, nc, no, _ = counts
+    middle_a, middle_b = pair + accidental + co + cn, pair + accidental + oc + nc
+    return RunResult(
+        singles_a=middle_a + oc + oo + on,
+        singles_b=middle_b + co + oo + no,
+        middle_singles_a=middle_a,
+        middle_singles_b=middle_b,
+        triple_coincidences=pair + accidental,
+        accidental_coincidences=accidental,
+        n_pulses=config.n_pulses,
+        duration_s=config.n_pulses / config.source.rep_rate_hz,
+        _histograms=lambda: _drawn_histograms(config, counts),
+    )
+
+
 def run_pulses(config: ExperimentConfig) -> RunResult:
     """Simulate the configured number of pump pulses.
 
-    One multinomial draw of the pulses' outcome counts on the first child
-    stream of ``SeedSequence(rng_seed)``, so the result depends only on
-    (rng_seed, n_pulses); the run tallies these counts.
+    Draws the ten class counts on ``random.Random(rng_seed)``, and the
+    histograms on first read, so the result depends only on (rng_seed,
+    n_pulses).  Only the histograms need numpy.
     """
-    import numpy as np
-
-    law = _PulseLaw(config)
-    stream = np.random.SeedSequence(config.rng_seed).spawn(1)[0]
-    counts = np.zeros(law.probs.size, dtype=np.int64)
-    counts[law._possible] = np.random.Generator(np.random.PCG64(stream)).multinomial(
-        config.n_pulses, law.probs[law._possible]
-    )
-    return law.tally(counts, config.n_pulses)
+    return _from_classes(config, _draw_classes(config))
 
 
 def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> ExperimentConfig:
@@ -421,28 +568,25 @@ def fringe_phase(config: ExperimentConfig) -> float:
     return first.phi_analyzer + last.phi_analyzer - config.source.phi_pump
 
 
-def run_phase_scan(config: ExperimentConfig, phases: "list[float] | np.ndarray") -> FringeScan:
+def run_phase_scan(config: ExperimentConfig, phases: Iterable[float]) -> FringeScan:
     """Scan the (first) analyzer phase and record one fringe point per value.
 
-    Each point runs the config's n_pulses pulses.  Point k draws from child
-    k of ``SeedSequence(rng_seed)`` for any number of phases, so a scan
-    begins with the points of its prefixes.
+    Each point runs the config's n_pulses pulses.  Point k's seed is the
+    k-th 64-bit word of ``random.Random(rng_seed)`` for any number of
+    phases, so a scan begins with the points of its prefixes.
     Points store the interference phase, the raw central-window
     coincidence count, and the accidental-coincidence count (clicks not
     originating from one photon pair).
     """
-    import numpy as np
+    import random
 
     phases = list(phases)
     if not phases:
         raise ValueError("at least one phase is required")
-    point_seeds = [
-        int(ss.generate_state(1, dtype=np.uint64)[0])
-        for ss in np.random.SeedSequence(config.rng_seed).spawn(len(phases))
-    ]
+    seeds = random.Random(config.rng_seed)
     points = []
-    for phi, seed in zip(phases, point_seeds):
-        cfg = _with_analyzer_phase(config, phi, seed)
+    for phi in phases:
+        cfg = _with_analyzer_phase(config, phi, seeds.getrandbits(64))
         result = run_pulses(cfg)
         points.append(
             FringePoint(

@@ -77,6 +77,19 @@ def truncated_mean_inverse(mu, n_terms=60):
     return sum(w / (n + 1) for n, w in enumerate(weights)) / total
 
 
+def chi2_z(observed, expected):
+    """z of Pearson's chi-square; categories expecting under 5 counts are pooled."""
+    small = expected < 5.0
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    if expected[-1] == 0.0:
+        assert observed[-1] == 0
+        observed, expected = observed[:-1], expected[:-1]
+    dof = expected.size - 1
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return (chi2 - dof) / math.sqrt(2.0 * dof)
+
+
 def exact_fringe_scan(offset, visibility, repeats=1, background=0.0):
     """Noiseless scan with integer counts: cosine sampled at rational values.
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,17 @@ class TestFitFringe:
         )
         with pytest.raises(DegenerateScanError):
             tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
+
+    @pytest.mark.parametrize("field", ["phase_rad", "accidental_estimate"])
+    def test_non_finite_input_rejected(self, field):
+        points = [
+            tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=1.0)
+            for p in (0.0, 1.0, 2.0, 3.0, 4.0)
+        ]
+        points[2] = replace(points[2], **{field: math.nan})
+        scan = tb.subtract_accidentals(tb.FringeScan(points=tuple(points)))
+        with pytest.raises(DegenerateScanError, match="finite"):
+            tb.fit_fringe(scan)
 
     def test_default_fits_net_counts_only(self):
         # the default is the net fit; an unsubtracted scan has nothing to fit

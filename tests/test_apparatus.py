@@ -29,7 +29,7 @@ def assert_binomial(observed, n, p):
 
 def outside_window_counts(hist, cfg):
     """Histogram counts outside the three windows; 50 ps bins share the window edges."""
-    window = _classify(cfg.windows, cfg.source.bin_separation_s, hist.bin_centers_s)
+    window = np.array(_classify(cfg.windows, cfg.source.bin_separation_s, hist.bin_centers_s))
     return hist.counts[window == 3].sum()
 
 
@@ -154,7 +154,7 @@ class TestClassifyBin:
     DELAY = 1.2e-9
 
     def classify(self, *times):
-        return _classify(self.WINDOWS, self.DELAY, np.array(times)).tolist()
+        return _classify(self.WINDOWS, self.DELAY, times)
 
     def test_window_centres(self):
         assert self.classify(0.0, 1.2e-9, 2.4e-9) == [0, 1, 2]

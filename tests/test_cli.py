@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -185,6 +186,15 @@ class TestRun:
 
 
 class TestScan:
+    def test_built_in_scan_csv_is_pinned(self, tmp_path):
+        """The built-in scan's bytes.  Its stream is plain Python, the same on every
+        supported version; a change that moves it must update this digest."""
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "542ddceeea323e36d50efa577e8f2cb905e8e17424c5af75c808732414d18e5c"
+        )
+
     def test_scan_writes_csv_and_report(self, tmp_path):
         cfg = small_config()
         cfg["source"]["mean_pairs"] = 0.05

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import timebin as tb
+from timebin import engine
+from timebin.engine import _PulseLaw
 from timebin.config_io import build_experiment, default_config_dict
-from .conftest import analyzer_phases, ideal_experiment, truncated_mean_inverse
+from .conftest import analyzer_phases, chi2_z, ideal_experiment, truncated_mean_inverse
 
 COUNT_FIELDS = (
     "singles_a", "singles_b", "middle_singles_a", "middle_singles_b",
@@ -49,19 +51,6 @@ LAW_GRID = {
 }
 
 
-def chi2_z(observed, expected):
-    """z of Pearson's chi-square; categories expecting under 5 counts are pooled."""
-    small = expected < 5.0
-    observed = np.append(observed[~small], observed[small].sum())
-    expected = np.append(expected[~small], expected[small].sum())
-    if expected[-1] == 0.0:
-        assert observed[-1] == 0
-        observed, expected = observed[:-1], expected[:-1]
-    dof = expected.size - 1
-    chi2 = float(((observed - expected) ** 2 / expected).sum())
-    return (chi2 - dof) / math.sqrt(2.0 * dof)
-
-
 class TestConfigValidation:
     def test_independent_arrangement_needs_two_analyzers(self):
         # one analyzer is the folded arrangement, two the independent one
@@ -86,7 +75,10 @@ class TestRunPulses:
 
     def test_deterministic_given_seed(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=11)
-        assert tb.run_pulses(cfg) == tb.run_pulses(cfg)
+        first, second = tb.run_pulses(cfg), tb.run_pulses(cfg)
+        assert first == second  # every field but the histograms
+        assert first.histogram_a == second.histogram_a
+        assert first.histogram_b == second.histogram_b
 
     def test_histogram_totals_equal_singles(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=7)
@@ -141,14 +133,22 @@ class TestRunPulses:
         assert triples_ratio == pytest.approx(4.0, rel=0.15)
 
 
+def law_grid_experiment(name, phase_rad=None, n_pulses=10**9, seed=4321):
+    """The shipped defaults with the overrides of ``LAW_GRID[name]``."""
+    cfg = default_config_dict()
+    for section, values in LAW_GRID[name].items():
+        cfg[section].update(values)
+    if phase_rad is not None:
+        cfg["analyzer"]["phase_rad"] = phase_rad
+    cfg["run"].update(n_pulses=n_pulses, seed=seed)
+    experiment, _ = build_experiment(cfg)
+    return experiment
+
+
 class TestOutcomeLaw:
     @pytest.mark.parametrize("name", sorted(LAW_GRID))
     def test_run_follows_expected_tallies(self, name):
-        cfg = default_config_dict()
-        for section, values in LAW_GRID[name].items():
-            cfg[section].update(values)
-        cfg["run"].update(n_pulses=10**9, seed=4321)
-        experiment, _ = build_experiment(cfg)
+        experiment = law_grid_experiment(name)
         result, expected = tb.run_pulses(experiment), tb.expected_tallies(experiment)
         n = result.n_pulses
         for field in COUNT_FIELDS:
@@ -163,6 +163,37 @@ class TestOutcomeLaw:
             observed = np.append(run_hist.counts, n - singles)
             mean = np.append(mean_hist.counts, n - mean_hist.counts.sum())
             assert abs(chi2_z(observed, mean)) <= 4.0
+
+
+    @pytest.mark.parametrize("name", sorted(LAW_GRID))
+    def test_class_law_is_the_outcome_law_summed_by_class(self, name):
+        for phase in (0.0, 0.4, 1.3, 2.9):
+            law = _PulseLaw(law_grid_experiment(name, phase))
+            m = law._mid.stop - law._mid.start
+            cells = math.isqrt(law.probs.size - m * m)
+            joint = law.probs[: cells * cells].reshape(cells, cells)
+            central = np.arange(cells)[law._mid]
+            side = (central, np.setdiff1d(np.arange(cells - 1), central), [cells - 1])
+            blocks = [joint[np.ix_(a, b)].sum() for a in side for b in side]
+            summed = [blocks[0], law.probs[cells * cells :].sum(), *blocks[1:]]
+            classes = law.class_probs()
+            total = sum(classes)
+            for mine, theirs in zip(classes, summed):
+                assert abs(mine / total - theirs) <= 1e-12 * theirs, (phase, classes, summed)
+
+    @pytest.mark.parametrize("name", ["default_11km", "independent_333ps", "dark_only"])
+    def test_drawn_histograms_complete_the_class_draw(self, name):
+        experiment = law_grid_experiment(name, n_pulses=10**7, seed=77)
+        result = tb.run_pulses(experiment)
+        counts = engine._draw_classes(experiment)
+        law = _PulseLaw(experiment)
+        per_outcome = engine._split_classes(law, counts, experiment.rng_seed)
+        assert [per_outcome[law.outcome_class == c].sum() for c in range(10)] == counts
+        full = law.tally(per_outcome, experiment.n_pulses)
+        assert full == result  # every field but the histograms
+        assert (full.histogram_a, full.histogram_b) == (result.histogram_a, result.histogram_b)
+        assert result.histogram_a.counts.sum() == result.singles_a
+        assert result.histogram_b.counts.sum() == result.singles_b
 
 
 class TestPhaseScan:

@@ -61,11 +61,13 @@ def test_cli_sets_one_openblas_thread_unless_set():
     assert run_python(code, OPENBLAS_NUM_THREADS="3") == "3"
 
 
-def test_numpy_loads_only_to_draw_or_fit(tmp_path):
-    """Parsing, validation, the config build, every error exit and ``curve`` run without numpy.
+def test_numpy_loads_only_to_write_histograms(tmp_path):
+    """Every command but ``run`` works without numpy: ``scan`` draws and fits, ``fit`` fits.
 
-    numpy loads when ``scan`` draws and when ``fit`` fits, each in its own
-    interpreter; neither imports numpy's masked arrays or a thread pool.
+    Parsing, validation, the config build, every error exit, ``curve``,
+    ``scan`` and ``fit`` run in one interpreter that never loads numpy.
+    ``run`` writes histograms, so it loads numpy, in an interpreter of its
+    own; neither imports numpy's masked arrays or a thread pool.
     """
     config, negative, bad_csv = tmp_path / "c.json", tmp_path / "n.json", tmp_path / "bad.csv"
     config.write_text(json.dumps(built_in_spellings()["linspace"]))
@@ -111,6 +113,7 @@ def test_numpy_loads_only_to_draw_or_fit(tmp_path):
         "curve v_vs_e": exits(0, "curve", "v_vs_e", "--out", out),
         "curve v_vs_mu": exits(0, "curve", "v_vs_mu", "--out", out),
         "scan": exits(0, "scan", "--out", scan_csv),
+        "fit": exits(0, "fit", scan_csv, "--out", out),
     }
-    assert numpy_loaded(steps) == {name: name == "scan" for name in steps}
-    assert numpy_loaded({"fit": exits(0, "fit", scan_csv, "--out", out)}) == {"fit": True}
+    assert numpy_loaded(steps) == {name: False for name in steps}
+    assert numpy_loaded({"run": exits(0, "run", "--out", out)}) == {"run": True}
