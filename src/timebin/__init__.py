@@ -4,9 +4,9 @@ Analytic state machinery, a pulse-level Monte Carlo of the full
 source / fiber / analyzer / detector chain, and the fringe-fit reduction
 that turns phase scans into visibilities.
 
+Everything is plain Python: the package needs no third-party module.
 The exported names are loaded from their submodules on first use
-(PEP 562), so ``import timebin`` alone imports neither the submodules nor
-numpy.
+(PEP 562), so ``import timebin`` alone imports no submodule.
 """
 
 import importlib

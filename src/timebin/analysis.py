@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import Iterable
 
 from .grid import linspace
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _MIN_POINTS = 5
 _MIN_DISTINCT_PHASES = 3
@@ -228,7 +225,7 @@ def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]
 
 
 def visibility_vs_mu_curve(
-    mu_grid: "list[float] | np.ndarray", v_max: float = 1.0
+    mu_grid: Iterable[float], v_max: float = 1.0
 ) -> list[tuple[float, float]]:
     """Visibility after multi-pair dilution, tabulated over mean pair numbers."""
     from .source import multipair_visibility

@@ -15,15 +15,10 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from typing import Any
-
-# Set before numpy loads (``run`` draws its histograms with it): its OpenBLAS
-# would start a thread pool that the few-row matrix products of the outcome
-# law never use.  A value already set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .analysis import (
@@ -65,12 +60,26 @@ def _provenance_lines(cfg_hash: str, seed: Any) -> list[str]:
     ]
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _output(path: str):
+    """The output file ``path``, open for writing text; any OSError becomes an _IoFailure."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise _IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
+
+
+def _write_report(path: str, report: dict[str, Any]) -> None:
+    """Write ``report`` as indented JSON, streamed to the file rather than built in memory."""
+    with _output(path) as fh:
+        json.dump(report, fh, indent=2)
+        fh.write("\n")
 
 
 class _IoFailure(Exception):
@@ -108,9 +117,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"# accidental_coincidences={result.accidental_coincidences}",
         "time_ns,counts_a,counts_b",
     ]
-    centers_ns = result.histogram_a.bin_centers_s * 1e9
-    for t, ca, cb in zip(centers_ns, result.histogram_a.counts, result.histogram_b.counts):
-        lines.append(f"{_fmt(t)},{int(ca)},{int(cb)}")
+    for t, ca, cb in zip(
+        result.histogram_a.bin_centers_s, result.histogram_a.counts, result.histogram_b.counts
+    ):
+        lines.append(f"{_fmt(t * 1e9)},{ca},{cb}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -168,7 +178,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         "version": __version__,
     }
     report.update({"repetitions": reports} if multi else reports[0])
-    _write_text(args.out + ".fit.json", json.dumps(report, indent=2) + "\n")
+    _write_report(args.out + ".fit.json", report)
     return EXIT_OK
 
 
@@ -299,7 +309,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         "version": __version__,
     }
     report.update(_scan_report(scan))
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write_report(args.out, report)
     return EXIT_OK
 
 

@@ -59,31 +59,27 @@ elsewhere or does not click, and a central-central coincidence is one-pair
 or accidental, ten classes in all.  Summing the outcomes of a multinomial
 by class gives a multinomial, so a run draws its ten class counts, as
 conditional binomials on ``random.Random(rng_seed)``, and its scalars have
-the law of one draw over all outcomes, for any n_pulses up to 2**63 - 1
-and without numpy.  The histograms are drawn on first read: numpy splits
-each class count over the class's outcomes, on a stream seeded with
-rng_seed, which completes that one draw.  Results depend only on
-(rng_seed, n_pulses).
+the law of one draw over all outcomes, for any n_pulses up to 2**63 - 1.
+The histograms are drawn on first read: the same stream goes on to split
+each class count over the class's outcomes, by the same sampler, which
+completes that one draw.  Results depend only on (rng_seed, n_pulses).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Iterable
+from itertools import accumulate, product
+from operator import mul
+from typing import Callable, Iterable
 
 from .analysis import FringePoint, FringeScan
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .source import SourceConfig, multipair_visibility
-
-# numpy is imported by the functions that compute histograms, not here: a
-# command loads it only to write or compare them, never to scan or fit.
-if TYPE_CHECKING:
-    import numpy as np
 
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
 
@@ -129,21 +125,12 @@ class ExperimentConfig:
 class CoincidenceHistogram:
     """Pump-referenced arrival-time histogram (counts per fixed-width bin)."""
 
-    bin_edges_s: np.ndarray
-    counts: np.ndarray
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoincidenceHistogram):
-            return NotImplemented
-        import numpy as np
-
-        return np.array_equal(self.bin_edges_s, other.bin_edges_s) and np.array_equal(
-            self.counts, other.counts
-        )
+    bin_edges_s: tuple[float, ...]
+    counts: tuple[float, ...]  # integers in a run, means in ``expected_tallies``
 
     @property
-    def bin_centers_s(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges_s[:-1] + self.bin_edges_s[1:])
+    def bin_centers_s(self) -> tuple[float, ...]:
+        return tuple(0.5 * (lo + hi) for lo, hi in zip(self.bin_edges_s, self.bin_edges_s[1:]))
 
 
 @dataclass(frozen=True)
@@ -306,17 +293,20 @@ def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float
 
 
 class _Law:
-    """The per-pulse outcome law of one configured run, in plain Python.
+    """The per-pulse outcome law of one configured run.
 
     ``sides`` holds the ``_click_law`` of detectors a and b, ``weights`` the
     photon-state law W (4 x 4) and ``pair`` its part where both sides'
-    photons come from one pair (3 x 3).
+    photons come from one pair (3 x 3).  ``class_probs`` sums the law by
+    class; ``outcomes`` expands it to every outcome.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
         src, windows = config.source, config.windows
         state = src.state()
         delay = src.bin_separation_s
+        self.bin_edges_s, edges, _, self.mid, self.bin_starts = _cells(windows, delay)
+        self.n_cells = len(edges)  # the time cells and "no click"
 
         first, last = config.analyzers[0], config.analyzers[-1]
         losses_db = [first.excess_loss_db, last.excess_loss_db]
@@ -396,138 +386,83 @@ class _Law:
         probs = [pair, joint[0][0] - pair, *joint[0][1:], *joint[1], *joint[2]]
         return [max(p, 0.0) for p in probs]
 
+    @cached_property
+    def outcomes(self) -> list[tuple[list[tuple[int, int]], list[float]]]:
+        """Every outcome's (side a cell, side b cell) and probability, per class.
 
-class _PulseLaw(_Law):
-    """Probability of every per-pulse outcome of one configured run.
+        The classes are those of ``class_probs``.  An outcome is a cell of
+        C_a^T W C_b, except in the central-window block: there the part
+        where both photons of one pair beat their dark candidates is class
+        0, and the rest of the cell is class 1.
+        """
+        (clicks_a, first_a, _, _), (clicks_b, first_b, _, _) = self.sides
+        mid = range(self.mid.start, self.mid.stop)
+        other = [i for i in range(self.n_cells - 1) if i not in mid]
+        groups = (mid, other, [self.n_cells - 1])  # click central, elsewhere, none
 
-    ``_Law``'s lists expanded with numpy.  ``probs`` lists the outcome
-    probabilities: first the cells x cells joint law of the two click
-    cells, whose central-window block holds only the one-pair part, then
-    that block's accidental part.  ``outcome_class`` gives the class of
-    every outcome, numbered as in ``_Law.class_probs``.
+        def products(left, matrix, right, rows, cols):
+            """(left^T matrix right)[i][j] for i in rows and j in cols, row-major."""
+            left_cols, matrix_cols, right_cols = (list(zip(*m)) for m in (left, matrix, right))
+            through = [[sum(map(mul, left_cols[i], col)) for col in matrix_cols] for i in rows]
+            return [sum(map(mul, row, right_cols[j])) for row in through for j in cols]
+
+        classes = []
+        for a, b in product(groups, groups):
+            cells = list(product(a, b))
+            joint = products(clicks_a, self.weights, clicks_b, a, b)
+            if a is mid and b is mid:
+                one_pair = products(first_a, self.pair, first_b, a, b)
+                classes.append((cells, [max(p, 0.0) for p in one_pair]))
+                joint = [p - q for p, q in zip(joint, one_pair)]
+            classes.append((cells, [max(p, 0.0) for p in joint]))
+        return classes
+
+
+def _multinomial(rng: random.Random, n: int, probs: list[float]) -> list[int]:
+    """One Multinomial(n, probs) draw; ``probs`` need not sum to 1.
+
+    Category i is a binomial draw from the n that categories 0 to i-1
+    left, at its share of the probability they left; the last category
+    takes the rest.
     """
+    from .binomial import binomial  # only commands that draw load it
 
-    def __init__(self, config: ExperimentConfig) -> None:
-        super().__init__(config)
-        import numpy as np
-
-        bin_edges, _, _, self._mid, self._bin_starts = _cells(
-            config.windows, config.source.bin_separation_s
-        )
-        self.bin_edges_s = np.array(bin_edges)
-        self.rep_rate_hz = config.source.rep_rate_hz
-        (clicks_a, first_a), (clicks_b, first_b) = (
-            (np.array(side[0]), np.array(side[1])) for side in self.sides
-        )
-
-        mid = self._mid
-        joint = clicks_a.T @ np.array(self.weights) @ clicks_b
-        one_pair = first_a[:, mid].T @ np.array(self.pair) @ first_b[:, mid]
-        accidental = joint[mid, mid] - one_pair
-        joint[mid, mid] = one_pair
-        probs = np.maximum(np.concatenate((joint.ravel(), accidental.ravel())), 0.0)
-        self.probs = probs / probs.sum()
-
-        side = np.ones(joint.shape[0], dtype=np.int64)  # 0 central, 1 other, 2 none
-        side[mid] = 0
-        side[-1] = 2
-        pairs = 3 * side[:, None] + side
-        self.outcome_class = np.concatenate(
-            ((pairs + (pairs > 0)).ravel(), np.ones(accidental.size, dtype=np.int64))
-        )
-
-    def tally(self, per_outcome: np.ndarray, n_pulses: int) -> RunResult:
-        """Every RunResult field from per-outcome counts (or their means)."""
-        import numpy as np
-
-        mid = self._mid
-        m = mid.stop - mid.start
-        k = per_outcome.size - m * m
-        cells = math.isqrt(k)
-        joint = per_outcome[:k].reshape(cells, cells)
-        accidental = per_outcome[k:].reshape(m, m)
-        sides = [joint.sum(axis=1), joint.sum(axis=0)]
-        sides[0][mid] += accidental.sum(axis=1)
-        sides[1][mid] += accidental.sum(axis=0)
-        singles = [side[:-1].sum().item() for side in sides]
-        middle = [side[mid].sum().item() for side in sides]
-        hists = tuple(
-            CoincidenceHistogram(self.bin_edges_s, np.add.reduceat(side[:-1], self._bin_starts))
-            for side in sides
-        )
-        return RunResult(
-            singles_a=singles[0],
-            singles_b=singles[1],
-            middle_singles_a=middle[0],
-            middle_singles_b=middle[1],
-            triple_coincidences=(joint[mid, mid].sum() + accidental.sum()).item(),
-            accidental_coincidences=accidental.sum().item(),
-            n_pulses=n_pulses,
-            duration_s=n_pulses / self.rep_rate_hz,
-            _histograms=lambda: hists,
-        )
+    counts = [0] * len(probs)
+    rests = list(accumulate(reversed(probs)))[::-1]  # of category i and those after it
+    for i, (p, rest) in enumerate(zip(probs[:-1], rests)):
+        if n == 0:
+            break
+        if rest > 0.0:
+            counts[i] = binomial(rng, n, p / rest)
+            n -= counts[i]
+    counts[-1] = n
+    return counts
 
 
-def expected_tallies(config: ExperimentConfig) -> RunResult:
-    """Exact mean of every count of ``run_pulses(config)``, as floats.
-
-    Built from the same per-pulse outcome law the runs are drawn from.
-    """
-    law = _PulseLaw(config)
-    return law.tally(config.n_pulses * law.probs, config.n_pulses)
-
-
-def _draw_classes(config: ExperimentConfig) -> list[int]:
-    """The run's ten class counts, one multinomial draw on ``random.Random(rng_seed)``.
-
-    Class i is a binomial draw from the pulses that classes 0 to i-1 left,
-    at its share of the probability those classes left; the last class,
-    no click on either side, takes the rest.
-    """
-    import random
-
-    from .binomial import binomial
-
-    probs = _Law(config).class_probs()
-    rng = random.Random(config.rng_seed)
-    rests = list(accumulate(reversed(probs)))[::-1]  # of class i and those after it
-    left, counts = config.n_pulses, []
-    for p, rest in zip(probs[:-1], rests):
-        count = binomial(rng, left, p / rest) if rest > 0.0 else 0
-        counts.append(count)
-        left -= count
-    return counts + [left]
-
-
-def _split_classes(law: _PulseLaw, counts: list[int], seed: int) -> np.ndarray:
-    """Per-outcome counts: each class count split over its outcomes by a multinomial."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    per_outcome = np.zeros(law.probs.size, dtype=np.int64)
-    for cls, count in enumerate(counts):
-        if count:
-            outcomes = np.flatnonzero(law.outcome_class == cls)
-            p = law.probs[outcomes]
-            total = p.sum()
-            # Rounding can leave a class above zero in the class law and at
-            # zero in every one of its outcomes.
-            per_outcome[outcomes] = rng.multinomial(
-                count, p / total if total > 0.0 else np.full(p.size, 1.0 / p.size)
-            )
-    return per_outcome
-
-
-def _drawn_histograms(
-    config: ExperimentConfig, counts: list[int]
+def _histograms(
+    law: _Law, per_outcome: list[list[float]]
 ) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
-    law = _PulseLaw(config)
-    result = law.tally(_split_classes(law, counts, config.rng_seed), config.n_pulses)
-    return result.histogram_a, result.histogram_b
+    """Both sides' histograms of per-outcome counts (or means), listed as in ``law.outcomes``."""
+    sides = [[0] * law.n_cells, [0] * law.n_cells]
+    for (cells, _), values in zip(law.outcomes, per_outcome):
+        for (i, j), value in zip(cells, values):
+            sides[0][i] += value
+            sides[1][j] += value
+    ends = (*law.bin_starts[1:], law.n_cells - 1)  # the last cell is "no click"
+    return tuple(
+        CoincidenceHistogram(
+            law.bin_edges_s, tuple(sum(side[a:b]) for a, b in zip(law.bin_starts, ends))
+        )
+        for side in sides
+    )
 
 
-def _from_classes(config: ExperimentConfig, counts: list[int]) -> RunResult:
-    """The RunResult of a run with these class counts; its histograms are drawn on first read."""
+def _from_classes(
+    config: ExperimentConfig,
+    counts: list[float],
+    histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]],
+) -> RunResult:
+    """The RunResult with these class counts (or their means) and histograms."""
     pair, accidental, co, cn, oc, oo, on, nc, no, _ = counts
     middle_a, middle_b = pair + accidental + co + cn, pair + accidental + oc + nc
     return RunResult(
@@ -539,18 +474,44 @@ def _from_classes(config: ExperimentConfig, counts: list[int]) -> RunResult:
         accidental_coincidences=accidental,
         n_pulses=config.n_pulses,
         duration_s=config.n_pulses / config.source.rep_rate_hz,
-        _histograms=lambda: _drawn_histograms(config, counts),
+        _histograms=histograms,
     )
+
+
+def expected_tallies(config: ExperimentConfig) -> RunResult:
+    """Exact mean of every count of ``run_pulses(config)``, as floats.
+
+    Built from the same per-pulse outcome law the runs are drawn from.
+    """
+    law = _Law(config)
+    means = [[config.n_pulses * p for p in probs] for _, probs in law.outcomes]
+    histograms = _histograms(law, means)
+    return _from_classes(config, [sum(m) for m in means], lambda: histograms)
+
+
+def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:
+    """Per-outcome counts: each class count split over its outcomes by a multinomial."""
+    per_outcome = []
+    for count, (_, probs) in zip(counts, law.outcomes):
+        # Rounding can leave a class above zero in the class law and at
+        # zero in every one of its outcomes.
+        if count and not any(probs):
+            probs = [1.0] * len(probs)
+        per_outcome.append(_multinomial(rng, count, probs))
+    return per_outcome
 
 
 def run_pulses(config: ExperimentConfig) -> RunResult:
     """Simulate the configured number of pump pulses.
 
     Draws the ten class counts on ``random.Random(rng_seed)``, and the
-    histograms on first read, so the result depends only on (rng_seed,
-    n_pulses).  Only the histograms need numpy.
+    histograms on first read by continuing that stream, so the result
+    depends only on (rng_seed, n_pulses).
     """
-    return _from_classes(config, _draw_classes(config))
+    law = _Law(config)
+    rng = random.Random(config.rng_seed)
+    counts = _multinomial(rng, config.n_pulses, law.class_probs())
+    return _from_classes(config, counts, lambda: _histograms(law, _split(law, counts, rng)))
 
 
 def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> ExperimentConfig:
@@ -578,8 +539,6 @@ def run_phase_scan(config: ExperimentConfig, phases: Iterable[float]) -> FringeS
     coincidence count, and the accidental-coincidence count (clicks not
     originating from one photon pair).
     """
-    import random
-
     phases = list(phases)
     if not phases:
         raise ValueError("at least one phase is required")

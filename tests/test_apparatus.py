@@ -30,7 +30,7 @@ def assert_binomial(observed, n, p):
 def outside_window_counts(hist, cfg):
     """Histogram counts outside the three windows; 50 ps bins share the window edges."""
     window = np.array(_classify(cfg.windows, cfg.source.bin_separation_s, hist.bin_centers_s))
-    return hist.counts[window == 3].sum()
+    return np.asarray(hist.counts)[window == 3].sum()
 
 
 class TestSpecs:
@@ -74,7 +74,7 @@ class TestDetectClick:
         result = tb.run_pulses(cfg)
         assert result.singles_a > 0
         for hist in (result.histogram_a, result.histogram_b):
-            centres = hist.bin_centers_s[hist.counts > 0]
+            centres = np.asarray(hist.bin_centers_s)[np.asarray(hist.counts) > 0]
             offset = np.abs(centres[:, None] - np.array([0.0, 1.2e-9, 2.4e-9])).min(axis=1)
             assert offset.max() <= 25e-12 + 1e-15
 

@@ -1,12 +1,14 @@
 import math
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import timebin as tb
 from timebin import engine
-from timebin.engine import _PulseLaw
+from timebin.engine import _Law, _multinomial
 from timebin.config_io import build_experiment, default_config_dict
 from .conftest import analyzer_phases, chi2_z, ideal_experiment, truncated_mean_inverse
 
@@ -71,7 +73,7 @@ class TestRunPulses:
         assert result.singles_a == result.singles_b == 0
         assert result.triple_coincidences == 0
         assert result.accidental_coincidences == 0
-        assert result.histogram_a.counts.sum() == 0
+        assert np.asarray(result.histogram_a.counts).sum() == 0
 
     def test_deterministic_given_seed(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=11)
@@ -83,8 +85,8 @@ class TestRunPulses:
     def test_histogram_totals_equal_singles(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=7)
         result = tb.run_pulses(cfg)
-        assert result.histogram_a.counts.sum() == result.singles_a
-        assert result.histogram_b.counts.sum() == result.singles_b
+        assert np.asarray(result.histogram_a.counts).sum() == result.singles_a
+        assert np.asarray(result.histogram_b.counts).sum() == result.singles_b
 
     def test_windows_below_float_resolution_stay_empty(self):
         # a 1e-312 s window vanishes around the 1.2 ns and 2.4 ns centres
@@ -104,7 +106,7 @@ class TestRunPulses:
     def test_side_peak_asymmetry_tracks_amplitudes(self):
         cfg = ideal_experiment(alpha_sq=0.8, n_pulses=2 * 10**7, seed=13)
         result = tb.run_pulses(cfg)
-        thirds = result.histogram_a.counts.reshape(3, -1).sum(axis=1)
+        thirds = np.asarray(result.histogram_a.counts).reshape(3, -1).sum(axis=1)
         ratio = thirds[0] / thirds[2]
         sigma = ratio * math.sqrt(1.0 / thirds[0] + 1.0 / thirds[2])
         assert abs(ratio - 4.0) <= 3.0 * sigma
@@ -161,39 +163,123 @@ class TestOutcomeLaw:
             (result.histogram_b, expected.histogram_b, result.singles_b),
         ):
             observed = np.append(run_hist.counts, n - singles)
-            mean = np.append(mean_hist.counts, n - mean_hist.counts.sum())
+            mean = np.append(mean_hist.counts, n - np.asarray(mean_hist.counts).sum())
             assert abs(chi2_z(observed, mean)) <= 4.0
 
 
     @pytest.mark.parametrize("name", sorted(LAW_GRID))
     def test_class_law_is_the_outcome_law_summed_by_class(self, name):
         for phase in (0.0, 0.4, 1.3, 2.9):
-            law = _PulseLaw(law_grid_experiment(name, phase))
-            m = law._mid.stop - law._mid.start
-            cells = math.isqrt(law.probs.size - m * m)
-            joint = law.probs[: cells * cells].reshape(cells, cells)
-            central = np.arange(cells)[law._mid]
-            side = (central, np.setdiff1d(np.arange(cells - 1), central), [cells - 1])
-            blocks = [joint[np.ix_(a, b)].sum() for a in side for b in side]
-            summed = [blocks[0], law.probs[cells * cells :].sum(), *blocks[1:]]
+            law = _Law(law_grid_experiment(name, phase))
+            blocks = [math.fsum(probs) for _, probs in law.outcomes]
+            summed = [block / math.fsum(blocks) for block in blocks]
             classes = law.class_probs()
             total = sum(classes)
             for mine, theirs in zip(classes, summed):
                 assert abs(mine / total - theirs) <= 1e-12 * theirs, (phase, classes, summed)
 
+    @pytest.mark.parametrize("name", sorted(LAW_GRID))
+    def test_outcomes_are_the_matrix_product(self, name):
+        # numpy as the reference: C_a^T W C_b from the same lists, its
+        # central block split into the one-pair part and the rest
+        for phase in (0.0, 0.4, 1.3, 2.2, 2.9):
+            law = _Law(law_grid_experiment(name, phase))
+            (clicks_a, first_a, _, _), (clicks_b, first_b, _, _) = law.sides
+            joint = np.array(clicks_a).T @ np.array(law.weights) @ np.array(clicks_b)
+            mid, none = law.mid, law.n_cells - 1
+            one_pair = np.zeros_like(joint)
+            one_pair[mid, mid] = (
+                np.array(first_a)[:, mid].T @ np.array(law.pair) @ np.array(first_b)[:, mid]
+            )
+            side = [0 if mid.start <= i < mid.stop else 2 if i == none else 1
+                    for i in range(law.n_cells)]
+            seen = np.zeros(joint.shape, dtype=int)
+            for cls, (cells, probs) in enumerate(law.outcomes):
+                for (i, j), p in zip(cells, probs):
+                    pair_class = 3 * side[i] + side[j]
+                    assert (0 if cls == 1 else cls) == pair_class + (pair_class > 0)
+                    reference = {0: one_pair[i, j], 1: joint[i, j] - one_pair[i, j]}.get(
+                        cls, joint[i, j]
+                    )
+                    assert abs(p - max(reference, 0.0)) <= 1e-12 * abs(reference), (cls, i, j)
+                    seen[i, j] += cls != 0
+            assert (seen == 1).all()  # every cell once; class 0 splits cells of class 1
+
     @pytest.mark.parametrize("name", ["default_11km", "independent_333ps", "dark_only"])
     def test_drawn_histograms_complete_the_class_draw(self, name):
         experiment = law_grid_experiment(name, n_pulses=10**7, seed=77)
         result = tb.run_pulses(experiment)
-        counts = engine._draw_classes(experiment)
-        law = _PulseLaw(experiment)
-        per_outcome = engine._split_classes(law, counts, experiment.rng_seed)
-        assert [per_outcome[law.outcome_class == c].sum() for c in range(10)] == counts
-        full = law.tally(per_outcome, experiment.n_pulses)
+        law = _Law(experiment)
+        rng = random.Random(experiment.rng_seed)
+        counts = _multinomial(rng, experiment.n_pulses, law.class_probs())
+        per_outcome = engine._split(law, counts, rng)
+        assert [sum(c) for c in per_outcome] == counts
+        full = tally_by_cell(law, per_outcome, experiment)
         assert full == result  # every field but the histograms
         assert (full.histogram_a, full.histogram_b) == (result.histogram_a, result.histogram_b)
-        assert result.histogram_a.counts.sum() == result.singles_a
-        assert result.histogram_b.counts.sum() == result.singles_b
+        assert sum(result.histogram_a.counts) == result.singles_a
+        assert sum(result.histogram_b.counts) == result.singles_b
+
+
+def tally_by_cell(law, per_outcome, experiment):
+    """The RunResult of per-outcome counts, read off each outcome's two click cells."""
+    mid, none = range(law.mid.start, law.mid.stop), law.n_cells - 1
+    tally = dict.fromkeys(COUNT_FIELDS, 0)
+    for cls, ((cells, _), counts) in enumerate(zip(law.outcomes, per_outcome)):
+        for (i, j), count in zip(cells, counts):
+            tally["singles_a"] += count * (i != none)
+            tally["singles_b"] += count * (j != none)
+            tally["middle_singles_a"] += count * (i in mid)
+            tally["middle_singles_b"] += count * (j in mid)
+            tally["triple_coincidences"] += count * (i in mid and j in mid)
+            tally["accidental_coincidences"] += count * (cls == 1)
+    histograms = engine._histograms(law, per_outcome)
+    return tb.RunResult(
+        **tally,
+        n_pulses=experiment.n_pulses,
+        duration_s=experiment.n_pulses / experiment.source.rep_rate_hz,
+        _histograms=lambda: histograms,
+    )
+
+
+class TestMultinomial:
+    PROBS = [0.0, 0.3, 1e-7, 0.0, 0.05, 0.2, 0.0, 0.45, 1e-3, 0.0]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6, 10**15])
+    def test_counts_sum_to_n(self, n):
+        counts = _multinomial(random.Random(n), n, self.PROBS)
+        assert sum(counts) == n
+        assert all(c >= 0 for c in counts)
+
+    def test_zero_probability_categories_get_nothing(self):
+        for seed in range(20):
+            counts = _multinomial(random.Random(seed), 10**9, self.PROBS)
+            assert [c for c, p in zip(counts, self.PROBS) if p == 0.0] == [0] * 4
+
+    def test_largest_count(self):
+        n = 2**63 - 1
+        counts = _multinomial(random.Random(5), n, self.PROBS)
+        assert sum(counts) == n
+        total = sum(self.PROBS)
+        for count, p in zip(counts, self.PROBS):
+            share = p / total
+            assert abs(count - n * share) <= 5.0 * math.sqrt(n * share * (1.0 - share))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chi_square_against_the_probabilities(self, seed):
+        probs = [1.0 + math.sin(k) for k in range(60)]  # unnormalised, one near zero
+        n = 10**6
+        counts = _multinomial(random.Random(seed), n, probs)
+        mean = n * np.array(probs) / sum(probs)
+        assert abs(chi2_z(np.array(counts), mean)) <= 4.0
+
+    def test_class_with_no_outcome_left_is_split_evenly(self):
+        # the class law is above zero, but every outcome rounded to zero
+        law = SimpleNamespace(outcomes=[([(0, 0), (0, 1), (1, 0), (1, 1)], [0.0] * 4)])
+        per_outcome = engine._split(law, [10**4], random.Random(9))[0]
+        assert sum(per_outcome) == 10**4
+        sigma = math.sqrt(10**4 * 0.25 * 0.75)
+        assert all(abs(c - 2500) <= 4.0 * sigma for c in per_outcome)
 
 
 class TestPhaseScan:

@@ -12,9 +12,9 @@ from .conftest import built_in_spellings
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(timebin.__file__)))
 
 
-def run_python(code, **env_changes):
-    """Standard output of ``code`` in a fresh interpreter; a ``None`` value unsets a variable."""
-    env = {k: v for k, v in {**os.environ, **env_changes}.items() if v is not None}
+def run_python(code):
+    """Standard output of ``code`` in a fresh interpreter."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -55,19 +55,12 @@ def test_import_loads_no_numpy():
     assert run_python("import sys, timebin; print('numpy' in sys.modules)") == "False"
 
 
-def test_cli_sets_one_openblas_thread_unless_set():
-    code = "import os, timebin.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
-    assert run_python(code, OPENBLAS_NUM_THREADS=None) == "1"
-    assert run_python(code, OPENBLAS_NUM_THREADS="3") == "3"
-
-
-def test_numpy_loads_only_to_write_histograms(tmp_path):
-    """Every command but ``run`` works without numpy: ``scan`` draws and fits, ``fit`` fits.
+def test_no_command_loads_numpy(tmp_path):
+    """Every command works without numpy.
 
     Parsing, validation, the config build, every error exit, ``curve``,
-    ``scan`` and ``fit`` run in one interpreter that never loads numpy.
-    ``run`` writes histograms, so it loads numpy, in an interpreter of its
-    own; neither imports numpy's masked arrays or a thread pool.
+    ``run``, ``scan`` and ``fit`` run in one interpreter that never loads
+    numpy, numpy's masked arrays or a thread pool.
     """
     config, negative, bad_csv = tmp_path / "c.json", tmp_path / "n.json", tmp_path / "bad.csv"
     config.write_text(json.dumps(built_in_spellings()["linspace"]))
@@ -112,8 +105,8 @@ def test_numpy_loads_only_to_write_histograms(tmp_path):
         "missing config": exits(3, "run", "--config", tmp_path / "none.json", "--out", out),
         "curve v_vs_e": exits(0, "curve", "v_vs_e", "--out", out),
         "curve v_vs_mu": exits(0, "curve", "v_vs_mu", "--out", out),
+        "run": exits(0, "run", "--out", out),
         "scan": exits(0, "scan", "--out", scan_csv),
         "fit": exits(0, "fit", scan_csv, "--out", out),
     }
     assert numpy_loaded(steps) == {name: False for name in steps}
-    assert numpy_loaded({"run": exits(0, "run", "--out", out)}) == {"run": True}

@@ -11,7 +11,7 @@ from timebin import (
     multipair_visibility,
     state_from_attenuations,
 )
-from timebin.engine import _PulseLaw
+from timebin.engine import _Law
 from .conftest import ideal_experiment, truncated_mean_inverse
 
 
@@ -65,7 +65,7 @@ class TestSamplePairCount:
         # pair number of a pair pulse: Poisson(mu) conditioned on n >= 1; the
         # registered photons come from one pair with probability E[1/n | n >= 1]
         for mu in (0.1, 1.0):
-            p_same = _PulseLaw(ideal_experiment(mu=mu)).p_same
+            p_same = _Law(ideal_experiment(mu=mu)).p_same
             assert p_same == pytest.approx(truncated_mean_inverse(mu), abs=1e-12)
 
     def test_negative_mean_rejected(self):
