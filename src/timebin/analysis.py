@@ -11,10 +11,10 @@ solution with no starting values or convergence concerns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable
+from collections.abc import Iterable
 
 from .grid import linspace
+from .record import Record, replace
 
 _MIN_POINTS = 5
 _MIN_DISTINCT_PHASES = 3
@@ -26,8 +26,7 @@ class DegenerateScanError(ValueError):
     """Scan cannot constrain a fringe (too few points or phases bunched up)."""
 
 
-@dataclass(frozen=True)
-class FringePoint:
+class FringePoint(Record):
     """One phase-scan sample.
 
     ``phase_rad`` is the interference phase (the cosine argument), not the
@@ -48,8 +47,9 @@ class FringePoint:
             raise ValueError("accidental_estimate must be non-negative")
 
 
-@dataclass(frozen=True)
-class FringeScan:
+class FringeScan(Record):
+    """The points of one phase scan, in scan order."""
+
     points: tuple[FringePoint, ...]
 
     def __post_init__(self) -> None:
@@ -57,8 +57,7 @@ class FringeScan:
             raise ValueError("scan has no points")
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Fringe-fit output.
 
     ``visibility`` is clamped to [0, 1] (noise can push the raw estimate

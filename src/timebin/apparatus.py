@@ -24,13 +24,13 @@ field defaults are the shipped apparatus, and the only copy of it:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class InterferometerSpec:
+class InterferometerSpec(Record):
     """One analyzer interferometer.
 
     ``circulator_loss_db`` only applies to the circulator-side detector
@@ -49,8 +49,7 @@ class InterferometerSpec:
         object.__setattr__(self, "phi_analyzer", self.phi_analyzer % _TWO_PI % _TWO_PI)
 
 
-@dataclass(frozen=True)
-class DetectorSpec:
+class DetectorSpec(Record):
     """Geiger-mode avalanche photodiode parameters."""
 
     efficiency: float = 0.25
@@ -64,8 +63,7 @@ class DetectorSpec:
             raise ValueError("detector parameters must be non-negative")
 
 
-@dataclass(frozen=True)
-class CoincidenceWindows:
+class CoincidenceWindows(Record):
     """Three half-open windows centred on the expected arrival-time peaks.
 
     Peaks sit at 0, d and 2*d relative to the pump clock, d being the

@@ -17,8 +17,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
-from typing import Any
 
 from . import __version__
 from .analysis import (
@@ -42,6 +40,11 @@ from .config_io import (
 )
 from .engine import run_phase_scan, run_pulses
 from .grid import linspace
+from .record import asdict, replace
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO, EXIT_DEGENERATE = 0, 1, 2, 3, 4
 # The grid of ``curve v_vs_mu`` without --mu.

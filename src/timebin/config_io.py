@@ -2,10 +2,10 @@
 
 Every physical quantity carries its unit in the key name (bin_separation_ns,
 window_width_ps, dark_rate_cps, ...) and is converted to SI on load.  One
-table per section maps each document key to its dataclass field and SI
+table per section maps each document key to its record field and SI
 factor; the allowed keys, the unit conversions and the built-in document
-all come from these tables.  A key left out takes its dataclass's own
-default, so every default is written once, in the dataclasses.  Unknown
+all come from these tables.  A key left out takes its record's own
+default, so every default is written once, in the records.  Unknown
 keys are rejected so typos fail loudly instead of silently falling back
 to defaults.  The scan follows the same rule: a document without a grid
 scans the default one, and without ``n_pulses_per_point`` each point runs
@@ -21,14 +21,18 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from collections.abc import Iterable
 
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .engine import ExperimentConfig
 from .fiber import FiberSpec
 from .grid import linspace
+from .record import Record, replace
 from .source import SourceConfig
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 NS, PS = 1e-9, 1e-12
 # The engine counts pulses as int64, so no run, and no count of one, exceeds
@@ -43,7 +47,7 @@ _DEFAULT_PHASE_LINSPACE = {"start_rad": 0.0, "stop_rad": math.pi, "num": 12}
 # Index + 1 is the number of interferometers.
 _ARRANGEMENTS = ("folded", "independent")
 
-# Document key -> (dataclass field, factor to SI).  The factor ``int``
+# Document key -> (record field, factor to SI).  The factor ``int``
 # marks an integer key, ``str`` a string its section's builder checks.
 _SOURCE = {
     "rep_rate_hz": ("rep_rate_hz", 1.0),
@@ -81,7 +85,7 @@ _DETECTOR = {
 _WINDOWS = {"window_width_ps": ("window_width_s", PS)}
 _RUN = {"n_pulses": ("n_pulses", int), "seed": ("rng_seed", int)}
 
-# Section -> (ExperimentConfig field, dataclass, key table), in build order.
+# Section -> (ExperimentConfig field, record, key table), in build order.
 _SECTIONS = {
     "source": ("source", SourceConfig, _SOURCE),
     "windows": ("windows", CoincidenceWindows, _WINDOWS),
@@ -101,8 +105,7 @@ class ConfigValidationError(ValueError):
     """The document parses but describes an inconsistent experiment."""
 
 
-@dataclass(frozen=True)
-class ScanSettings:
+class ScanSettings(Record):
     """Phase-scan description attached to a config."""
 
     analyzer_phases_rad: tuple[float, ...]
@@ -192,7 +195,7 @@ def _is_int(val: Any) -> bool:
 
 
 def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) -> dict[str, Any]:
-    """Dataclass keyword arguments, in SI units, for the keys of ``table`` in ``given``.
+    """Record keyword arguments, in SI units, for the keys of ``table`` in ``given``.
 
     ``given`` may also hold the ``extra`` keys, which are converted elsewhere.
     """

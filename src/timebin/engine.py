@@ -70,15 +70,15 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from operator import mul
-from typing import Callable, Iterable
 
 from .analysis import FringePoint, FringeScan
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
+from .record import Record, replace
 from .source import SourceConfig, multipair_visibility
 
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
@@ -88,8 +88,7 @@ class ConfigurationError(ValueError):
     """Raised when an experiment description is internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Complete apparatus description for one run.
 
     ``ExperimentConfig()`` is the shipped default experiment.  One analyzer
@@ -121,8 +120,7 @@ class ExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
-class CoincidenceHistogram:
+class CoincidenceHistogram(Record):
     """Pump-referenced arrival-time histogram (counts per fixed-width bin)."""
 
     bin_edges_s: tuple[float, ...]
@@ -133,8 +131,7 @@ class CoincidenceHistogram:
         return tuple(0.5 * (lo + hi) for lo, hi in zip(self.bin_edges_s, self.bin_edges_s[1:]))
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """Tallies of one run.
 
     ``accidental_coincidences`` counts the central-window coincidences
@@ -153,9 +150,7 @@ class RunResult:
     accidental_coincidences: int
     n_pulses: int
     duration_s: float
-    _histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]] = field(
-        repr=False, compare=False
-    )
+    _histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]]
 
     def __post_init__(self) -> None:
         if self.triple_coincidences > min(self.singles_a, self.singles_b):

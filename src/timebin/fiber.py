@@ -10,11 +10,10 @@ filter passband.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from .record import Record
 
 
-@dataclass(frozen=True)
-class FiberSpec:
+class FiberSpec(Record):
     """Single fiber span plus the spectral filter in front of it.
 
     Units are carried in the field names.  ``phase_jitter_rms`` is the RMS

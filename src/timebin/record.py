@@ -1,0 +1,109 @@
+"""Frozen records: the package's value classes, without ``dataclasses``.
+
+A subclass of ``Record`` lists its fields as annotations, in order, and
+gives defaults as class attributes.  Records are built from positional
+or keyword arguments, run ``__post_init__`` to validate, compare and hash
+by their fields, and refuse assignment and deletion.  A field whose name
+starts with an underscore takes no part in ``==``, the hash or the repr.
+
+Nothing is generated: every record shares the methods below, so defining
+one costs no compilation when the package is imported.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the frozen records; see the module docstring."""
+
+    _fields: tuple[str, ...] = ()
+    _field_set: frozenset[str] = frozenset()
+    _defaults: dict[str, object] = {}
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)  # the class's own, from Python 3.10
+        cls._field_set = frozenset(cls._fields)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._compared = tuple(name for name in cls._fields if not name.startswith("_"))
+        # The compared fields' values: a tuple, or the value itself for one field.
+        cls._key_of = attrgetter(*cls._compared)
+
+    def __init__(self, *args, **kwargs) -> None:
+        values = self.__dict__
+        values.update(self._defaults)
+        if args:
+            if len(args) > len(self._fields) or not kwargs.keys().isdisjoint(
+                self._fields[: len(args)]
+            ):
+                raise TypeError(self._argument_error(args, kwargs))
+            values.update(zip(self._fields, args))
+        values.update(kwargs)
+        if values.keys() != self._field_set:
+            raise TypeError(self._argument_error(args, kwargs))
+        self.__post_init__()
+
+    def _argument_error(self, args: tuple, kwargs: dict) -> str:
+        """What is wrong with arguments ``__init__`` refused."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            return f"{name}() takes {len(fields)} arguments but {len(args)} were given"
+        unknown = [key for key in kwargs if key not in self._field_set]
+        if unknown:
+            return f"{name}() got an unexpected keyword argument {unknown[0]!r}"
+        twice = [key for key in fields[: len(args)] if key in kwargs]
+        if twice:
+            return f"{name}() got multiple values for argument {twice[0]!r}"
+        given = {*fields[: len(args)], *kwargs, *self._defaults}
+        missing = [key for key in fields if key not in given]
+        return f"{name}() missing required argument(s): {', '.join(map(repr, missing))}"
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key_of(self) == other._key_of(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key_of(self))
+
+    def __repr__(self) -> str:
+        values = self.__dict__
+        shown = ", ".join(f"{name}={values[name]!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+    def __replace__(self, **changes):
+        return replace(self, **changes)
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A copy of ``record`` with ``changes`` applied, validated again."""
+    # Fills the copy's fields directly rather than through ``__init__``: a
+    # scan replaces two records per point.
+    values = record.__dict__
+    if len(values) != len(record._fields):  # a cached property's value is stored too
+        values = {name: values[name] for name in record._fields}
+    new = object.__new__(type(record))
+    fields = new.__dict__
+    fields.update(values)
+    fields.update(changes)
+    if fields.keys() != record._field_set:
+        raise TypeError(record._argument_error((), changes))
+    new.__post_init__()
+    return new
+
+
+def asdict(record: Record) -> dict[str, object]:
+    """The fields of ``record`` by name, in order; values are not converted."""
+    return {name: record.__dict__[name] for name in record._fields}

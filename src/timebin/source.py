@@ -10,9 +10,7 @@ coincidence fringe because only same-pair detections interfere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
+from .record import Record
 from .states import TimeBinState
 
 # 100 ps full width at half maximum as an RMS width, to five digits
@@ -24,8 +22,7 @@ _SERIES_MAX_TERMS = 200
 _ASYMPTOTIC_MU = 50.0
 
 
-@dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(Record):
     """Pulsed source settings.
 
     ``mean_pairs`` is the mean number of photon pairs per pump pulse.

@@ -20,13 +20,12 @@ ideal apparatus, 2*alpha*beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from .record import Record
 
 _NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TimeBinState:
+class TimeBinState(Record):
     """Pure two-photon time-bin qubit pair with real amplitudes.
 
     alpha and beta weight the early-early and late-late components;

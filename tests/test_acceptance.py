@@ -7,13 +7,13 @@ lines; the suite is deterministic (fixed seeds) and sized for a desktop.
 import functools
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import timebin as tb
 from timebin.config_io import build_experiment, default_config_dict
+from timebin.record import replace
 from .conftest import (
     analyzer_phases,
     default_experiment,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 import timebin as tb
 from timebin import analysis
 from timebin.analysis import DegenerateScanError
+from timebin.record import replace
 from .conftest import exact_fringe_scan
 from .reference import bootstrap_visibility_sigma
 

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 import timebin as tb
 from timebin.cli import main
 from timebin.engine import _classify
+from timebin.record import replace
 from .conftest import ideal_experiment
 
 Z = 4.0  # bound on |observed - expected| / sigma for the seeded statistical checks

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +9,7 @@ import timebin as tb
 from timebin import engine
 from timebin.engine import _Law, _multinomial
 from timebin.config_io import build_experiment, default_config_dict
+from timebin.record import replace
 from .conftest import analyzer_phases, chi2_z, ideal_experiment, truncated_mean_inverse
 
 COUNT_FIELDS = (

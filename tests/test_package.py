@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 import pytest
 
 import timebin
+from timebin.config_io import ScanSettings
+from timebin.record import Record, asdict, replace
 
 from .conftest import built_in_spellings
 
@@ -110,3 +113,171 @@ def test_no_command_loads_numpy(tmp_path):
         "fit": exits(0, "fit", scan_csv, "--out", out),
     }
     assert numpy_loaded(steps) == {name: False for name in steps}
+
+
+def test_commands_load_no_dataclasses_inspect_or_typing(tmp_path):
+    """``import timebin.cli`` and every command leave these modules unloaded.
+
+    Measured as what the work adds to ``sys.modules``, since an
+    interpreter's start-up may load some of them itself.
+    """
+    out, scan_csv = str(tmp_path / "out"), str(tmp_path / "s.csv")
+    commands = [
+        ["scan", "--out", scan_csv],
+        ["run", "--out", out],
+        ["fit", scan_csv, "--out", out],
+        ["curve", "v_vs_e", "--out", out],
+        ["curve", "v_vs_mu", "--out", out],
+    ]
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from timebin.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+    )
+    assert run_python(code) == "[]"
+
+
+def _run_result(**changes):
+    fields = dict(
+        singles_a=10, singles_b=12, middle_singles_a=5, middle_singles_b=6,
+        triple_coincidences=3, accidental_coincidences=1, n_pulses=100, duration_s=1e-6,
+        _histograms=lambda: (None, None),
+    )
+    return timebin.RunResult(**{**fields, **changes})
+
+
+_POINT = timebin.FringePoint(phase_rad=0.5, raw_count=10, accidental_estimate=1.0)
+# Each record: an instance, a valid change of one field, and a change its
+# validation refuses (None for records that accept any values).
+RECORDS = {
+    "TimeBinState": (
+        timebin.TimeBinState(alpha=0.6, beta=0.8), {"phi_pump": 0.5}, {"alpha": -0.6}
+    ),
+    "SourceConfig": (timebin.SourceConfig(), {"mean_pairs": 0.1}, {"mean_pairs": -1}),
+    "FiberSpec": (timebin.FiberSpec(), {"length_km": 11.0}, {"length_km": -1.0}),
+    "InterferometerSpec": (
+        timebin.InterferometerSpec(), {"excess_loss_db": 2.0}, {"excess_loss_db": -1.0}
+    ),
+    "DetectorSpec": (timebin.DetectorSpec(), {"efficiency": 0.5}, {"efficiency": 1.5}),
+    "CoincidenceWindows": (
+        timebin.CoincidenceWindows(), {"window_width_s": 3e-10}, {"window_width_s": 0.0}
+    ),
+    "ExperimentConfig": (timebin.ExperimentConfig(), {"n_pulses": 5}, {"n_pulses": 0}),
+    "CoincidenceHistogram": (
+        timebin.CoincidenceHistogram((0.0, 1.0, 2.0), (3, 4)), {"counts": (4, 3)}, None
+    ),
+    "RunResult": (_run_result(), {"singles_a": 11}, {"accidental_coincidences": 4}),
+    "FringePoint": (_POINT, {"raw_count": 11}, {"raw_count": -1}),
+    "FringeScan": (
+        timebin.FringeScan(points=(_POINT,)), {"points": (_POINT, _POINT)}, {"points": ()}
+    ),
+    "FitResult": (
+        timebin.FitResult(0.9, 0.01, 0.9, False, 10.0, 100.0, 0.1, 1.5, 12),
+        {"visibility": 0.8},
+        None,
+    ),
+    "ScanSettings": (ScanSettings((0.0, 1.0), 1000), {"repetitions": 2}, None),
+}
+
+
+@pytest.fixture(params=sorted(RECORDS))
+def record(request):
+    return RECORDS[request.param]
+
+
+def test_every_record_is_listed():
+    exported = {name for name in timebin.__all__ if isinstance(getattr(timebin, name), type)}
+    records = {name for name in exported if issubclass(getattr(timebin, name), Record)}
+    assert records | {"ScanSettings"} == set(RECORDS)
+
+
+def test_record_equality_and_hash(record):
+    rec, change, _ = record
+    same, other = replace(rec), replace(rec, **change)
+    assert same is not rec and same == rec and hash(same) == hash(rec)
+    assert other != rec and not other == rec
+    assert type(rec)(*asdict(rec).values()) == rec
+    assert type(rec)(**asdict(rec)) == rec
+
+
+def test_record_is_frozen(record):
+    rec, change, _ = record
+    (name, value), = change.items()
+    with pytest.raises(AttributeError):
+        setattr(rec, name, value)
+    with pytest.raises(AttributeError):
+        delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1
+    assert replace(rec, **change) != rec  # the instance kept its value
+
+
+def test_record_never_equals_another_class(record):
+    rec = record[0]
+    twin_class = type(type(rec).__name__, (Record,), {"__annotations__": type(rec).__annotations__})
+    twin = twin_class(**asdict(rec))
+    assert twin != rec and rec != twin
+    assert asdict(twin) == asdict(rec)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(RECORDS) if RECORDS[name][2]])
+def test_replace_validates_again(name):
+    rec, _, invalid = RECORDS[name]
+    with pytest.raises(ValueError):
+        replace(rec, **invalid)
+
+
+def test_wrong_arguments_raise_type_error(record):
+    rec = record[0]
+    cls, fields = type(rec), asdict(rec)
+    first, *_ = fields
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(**fields, bogus=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(fields[first], **fields)
+    with pytest.raises(TypeError, match="arguments but"):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        replace(rec, bogus=1)
+    required = [name for name in fields if name not in cls.__dict__]
+    for name in required:
+        given = {key: value for key, value in fields.items() if key != name}
+        with pytest.raises(TypeError, match=f"missing required argument.*'{name}'"):
+            cls(**given)
+        # One field missing and one unknown: as many arguments as fields.
+        with pytest.raises(TypeError):
+            cls(**given, bogus=1)
+
+
+def test_run_result_equality_ignores_its_histograms():
+    first, second = _run_result(), _run_result(_histograms=lambda: ("other", "pair"))
+    assert first == second and hash(first) == hash(second)
+    assert "_histograms" not in repr(first)
+    assert repr(first) == repr(second)
+    assert (first.histogram_a, second.histogram_b) == (None, "pair")
+
+
+def test_replace_drops_cached_values():
+    calls = []
+    result = _run_result(_histograms=lambda: calls.append(1) or ("a", "b"))
+    assert (result.histogram_a, result.histogram_b) == ("a", "b") and calls == [1]
+    changed = replace(result, singles_a=11)
+    assert changed.histogram_a == "a" and calls == [1, 1]
+
+
+def test_records_have_docstrings_and_reprs(record):
+    rec = record[0]
+    assert type(rec).__doc__
+    assert repr(rec).startswith(type(rec).__name__ + "(")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 13), reason="copy.replace is new in Python 3.13")
+def test_copy_replace(record):
+    rec, change, invalid = record
+    assert copy.replace(rec, **change) == replace(rec, **change)
+    if invalid is not None:
+        with pytest.raises(ValueError):
+            copy.replace(rec, **invalid)
