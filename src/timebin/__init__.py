@@ -45,7 +45,6 @@ _EXPORTS = {
     "subtract_accidentals": "analysis",
     "survival_probability": "fiber",
     "visibility_vs_entanglement_curve": "analysis",
-    "visibility_vs_mu_curve": "analysis",
 }
 
 __all__ = list(_EXPORTS)

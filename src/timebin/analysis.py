@@ -1,4 +1,4 @@
-"""Fringe-scan reduction: background subtraction, sinusoidal fits, theory curves.
+"""Fringe-scan reduction: background subtraction, sinusoidal fits, the V(E) theory curve.
 
 A phase scan yields raw central-window coincidence counts plus an estimate
 of the chance-coincidence background per point.  Subtracting the estimate
@@ -31,14 +31,13 @@ class FringePoint(Record):
 
     ``phase_rad`` is the interference phase (the cosine argument), not the
     raw interferometer setting.  ``net_count`` is filled by
-    subtract_accidentals; ``clipped`` flags a net count clamped at zero.
+    subtract_accidentals.
     """
 
     phase_rad: float
     raw_count: int
     accidental_estimate: float
     net_count: float | None = None
-    clipped: bool = False
 
     def __post_init__(self) -> None:
         if self.raw_count < 0:
@@ -79,12 +78,8 @@ class FitResult(Record):
 
 def subtract_accidentals(scan: FringeScan) -> FringeScan:
     """Fill net counts: raw minus estimated accidentals, clamped at zero."""
-    points = []
-    for p in scan.points:
-        net = p.raw_count - p.accidental_estimate
-        clipped = net < 0.0
-        points.append(replace(p, net_count=max(net, 0.0), clipped=clipped))
-    return FringeScan(points=tuple(points))
+    net = [max(p.raw_count - p.accidental_estimate, 0.0) for p in scan.points]
+    return FringeScan(points=tuple(replace(p, net_count=n) for p, n in zip(scan.points, net)))
 
 
 def _check_design(phases: list[float]) -> None:
@@ -131,6 +126,14 @@ def _inverse(matrix: list[list[float]]) -> list[list[float]]:
     return [row[n:] for row in rows]
 
 
+def _sum(terms: Iterable[float]) -> float:
+    """``terms`` added left to right: ``sum()`` compensates rounding from Python 3.12 on."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     """Weighted least-squares fit of O * [1 + V cos(phi - phi0)].
 
@@ -163,15 +166,15 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
         weights = [1.0 / s2 for s2 in sigma2]
         cov = _inverse(
             [
-                [sum(w * x[i] * x[j] for w, x in zip(weights, design)) for j in range(3)]
+                [_sum(w * x[i] * x[j] for w, x in zip(weights, design)) for j in range(3)]
                 for i in range(3)
             ]
         )
-        rhs = [sum(w * x[i] * y for w, x, y in zip(weights, design, counts)) for i in range(3)]
-        coef = [sum(c * b for c, b in zip(row, rhs)) for row in cov]
-        predicted = [sum(c * v for c, v in zip(coef, x)) for x in design]
+        rhs = [_sum(w * x[i] * y for w, x, y in zip(weights, design, counts)) for i in range(3)]
+        coef = [_sum(c * b for c, b in zip(row, rhs)) for row in cov]
+        predicted = [_sum(c * v for c, v in zip(coef, x)) for x in design]
         sigma2 = [max(f + b, 1.0) for f, b in zip(predicted, background)]
-    chi2 = sum(w * (y - f) ** 2 for w, y, f in zip(weights, counts, predicted))
+    chi2 = _sum(w * (y - f) ** 2 for w, y, f in zip(weights, counts, predicted))
 
     offset = coef[0]
     amp = math.hypot(coef[1], coef[2])
@@ -187,7 +190,7 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     else:
         # At zero amplitude the magnitude is direction-independent.
         grad = [0.0, 1.0 / offset, 1.0 / offset]
-    var = sum(g * c * h for g, row in zip(grad, cov) for c, h in zip(row, grad))
+    var = _sum(g * c * h for g, row in zip(grad, cov) for c, h in zip(row, grad))
     sigma = math.sqrt(max(var, 0.0))
     sigma = max(sigma, _SIGMA_FLOOR)
 
@@ -222,16 +225,3 @@ def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]
         curve.append((ent, vis))
     return curve
 
-
-def visibility_vs_mu_curve(
-    mu_grid: Iterable[float], v_max: float = 1.0
-) -> list[tuple[float, float]]:
-    """Visibility after multi-pair dilution, tabulated over mean pair numbers."""
-    from .source import multipair_visibility
-
-    grid = [float(m) for m in mu_grid]
-    if not grid:
-        raise ValueError("mu_grid must not be empty")
-    if min(grid) <= 0.0:
-        raise ValueError("mu_grid values must be positive")
-    return [(m, multipair_visibility(m, v_max)) for m in grid]

@@ -26,7 +26,6 @@ from .analysis import (
     fit_fringe,
     subtract_accidentals,
     visibility_vs_entanglement_curve,
-    visibility_vs_mu_curve,
 )
 from .config_io import (
     MAX_PULSES,
@@ -41,14 +40,13 @@ from .config_io import (
 from .engine import run_phase_scan, run_pulses
 from .grid import linspace
 from .record import asdict, replace
+from .source import multipair_visibility
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
 
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO, EXIT_DEGENERATE = 0, 1, 2, 3, 4
-# The grid of ``curve v_vs_mu`` without --mu.
-_MU_RANGE = {"--mu-min": 0.01, "--mu-max": 1.0, "--points": 101}
 
 
 def _fmt(x: float) -> str:
@@ -193,55 +191,26 @@ def _write_curve(args: argparse.Namespace, params: dict[str, Any], header: str, 
     return EXIT_OK
 
 
-def _check_points(points: int) -> None:
-    if not 2 <= points <= MAX_SCAN_POINTS:
-        raise ConfigFormatError(f"--points: expected 2 to {MAX_SCAN_POINTS} points, got {points}")
-
-
 def _cmd_curve_e(args: argparse.Namespace) -> int:
-    _check_points(args.points)
+    if not 2 <= args.points <= MAX_SCAN_POINTS:
+        raise ConfigFormatError(f"--points: expected 2 to {MAX_SCAN_POINTS}, got {args.points}")
     rows = visibility_vs_entanglement_curve(args.points)
-    header = "entanglement_bits,visibility"
-    if args.scale is not None:
-        if not 0.0 < args.scale <= 1.0:
-            raise ConfigFormatError("--scale must lie in (0, 1]")
-        header += ",visibility_scaled"
-        rows = [(e, v, args.scale * v) for e, v in rows]
-    params = {"kind": "v_vs_e", "points": args.points, "scale": args.scale}
-    return _write_curve(args, params, header, rows)
+    params = {"kind": "v_vs_e", "points": args.points}
+    return _write_curve(args, params, "entanglement_bits,visibility", rows)
 
 
 def _cmd_curve_mu(args: argparse.Namespace) -> int:
-    # The grid options default to None, so that giving one beside --mu is seen.
-    grid_options = {"--mu-min": args.mu_min, "--mu-max": args.mu_max, "--points": args.points}
-    given = [option for option, value in grid_options.items() if value is not None]
-    if args.mu is not None:
-        if given:
-            raise ConfigFormatError(f"--mu: cannot be combined with {', '.join(given)}")
+    if args.mu is None:
+        grid = linspace(0.01, 1.0, 101)
+    else:
         try:
             grid = [float(tok) for tok in args.mu.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigFormatError(f"--mu: {exc}") from exc
-        if not all(math.isfinite(mu) for mu in grid):
-            raise ConfigFormatError(f"--mu: expected finite numbers, got {args.mu}")
-    else:
-        mu_min, mu_max, points = (
-            _MU_RANGE[option] if value is None else value for option, value in grid_options.items()
-        )
-        for option, value in (("--mu-min", mu_min), ("--mu-max", mu_max)):
-            if not math.isfinite(value):
-                raise ConfigFormatError(f"{option}: expected a finite number, got {value}")
-        _check_points(points)
-        if mu_min <= 0 or mu_max <= mu_min:
-            raise ConfigFormatError("bad mu grid parameters")
-        grid = linspace(mu_min, mu_max, points)
-    if not grid or min(grid) <= 0.0:
-        raise ConfigFormatError("mu values must be positive")
-    if not 0.0 < args.v_max <= 1.0:
-        raise ConfigFormatError("--v-max must lie in (0, 1]")
-    rows = visibility_vs_mu_curve(grid, v_max=args.v_max)
-    params = {"kind": "v_vs_mu", "mu": grid, "v_max": args.v_max}
-    return _write_curve(args, params, "mu,visibility", rows)
+        if not grid or not all(0.0 < mu < math.inf for mu in grid):
+            raise ConfigFormatError(f"--mu: expected positive finite numbers, got {args.mu}")
+    rows = [(mu, multipair_visibility(mu)) for mu in grid]
+    return _write_curve(args, {"kind": "v_vs_mu", "mu": grid}, "mu,visibility", rows)
 
 
 def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
@@ -344,15 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_e = kinds.add_parser("v_vs_e", help="visibility against entanglement")
     p_e.add_argument("--out", required=True)
     p_e.add_argument("--points", type=int, default=101)
-    p_e.add_argument("--scale", type=float, help="add a column of visibility times SCALE")
     p_e.set_defaults(func=_cmd_curve_e)
     p_mu = kinds.add_parser("v_vs_mu", help="visibility against mean pair number")
     p_mu.add_argument("--out", required=True)
-    p_mu.add_argument("--mu", help="comma-separated mean pair numbers")
-    p_mu.add_argument("--mu-min", type=float, help=f"grid start (default {_MU_RANGE['--mu-min']})")
-    p_mu.add_argument("--mu-max", type=float, help=f"grid stop (default {_MU_RANGE['--mu-max']})")
-    p_mu.add_argument("--points", type=int, help=f"grid size (default {_MU_RANGE['--points']})")
-    p_mu.add_argument("--v-max", type=float, default=1.0)
+    p_mu.add_argument("--mu", help="comma-separated mu values (default: 101 points, 0.01 to 1)")
     p_mu.set_defaults(func=_cmd_curve_mu)
 
     p_fit = sub.add_parser("fit", help="fit an existing scan CSV")

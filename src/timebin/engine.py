@@ -476,12 +476,15 @@ def _from_classes(
 def expected_tallies(config: ExperimentConfig) -> RunResult:
     """Exact mean of every count of ``run_pulses(config)``, as floats.
 
-    Built from the same per-pulse outcome law the runs are drawn from.
+    Built like ``run_pulses``, from the same outcome law: the counts from
+    its class sums, the histograms from every outcome on first read.
     """
-    law = _Law(config)
-    means = [[config.n_pulses * p for p in probs] for _, probs in law.outcomes]
-    histograms = _histograms(law, means)
-    return _from_classes(config, [sum(m) for m in means], lambda: histograms)
+    law, n = _Law(config), config.n_pulses
+    return _from_classes(
+        config,
+        [n * p for p in law.class_probs()],
+        lambda: _histograms(law, [[n * p for p in probs] for _, probs in law.outcomes]),
+    )
 
 
 def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:

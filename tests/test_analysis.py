@@ -34,7 +34,6 @@ class TestSubtractAccidentals:
         scan = exact_fringe_scan(200, 0.5)
         net = tb.subtract_accidentals(scan)
         assert all(p.net_count == p.raw_count for p in net.points)
-        assert not any(p.clipped for p in net.points)
 
     def test_uniform_background_restores_visibility(self):
         # fringe 1000*(1 + 0.5 cos) sitting on 200 flat background counts
@@ -59,7 +58,6 @@ class TestSubtractAccidentals:
         ]
         net = tb.subtract_accidentals(tb.FringeScan(points=(point, *filler)))
         assert net.points[0].net_count == 0.0
-        assert net.points[0].clipped
 
 
 class TestFitFringe:
@@ -195,18 +193,3 @@ class TestCurves:
     def test_entanglement_curve_needs_two_points(self):
         with pytest.raises(ValueError):
             tb.visibility_vs_entanglement_curve(1)
-
-    def test_mu_curve_matches_multipair_visibility(self):
-        grid = [0.05, 0.1, 0.2, 0.4, 0.8, 1.0]
-        curve = tb.visibility_vs_mu_curve(grid, v_max=0.95)
-        for (mu, vis), expected_mu in zip(curve, grid):
-            assert mu == expected_mu
-            assert vis == pytest.approx(tb.multipair_visibility(mu, 0.95), rel=1e-12)
-
-    def test_mu_curve_monotone(self):
-        values = [v for _, v in tb.visibility_vs_mu_curve([0.05, 0.1, 0.2, 0.4, 0.8])]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_mu_curve_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            tb.visibility_vs_mu_curve([0.0, 0.1])

@@ -38,7 +38,7 @@ def test_public_surface_is_what_the_law_cli_and_benchmark_use():
         "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_tallies",
         "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
         "run_phase_scan", "run_pulses", "state_from_attenuations", "subtract_accidentals",
-        "survival_probability", "visibility_vs_entanglement_curve", "visibility_vs_mu_curve",
+        "survival_probability", "visibility_vs_entanglement_curve",
     ]
     # Test references (tests/reference.py), a deleted model, and a constant
     # that is only SourceConfig's default.
