@@ -87,23 +87,13 @@ def _check_design(phases: list[float]) -> None:
         raise DegenerateScanError(
             f"need at least {_MIN_POINTS} points, got {len(phases)}"
         )
-    n_distinct = _count_distinct(phases)
+    n_distinct = len(set(phases))  # 0.0 and -0.0 are one phase
     if n_distinct < _MIN_DISTINCT_PHASES:
         raise DegenerateScanError(
             f"need at least {_MIN_DISTINCT_PHASES} distinct phases, got {n_distinct}"
         )
     if max(phases) - min(phases) < _MIN_PHASE_SPAN:
         raise DegenerateScanError("phase span below pi/2 cannot constrain a fringe")
-
-
-def _count_distinct(values: list[float]) -> int:
-    """Number of distinct numbers in the non-empty ``values``.
-
-    The count ``numpy.unique`` gives: 0.0 and -0.0 are one number (they
-    compare and hash equal), and so are all NaNs.
-    """
-    numbers = {v for v in values if v == v}
-    return len(numbers) + any(v != v for v in values)
 
 
 def _inverse(matrix: list[list[float]]) -> list[list[float]]:
@@ -146,7 +136,6 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     Each fit solves the 3 x 3 weighted normal equations.
     """
     phases = [p.phase_rad for p in scan.points]
-    _check_design(phases)
     if use_net:
         if any(p.net_count is None for p in scan.points):
             raise ValueError("scan has no net counts; run subtract_accidentals first")
@@ -159,6 +148,7 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
         background = [0.0] * len(phases)
     if not all(math.isfinite(v) for v in (*phases, *counts, *background)):
         raise DegenerateScanError("phases, counts and accidentals must be finite")
+    _check_design(phases)
 
     design = [(1.0, math.cos(phi), math.sin(phi)) for phi in phases]
     sigma2 = [max(float(p.raw_count), 1.0) for p in scan.points]

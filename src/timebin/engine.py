@@ -56,7 +56,9 @@ steps:
 Runs.  Every scalar count of a RunResult depends on a pulse's outcome
 only through its class: each side clicks in the central window, clicks
 elsewhere or does not click, and a central-central coincidence is one-pair
-or accidental, ten classes in all.  Summing the outcomes of a multinomial
+or accidental, ten classes in all.  Their probabilities are the same
+product taken with each side's click law summed by class, its floats
+added left to right on every Python.  Summing the outcomes of a multinomial
 by class gives a multinomial, so a run draws its ten class counts, as
 conditional binomials on ``random.Random(rng_seed)``, and its scalars have
 the law of one draw over all outcomes, for any n_pulses up to 2**63 - 1.
@@ -75,7 +77,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from operator import mul
 
-from .analysis import FringePoint, FringeScan
+from .analysis import FringePoint, FringeScan, _sum
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .record import Record, replace
@@ -226,14 +228,15 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
 
 @lru_cache(maxsize=32)
 def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float):
-    """Click-cell law of one detector for each photon state, and its class sums.
+    """Click law of one detector for each photon state, by cell and by class.
 
-    Returns ``clicks`` (4 rows of cells + 1): row x < 3 for a photon
-    arriving around x * delay with Gaussian spread ``sigma_s``, row 3 for
-    no photon, the last column for no click; ``photon_first`` (3 rows of
-    cells), the part of rows 0-2 where the photon beat the dark candidate;
-    ``classes``, each row of ``clicks`` summed into (central-window click,
-    other click, no click); and ``photon_central``, each row of
+    Returns the cell law ``(clicks, photon_first)``: ``clicks`` has 4 rows
+    of cells + 1, row x < 3 for a photon arriving around x * delay with
+    Gaussian spread ``sigma_s``, row 3 for no photon, the last column for
+    no click; ``photon_first`` has 3 rows of central-window cells, the
+    part of rows 0-2 where the photon beat the dark candidate.  Then the
+    class law, the same pair with each row of ``clicks`` summed into
+    (central-window click, other click, no click) and each row of
     ``photon_first`` summed over the central window.  All are tuples,
     shared between calls.
     """
@@ -276,15 +279,23 @@ def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float
             )
             photon.append(first)
             click.append(first + q * sigma_s * (antider[i + 1] - antider[i]))
-        photon_first.append(tuple(photon))
+        photon_first.append(tuple(photon[mid]))
         clicks.append((*click, 0.0))
-    clicks.append((*dark, 1.0 - sum(dark)))
+    clicks.append((*dark, 1.0 - _sum(dark)))
 
     classes = tuple(
-        (sum(row[mid]), sum(row[: mid.start]) + sum(row[mid.stop : -1]), row[-1]) for row in clicks
+        (_sum(row[mid]), _sum(row[: mid.start]) + _sum(row[mid.stop : -1]), row[-1])
+        for row in clicks
     )
-    photon_central = tuple(sum(row[mid]) for row in photon_first)
-    return tuple(clicks), tuple(photon_first), classes, photon_central
+    photon_central = tuple((_sum(row),) for row in photon_first)
+    return (tuple(clicks), tuple(photon_first)), (classes, photon_central)
+
+
+def _product(left, matrix, right) -> list[list[float]]:
+    """The rows of left^T matrix right, each entry's terms added left to right."""
+    matrix_cols, right_cols = list(zip(*matrix)), list(zip(*right))
+    through = ([_sum(map(mul, row, col)) for col in matrix_cols] for row in zip(*left))
+    return [[_sum(map(mul, row, col)) for col in right_cols] for row in through]
 
 
 class _Law:
@@ -292,8 +303,9 @@ class _Law:
 
     ``sides`` holds the ``_click_law`` of detectors a and b, ``weights`` the
     photon-state law W (4 x 4) and ``pair`` its part where both sides'
-    photons come from one pair (3 x 3).  ``class_probs`` sums the law by
-    class; ``outcomes`` expands it to every outcome.
+    photons come from one pair (3 x 3).  ``class_probs`` resolves the law
+    with the class laws of the two sides, ``outcomes`` with their cell
+    laws; both go through ``_product``.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
@@ -333,17 +345,18 @@ class _Law:
         )
         eta_a, eta_b = detect
         same = [
-            [eta_a * eta_b * w for w in row] + [eta_a * ((1.0 - eta_b) * sum(row) + sum(cross))]
+            [eta_a * eta_b * w for w in row]
+            + [eta_a * ((1.0 - eta_b) * _sum(row) + _sum(cross))]
             for row, cross in zip(both, crossed)
         ]
         same.append(
             [
-                eta_b * ((1.0 - eta_a) * sum(col) + sum(cross))
+                eta_b * ((1.0 - eta_a) * _sum(col) + _sum(cross))
                 for col, cross in zip(zip(*both), zip(*crossed))
             ]
             + [0.0]
         )
-        same[3][3] = 1.0 - sum(map(sum, same))
+        same[3][3] = 1.0 - _sum(map(_sum, same))
         apart_a, apart_b = (
             [eta * a2 / 4.0, eta / 4.0, eta * b2 / 4.0, (4.0 - 2.0 * eta) / 4.0] for eta in detect
         )
@@ -367,19 +380,10 @@ class _Law:
         one-pair and accidental classes, then the other eight pairs of side
         classes in row-major order, "none, none" last.
         """
-        (_, _, classes_a, central_a), (_, _, classes_b, central_b) = self.sides
-        through = [
-            [sum(classes_a[x][i] * self.weights[x][y] for x in range(4)) for y in range(4)]
-            for i in range(3)
-        ]
-        joint = [
-            [sum(row[y] * classes_b[y][j] for y in range(4)) for j in range(3)] for row in through
-        ]
-        pair = sum(
-            central_a[x] * self.pair[x][y] * central_b[y] for x in range(3) for y in range(3)
-        )
-        probs = [pair, joint[0][0] - pair, *joint[0][1:], *joint[1], *joint[2]]
-        return [max(p, 0.0) for p in probs]
+        (_, (classes_a, central_a)), (_, (classes_b, central_b)) = self.sides
+        joint = [p for row in _product(classes_a, self.weights, classes_b) for p in row]
+        [[pair]] = _product(central_a, self.pair, central_b)
+        return [max(p, 0.0) for p in (pair, joint[0] - pair, *joint[1:])]
 
     @cached_property
     def outcomes(self) -> list[tuple[list[tuple[int, int]], list[float]]]:
@@ -390,26 +394,21 @@ class _Law:
         where both photons of one pair beat their dark candidates is class
         0, and the rest of the cell is class 1.
         """
-        (clicks_a, first_a, _, _), (clicks_b, first_b, _, _) = self.sides
+        ((clicks_a, first_a), _), ((clicks_b, first_b), _) = self.sides
+        joint = _product(clicks_a, self.weights, clicks_b)
+        one_pair = [p for row in _product(first_a, self.pair, first_b) for p in row]
         mid = range(self.mid.start, self.mid.stop)
         other = [i for i in range(self.n_cells - 1) if i not in mid]
         groups = (mid, other, [self.n_cells - 1])  # click central, elsewhere, none
 
-        def products(left, matrix, right, rows, cols):
-            """(left^T matrix right)[i][j] for i in rows and j in cols, row-major."""
-            left_cols, matrix_cols, right_cols = (list(zip(*m)) for m in (left, matrix, right))
-            through = [[sum(map(mul, left_cols[i], col)) for col in matrix_cols] for i in rows]
-            return [sum(map(mul, row, right_cols[j])) for row in through for j in cols]
-
         classes = []
         for a, b in product(groups, groups):
             cells = list(product(a, b))
-            joint = products(clicks_a, self.weights, clicks_b, a, b)
+            probs = [joint[i][j] for i, j in cells]
             if a is mid and b is mid:
-                one_pair = products(first_a, self.pair, first_b, a, b)
                 classes.append((cells, [max(p, 0.0) for p in one_pair]))
-                joint = [p - q for p, q in zip(joint, one_pair)]
-            classes.append((cells, [max(p, 0.0) for p in joint]))
+                probs = [p - q for p, q in zip(probs, one_pair)]
+            classes.append((cells, [max(p, 0.0) for p in probs]))
         return classes
 
 

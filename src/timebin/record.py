@@ -89,19 +89,7 @@ class Record:
 
 def replace(record: Record, /, **changes) -> Record:
     """A copy of ``record`` with ``changes`` applied, validated again."""
-    # Fills the copy's fields directly rather than through ``__init__``: a
-    # scan replaces two records per point.
-    values = record.__dict__
-    if len(values) != len(record._fields):  # a cached property's value is stored too
-        values = {name: values[name] for name in record._fields}
-    new = object.__new__(type(record))
-    fields = new.__dict__
-    fields.update(values)
-    fields.update(changes)
-    if fields.keys() != record._field_set:
-        raise TypeError(record._argument_error((), changes))
-    new.__post_init__()
-    return new
+    return type(record)(**{**asdict(record), **changes})
 
 
 def asdict(record: Record) -> dict[str, object]:

@@ -44,11 +44,7 @@ class SourceConfig(Record):
             raise ValueError("rep_rate_hz must be positive")
         if self.mean_pairs < 0.0:
             raise ValueError("mean_pairs must be non-negative")
-        for t in (self.arm_attenuation_a, self.arm_attenuation_b):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError("arm attenuations must lie in [0, 1]")
-        if self.arm_attenuation_a + self.arm_attenuation_b <= 0.0:
-            raise ValueError("at least one pump arm must transmit")
+        self.state()  # checks the arm attenuations
         if self.pulse_width_s <= 0.0:
             raise ValueError("pulse_width_s must be positive")
         if self.pulse_width_s >= self.bin_separation_s:
@@ -68,7 +64,7 @@ def state_from_attenuations(t_a: float, t_b: float, phi_pump: float = 0.0) -> Ti
     root of the transmitted power, renormalised so alpha^2 + beta^2 = 1.
     """
     if not 0.0 <= t_a <= 1.0 or not 0.0 <= t_b <= 1.0:
-        raise ValueError("attenuations must lie in [0, 1]")
+        raise ValueError("arm attenuations must lie in [0, 1]")
     total = t_a + t_b
     if total <= 0.0:
         raise ValueError("at least one pump arm must transmit")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import timebin as tb
-from timebin import analysis
 from timebin.analysis import DegenerateScanError
 from timebin.record import replace
 from .conftest import exact_fringe_scan
@@ -135,13 +134,23 @@ class TestFitFringe:
         with pytest.raises(DegenerateScanError):
             tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
 
-    @pytest.mark.parametrize("field", ["phase_rad", "accidental_estimate"])
-    def test_non_finite_input_rejected(self, field):
+    @pytest.mark.parametrize(
+        "phases, field",
+        [
+            ((0.0, 1.0, 2.0, 3.0, 4.0), "phase_rad"),
+            ((0.0, 1.0, 2.0, 3.0, 4.0), "accidental_estimate"),
+            # one finite phase: the finiteness check comes before the design's
+            ((0.0, math.nan, math.nan, math.nan, math.nan), None),
+        ],
+        ids=["phase_rad", "accidental_estimate", "nan_phases"],
+    )
+    def test_non_finite_input_rejected(self, phases, field):
         points = [
             tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=1.0)
-            for p in (0.0, 1.0, 2.0, 3.0, 4.0)
+            for p in phases
         ]
-        points[2] = replace(points[2], **{field: math.nan})
+        if field is not None:
+            points[2] = replace(points[2], **{field: math.nan})
         scan = tb.subtract_accidentals(tb.FringeScan(points=tuple(points)))
         with pytest.raises(DegenerateScanError, match="finite"):
             tb.fit_fringe(scan)
@@ -161,8 +170,20 @@ class TestFitFringe:
         ],
     )
     def test_repeated_phases_counted_as_np_unique_counts(self, phases):
-        values = np.array(phases)
-        assert analysis._count_distinct(values) == np.unique(values).size
+        scan = tb.FringeScan(
+            points=tuple(
+                tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=0.0)
+                for p in phases
+            )
+        )
+        if not np.isfinite(phases).all():
+            with pytest.raises(DegenerateScanError, match="finite"):
+                tb.fit_fringe(scan, use_net=False)
+        elif np.unique(phases).size < 3:
+            with pytest.raises(DegenerateScanError, match="distinct"):
+                tb.fit_fringe(scan, use_net=False)
+        else:
+            tb.fit_fringe(scan, use_net=False)
 
     @given(st.integers(min_value=2, max_value=50))
     @settings(max_examples=20, deadline=None)

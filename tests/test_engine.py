@@ -184,13 +184,12 @@ class TestOutcomeLaw:
         # central block split into the one-pair part and the rest
         for phase in (0.0, 0.4, 1.3, 2.2, 2.9):
             law = _Law(law_grid_experiment(name, phase))
-            (clicks_a, first_a, _, _), (clicks_b, first_b, _, _) = law.sides
+            ((clicks_a, first_a), _), ((clicks_b, first_b), _) = law.sides
             joint = np.array(clicks_a).T @ np.array(law.weights) @ np.array(clicks_b)
             mid, none = law.mid, law.n_cells - 1
             one_pair = np.zeros_like(joint)
-            one_pair[mid, mid] = (
-                np.array(first_a)[:, mid].T @ np.array(law.pair) @ np.array(first_b)[:, mid]
-            )
+            # photon_first holds the central-window cells only
+            one_pair[mid, mid] = np.array(first_a).T @ np.array(law.pair) @ np.array(first_b)
             side = [0 if mid.start <= i < mid.stop else 2 if i == none else 1
                     for i in range(law.n_cells)]
             seen = np.zeros(joint.shape, dtype=int)
