@@ -24,7 +24,6 @@ _EXPORTS = {
     "FiberSpec": "fiber",
     "FitResult": "analysis",
     "FringePoint": "analysis",
-    "FringeScan": "analysis",
     "InterferometerSpec": "apparatus",
     "RunResult": "engine",
     "SourceConfig": "source",

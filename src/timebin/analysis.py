@@ -11,7 +11,7 @@ solution with no starting values or convergence concerns.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .grid import linspace
 from .record import Record, replace
@@ -19,6 +19,7 @@ from .record import Record, replace
 _MIN_POINTS = 5
 _MIN_DISTINCT_PHASES = 3
 _MIN_PHASE_SPAN = math.pi / 2
+_TURN = 2.0 * math.pi
 _SIGMA_FLOOR = 1e-12
 
 
@@ -27,33 +28,27 @@ class DegenerateScanError(ValueError):
 
 
 class FringePoint(Record):
-    """One phase-scan sample.
+    """One phase-scan sample; its fields are the scan's CSV columns.
 
     ``phase_rad`` is the interference phase (the cosine argument), not the
-    raw interferometer setting.  ``net_count`` is filled by
-    subtract_accidentals.
+    raw interferometer setting.  ``net`` is filled by subtract_accidentals.
+    A scan is a sequence of points, in scan order.
     """
 
     phase_rad: float
-    raw_count: int
-    accidental_estimate: float
-    net_count: float | None = None
+    raw: int
+    accidental: float
+    net: float | None = None
 
     def __post_init__(self) -> None:
-        if self.raw_count < 0:
-            raise ValueError("raw_count must be non-negative")
-        if self.accidental_estimate < 0.0:
-            raise ValueError("accidental_estimate must be non-negative")
-
-
-class FringeScan(Record):
-    """The points of one phase scan, in scan order."""
-
-    points: tuple[FringePoint, ...]
-
-    def __post_init__(self) -> None:
-        if not self.points:
-            raise ValueError("scan has no points")
+        if self.raw < 0:
+            raise ValueError(f"negative count {self.raw}")
+        if self.accidental < 0.0:
+            raise ValueError(f"negative accidental {self.accidental}")
+        for name in ("phase_rad", "accidental", "net"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"expected finite {name}, got {value}")
 
 
 class FitResult(Record):
@@ -76,10 +71,9 @@ class FitResult(Record):
     n_points: int
 
 
-def subtract_accidentals(scan: FringeScan) -> FringeScan:
+def subtract_accidentals(scan: Sequence[FringePoint]) -> tuple[FringePoint, ...]:
     """Fill net counts: raw minus estimated accidentals, clamped at zero."""
-    net = [max(p.raw_count - p.accidental_estimate, 0.0) for p in scan.points]
-    return FringeScan(points=tuple(replace(p, net_count=n) for p, n in zip(scan.points, net)))
+    return tuple(replace(p, net=max(p.raw - p.accidental, 0.0)) for p in scan)
 
 
 def _check_design(phases: list[float]) -> None:
@@ -92,7 +86,10 @@ def _check_design(phases: list[float]) -> None:
         raise DegenerateScanError(
             f"need at least {_MIN_DISTINCT_PHASES} distinct phases, got {n_distinct}"
         )
-    if max(phases) - min(phases) < _MIN_PHASE_SPAN:
+    # The span is measured on the circle: 2*pi less the widest gap between phases.
+    wrapped = sorted(phi % _TURN for phi in phases)
+    widest_gap = max(b - a for a, b in zip(wrapped, [*wrapped[1:], wrapped[0] + _TURN]))
+    if _TURN - widest_gap < _MIN_PHASE_SPAN:
         raise DegenerateScanError("phase span below pi/2 cannot constrain a fringe")
 
 
@@ -124,8 +121,8 @@ def _sum(terms: Iterable[float]) -> float:
     return total
 
 
-def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
-    """Weighted least-squares fit of O * [1 + V cos(phi - phi0)].
+def fit_fringe(scan: Sequence[FringePoint], *, use_net: bool = True) -> FitResult:
+    """Weighted least-squares fit of O * [1 + V cos(phi - phi0)] to the points ``scan``.
 
     Counting weights are Poissonian with a one-count variance floor.  The
     fit starts from raw-count weights and then reweights once from the
@@ -135,23 +132,21 @@ def fit_fringe(scan: FringeScan, *, use_net: bool = True) -> FitResult:
     subtract_accidentals fills; otherwise the raw counts are fitted.
     Each fit solves the 3 x 3 weighted normal equations.
     """
-    phases = [p.phase_rad for p in scan.points]
+    phases = [p.phase_rad for p in scan]
     if use_net:
-        if any(p.net_count is None for p in scan.points):
+        if any(p.net is None for p in scan):
             raise ValueError("scan has no net counts; run subtract_accidentals first")
-        counts = [p.net_count for p in scan.points]
+        counts = [p.net for p in scan]
         # Counting variance of a net point is still the raw count's variance;
         # the subtracted background shifts the mean, not the noise.
-        background = [p.accidental_estimate for p in scan.points]
+        background = [p.accidental for p in scan]
     else:
-        counts = [float(p.raw_count) for p in scan.points]
+        counts = [float(p.raw) for p in scan]
         background = [0.0] * len(phases)
-    if not all(math.isfinite(v) for v in (*phases, *counts, *background)):
-        raise DegenerateScanError("phases, counts and accidentals must be finite")
     _check_design(phases)
 
     design = [(1.0, math.cos(phi), math.sin(phi)) for phi in phases]
-    sigma2 = [max(float(p.raw_count), 1.0) for p in scan.points]
+    sigma2 = [max(float(p.raw), 1.0) for p in scan]
     for _ in range(2):
         weights = [1.0 / s2 for s2 in sigma2]
         cov = _inverse(

@@ -22,7 +22,6 @@ from . import __version__
 from .analysis import (
     DegenerateScanError,
     FringePoint,
-    FringeScan,
     fit_fringe,
     subtract_accidentals,
     visibility_vs_entanglement_curve,
@@ -50,7 +49,8 @@ EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO, EXIT_DEGENERATE = 0, 1, 2, 3, 4
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    """``x`` as CSV text: an int exactly, a float to 17 significant digits."""
+    return str(x) if isinstance(x, int) else format(x, ".17g")
 
 
 def _provenance_lines(cfg_hash: str, seed: Any) -> list[str]:
@@ -126,22 +126,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _scan_report(net_scan: FringeScan) -> dict[str, Any]:
+def _scan_report(net_scan: tuple[FringePoint, ...]) -> dict[str, Any]:
     """Raw and net fits and the points of a scan with its net counts filled."""
-    fit_raw = fit_fringe(net_scan, use_net=False)
-    fit_net = fit_fringe(net_scan, use_net=True)
     return {
-        "v_raw": asdict(fit_raw),
-        "v_net": asdict(fit_net),
-        "points": [
-            {
-                "phase_rad": p.phase_rad,
-                "raw": p.raw_count,
-                "accidental": p.accidental_estimate,
-                "net": p.net_count,
-            }
-            for p in net_scan.points
-        ],
+        "v_raw": asdict(fit_fringe(net_scan, use_net=False)),
+        "v_net": asdict(fit_fringe(net_scan, use_net=True)),
+        "points": [asdict(p) for p in net_scan],
     }
 
 
@@ -154,23 +144,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     points = run_phase_scan(
         replace(experiment, n_pulses=settings.n_pulses_per_point),
         list(settings.analyzer_phases_rad) * settings.repetitions,
-    ).points
+    )
     scans = [
-        subtract_accidentals(FringeScan(points=points[i : i + n_phases]))
-        for i in range(0, len(points), n_phases)
+        subtract_accidentals(points[i : i + n_phases]) for i in range(0, len(points), n_phases)
     ]
     reports = [_scan_report(scan) for scan in scans]
 
     multi = settings.repetitions > 1
     lines = _provenance_lines(cfg_hash, experiment.rng_seed)
-    lines.append(("rep," if multi else "") + "phase_rad,raw,accidental,net")
+    lines.append(("rep," if multi else "") + ",".join(FringePoint._fields))
     for rep, scan in enumerate(scans):
         prefix = f"{rep}," if multi else ""
-        lines += [
-            f"{prefix}{_fmt(p.phase_rad)},{p.raw_count},{_fmt(p.accidental_estimate)},"
-            f"{_fmt(p.net_count)}"
-            for p in scan.points
-        ]
+        lines += [prefix + ",".join(map(_fmt, asdict(p).values())) for p in scan]
     _write_text(args.out, "\n".join(lines) + "\n")
 
     report: dict[str, Any] = {
@@ -213,7 +198,7 @@ def _cmd_curve_mu(args: argparse.Namespace) -> int:
     return _write_curve(args, {"kind": "v_vs_mu", "mu": grid}, "mu,visibility", rows)
 
 
-def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
+def _parse_scan_csv(path: str, data: bytes) -> tuple[FringePoint, ...]:
     """The scan in ``data``, the contents of the CSV file ``path``."""
     try:
         raw_lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
@@ -231,7 +216,7 @@ def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
     named = ("phase_rad", "raw", "accidental")
     if not all(name in cols for name in named):
         raise ConfigFormatError(
-            f"{path}: line {header_no}: header must contain phase_rad, raw, accidental"
+            f"{path}: line {header_no}: header must contain {', '.join(named)}"
         )
     for name in named:
         if cols.count(name) > 1:
@@ -247,25 +232,16 @@ def _parse_scan_csv(path: str, data: bytes) -> FringeScan:
                 f"{path}: line {line_no}: expected {len(cols)} fields, got {len(parts)}"
             )
         try:
-            phase = float(parts[i_phase])
-            raw_count = int(parts[i_raw])
-            acc = float(parts[i_acc])
+            phase, raw, acc = float(parts[i_phase]), int(parts[i_raw]), float(parts[i_acc])
+            if raw > MAX_PULSES:
+                raise ValueError(f"count above {MAX_PULSES}")
+            points.append(FringePoint(phase_rad=phase, raw=raw, accidental=acc))
         except ValueError as exc:
+            # a field that does not parse, or a point that FringePoint refuses
             raise ConfigFormatError(f"{path}: line {line_no}: {exc}") from exc
-        if raw_count < 0:
-            raise ConfigFormatError(f"{path}: line {line_no}: negative count {raw_count}")
-        if raw_count > MAX_PULSES:
-            raise ConfigFormatError(f"{path}: line {line_no}: count above {MAX_PULSES}")
-        if acc < 0.0:
-            raise ConfigFormatError(f"{path}: line {line_no}: negative accidental {acc}")
-        if not (math.isfinite(phase) and math.isfinite(acc)):
-            raise ConfigFormatError(
-                f"{path}: line {line_no}: expected finite phase_rad and accidental"
-            )
-        points.append(FringePoint(phase_rad=phase, raw_count=raw_count, accidental_estimate=acc))
     if not points:
         raise ConfigFormatError(f"{path}: no data rows after header")
-    return FringeScan(points=tuple(points))
+    return tuple(points)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:

@@ -77,7 +77,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from operator import mul
 
-from .analysis import FringePoint, FringeScan, _sum
+from .analysis import FringePoint, _sum
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .record import Record, replace
@@ -526,7 +526,7 @@ def fringe_phase(config: ExperimentConfig) -> float:
     return first.phi_analyzer + last.phi_analyzer - config.source.phi_pump
 
 
-def run_phase_scan(config: ExperimentConfig, phases: Iterable[float]) -> FringeScan:
+def run_phase_scan(config: ExperimentConfig, phases: Iterable[float]) -> tuple[FringePoint, ...]:
     """Scan the (first) analyzer phase and record one fringe point per value.
 
     Each point runs the config's n_pulses pulses.  Point k's seed is the
@@ -547,8 +547,8 @@ def run_phase_scan(config: ExperimentConfig, phases: Iterable[float]) -> FringeS
         points.append(
             FringePoint(
                 phase_rad=fringe_phase(cfg),
-                raw_count=result.triple_coincidences,
-                accidental_estimate=float(result.accidental_coincidences),
+                raw=result.triple_coincidences,
+                accidental=float(result.accidental_coincidences),
             )
         )
-    return FringeScan(points=tuple(points))
+    return tuple(points)

@@ -106,11 +106,11 @@ def exact_fringe_scan(offset, visibility, repeats=1, background=0.0):
             points.append(
                 tb.FringePoint(
                     phase_rad=math.acos(c),
-                    raw_count=int(round(lam)),
-                    accidental_estimate=background,
+                    raw=int(round(lam)),
+                    accidental=background,
                 )
             )
-    return tb.FringeScan(points=tuple(points))
+    return tuple(points)
 
 
 @pytest.fixture()

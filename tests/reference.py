@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from timebin.analysis import DegenerateScanError, FringeScan, fit_fringe
+from timebin.analysis import DegenerateScanError, FringePoint, fit_fringe
 from timebin.states import _NORM_TOL, TimeBinState
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -77,7 +77,7 @@ def coincidence_probability(state: TimeBinState, phi_analyzer: float) -> float:
 
 
 def bootstrap_visibility_sigma(
-    scan: FringeScan,
+    scan: tuple[FringePoint, ...],
     *,
     n_resamples: int = 500,
     rng: np.random.Generator | None = None,
@@ -86,11 +86,11 @@ def bootstrap_visibility_sigma(
     """Cross-check of the fit uncertainty by resampling scan points."""
     if rng is None:
         rng = np.random.default_rng(0)
-    n = len(scan.points)
+    n = len(scan)
     values = []
     for _ in range(n_resamples):
         idx = rng.integers(0, n, n)
-        resampled = FringeScan(points=tuple(scan.points[i] for i in idx))
+        resampled = tuple(scan[i] for i in idx)
         try:
             values.append(fit_fringe(resampled, use_net=use_net).visibility_unclamped)
         except DegenerateScanError:

@@ -180,12 +180,9 @@ def test_fit_calibration():
     covered, sigmas = 0, []
     for _ in range(100):
         counts = rng.poisson(offset * (1.0 + v_true * np.cos(phases)))
-        scan = tb.FringeScan(
-            points=tuple(
-                tb.FringePoint(phase_rad=float(p), raw_count=int(c),
-                               accidental_estimate=0.0)
-                for p, c in zip(phases, counts)
-            )
+        scan = tuple(
+            tb.FringePoint(phase_rad=float(p), raw=int(c), accidental=0.0)
+            for p, c in zip(phases, counts)
         )
         fit = tb.fit_fringe(scan, use_net=False)
         sigmas.append(fit.visibility_sigma)

@@ -16,15 +16,9 @@ def poisson_scan(rng, offset, visibility, n_points=16, background=0.0):
     phases = np.array([math.pi * k / (n_points / 2) for k in range(n_points)])
     lam = offset * (1.0 + visibility * np.cos(phases)) + background
     counts = rng.poisson(lam)
-    return tb.FringeScan(
-        points=tuple(
-            tb.FringePoint(
-                phase_rad=float(p),
-                raw_count=int(c),
-                accidental_estimate=background,
-            )
-            for p, c in zip(phases, counts)
-        )
+    return tuple(
+        tb.FringePoint(phase_rad=float(p), raw=int(c), accidental=background)
+        for p, c in zip(phases, counts)
     )
 
 
@@ -32,7 +26,7 @@ class TestSubtractAccidentals:
     def test_zero_background_is_identity(self):
         scan = exact_fringe_scan(200, 0.5)
         net = tb.subtract_accidentals(scan)
-        assert all(p.net_count == p.raw_count for p in net.points)
+        assert all(p.net == p.raw for p in net)
 
     def test_uniform_background_restores_visibility(self):
         # fringe 1000*(1 + 0.5 cos) sitting on 200 flat background counts
@@ -50,13 +44,12 @@ class TestSubtractAccidentals:
         assert fit_net.visibility == pytest.approx(restored, abs=1e-10)
 
     def test_clamps_negative_net_counts(self):
-        point = tb.FringePoint(phase_rad=0.0, raw_count=3, accidental_estimate=5.0)
+        point = tb.FringePoint(phase_rad=0.0, raw=3, accidental=5.0)
         filler = [
-            tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=0.0)
-            for p in (0.8, 1.6, 2.4, 3.1)
+            tb.FringePoint(phase_rad=p, raw=10, accidental=0.0) for p in (0.8, 1.6, 2.4, 3.1)
         ]
-        net = tb.subtract_accidentals(tb.FringeScan(points=(point, *filler)))
-        assert net.points[0].net_count == 0.0
+        net = tb.subtract_accidentals((point, *filler))
+        assert net[0].net == 0.0
 
 
 class TestFitFringe:
@@ -79,12 +72,9 @@ class TestFitFringe:
     def test_phase_origin_recovered(self):
         phases = np.linspace(0.0, 2 * math.pi, 16, endpoint=False)
         lam = 10000 * (1 + 0.6 * np.cos(phases - 1.1))
-        scan = tb.FringeScan(
-            points=tuple(
-                tb.FringePoint(phase_rad=float(p), raw_count=int(round(c)),
-                               accidental_estimate=0.0)
-                for p, c in zip(phases, lam)
-            )
+        scan = tuple(
+            tb.FringePoint(phase_rad=float(p), raw=int(round(c)), accidental=0.0)
+            for p, c in zip(phases, lam)
         )
         fit = tb.fit_fringe(scan, use_net=False)
         assert fit.phase_origin_rad == pytest.approx(1.1, abs=1e-3)
@@ -102,58 +92,56 @@ class TestFitFringe:
             pytest.skip("no clamped draw produced")
 
     def test_too_few_points_rejected(self):
-        points = tuple(
-            tb.FringePoint(phase_rad=p, raw_count=5, accidental_estimate=0.0)
-            for p in (0.0, 1.0, 2.0)
-        )
+        points = tuple(tb.FringePoint(phase_rad=p, raw=5, accidental=0.0) for p in (0.0, 1.0, 2.0))
         with pytest.raises(DegenerateScanError):
-            tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
+            tb.fit_fringe(points, use_net=False)
 
     def test_two_distinct_phases_rejected(self):
         points = tuple(
-            tb.FringePoint(phase_rad=p, raw_count=5, accidental_estimate=0.0)
-            for p in (0.0, 0.0, 2.0, 2.0, 2.0)
+            tb.FringePoint(phase_rad=p, raw=5, accidental=0.0) for p in (0.0, 0.0, 2.0, 2.0, 2.0)
         )
         with pytest.raises(DegenerateScanError):
-            tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
+            tb.fit_fringe(points, use_net=False)
 
     def test_phases_coinciding_modulo_two_pi_rejected(self):
         points = tuple(
-            tb.FringePoint(phase_rad=2.0 * math.pi * k, raw_count=5,
-                           accidental_estimate=0.0)
-            for k in range(5)
+            tb.FringePoint(phase_rad=2.0 * math.pi * k, raw=5, accidental=0.0) for k in range(5)
         )
         with pytest.raises(DegenerateScanError):
-            tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
+            tb.fit_fringe(points, use_net=False)
 
     def test_narrow_span_rejected(self):
-        points = tuple(
-            tb.FringePoint(phase_rad=0.3 * k / 4, raw_count=5, accidental_estimate=0.0)
-            for k in range(5)
-        )
-        with pytest.raises(DegenerateScanError):
-            tb.fit_fringe(tb.FringeScan(points=points), use_net=False)
+        # The span is measured on the circle: the second scan crosses 2*pi and
+        # has the first's design matrix.
+        for phases in (
+            [0.3 * k / 4 for k in range(5)],
+            [2.0 * math.pi - 0.2, 2.0 * math.pi - 0.1, 0.0, 0.1, 0.2],
+        ):
+            points = tuple(tb.FringePoint(phase_rad=p, raw=5, accidental=0.0) for p in phases)
+            with pytest.raises(DegenerateScanError, match="span"):
+                tb.fit_fringe(points, use_net=False)
 
     @pytest.mark.parametrize(
         "phases, field",
         [
             ((0.0, 1.0, 2.0, 3.0, 4.0), "phase_rad"),
-            ((0.0, 1.0, 2.0, 3.0, 4.0), "accidental_estimate"),
-            # one finite phase: the finiteness check comes before the design's
+            ((0.0, 1.0, 2.0, 3.0, 4.0), "accidental"),
+            ((0.0, 1.0, 2.0, 3.0, 4.0), "net"),
+            # the point refuses a non-finite phase before any fit sees the scan
             ((0.0, math.nan, math.nan, math.nan, math.nan), None),
+            ((0.0, 1.0, 2.0, math.nan, math.nan), None),
         ],
-        ids=["phase_rad", "accidental_estimate", "nan_phases"],
+        ids=["phase_rad", "accidental_estimate", "net", "nan_phases", "nan_among_distinct"],
     )
     def test_non_finite_input_rejected(self, phases, field):
-        points = [
-            tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=1.0)
-            for p in phases
-        ]
-        if field is not None:
-            points[2] = replace(points[2], **{field: math.nan})
-        scan = tb.subtract_accidentals(tb.FringeScan(points=tuple(points)))
-        with pytest.raises(DegenerateScanError, match="finite"):
-            tb.fit_fringe(scan)
+        if field is None:
+            with pytest.raises(ValueError, match="finite"):
+                [tb.FringePoint(phase_rad=p, raw=10, accidental=1.0) for p in phases]
+            return
+        point = tb.FringePoint(phase_rad=phases[2], raw=10, accidental=1.0, net=9.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                replace(point, **{field: value})
 
     def test_default_fits_net_counts_only(self):
         # the default is the net fit; an unsubtracted scan has nothing to fit
@@ -166,20 +154,11 @@ class TestFitFringe:
             [0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
             [0.0, -0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
             [-0.0, 0.0, 2.0, 2.0, 2.0],
-            [0.0, 1.0, 2.0, math.nan, math.nan],
         ],
     )
     def test_repeated_phases_counted_as_np_unique_counts(self, phases):
-        scan = tb.FringeScan(
-            points=tuple(
-                tb.FringePoint(phase_rad=p, raw_count=10, accidental_estimate=0.0)
-                for p in phases
-            )
-        )
-        if not np.isfinite(phases).all():
-            with pytest.raises(DegenerateScanError, match="finite"):
-                tb.fit_fringe(scan, use_net=False)
-        elif np.unique(phases).size < 3:
+        scan = tuple(tb.FringePoint(phase_rad=p, raw=10, accidental=0.0) for p in phases)
+        if np.unique(phases).size < 3:
             with pytest.raises(DegenerateScanError, match="distinct"):
                 tb.fit_fringe(scan, use_net=False)
         else:

@@ -185,6 +185,12 @@ class TestRun:
                      "--out", str(tmp_path / out)]) == code
 
 
+# The paper's 11 km link, scanned three times.
+_ELEVEN_KM_REPEATED = {
+    "fiber_a": {"length_km": 11}, "fiber_b": {"length_km": 11}, "scan": {"repetitions": 3}
+}
+
+
 class TestScan:
     def test_built_in_scan_csv_is_pinned(self, tmp_path):
         """The built-in scan's bytes.  Its stream is plain Python, the same on every
@@ -203,6 +209,33 @@ class TestScan:
         assert hashlib.sha256((tmp_path / "scan.csv.fit.json").read_bytes()).hexdigest() == (
             "dd22d1d1604af079df81ba15ddd6b0c7a5bc40cf33f3256cf777e0f95388bebd"
         )
+
+    @pytest.mark.parametrize(
+        "command, document, output, digest",
+        [
+            ("run", None, "out.csv",
+             "605a57febbe503ef53fa2d5f577000ae17debc300dea7cb3263cf267050e8dfd"),
+            ("fit", None, "fit.json",
+             "92965bb00a68d77577141ffcfbaf903e48c5b3f3b99c2aa62a1630fee401e4c6"),
+            ("scan", _ELEVEN_KM_REPEATED, "out.csv",
+             "e490e5d263c93a8e735d499cf960fd0d8eb86c55f99e5a0d95a4b6cd048133c5"),
+            ("scan", _ELEVEN_KM_REPEATED, "out.csv.fit.json",
+             "3fe98d36989d4931e1b70cf0b372c4e37effe91e0decdc7d2338337262f56dbd"),
+        ],
+        ids=["built_in_run_csv", "built_in_scan_refit", "repeated_scan_csv",
+             "repeated_scan_report"],
+    )
+    def test_output_is_pinned(self, tmp_path, command, document, output, digest):
+        """The bytes of a run, a refit and a repeated scan (with its ``rep`` column),
+        the same on every supported version."""
+        config = [] if document is None else ["--config", write_config(tmp_path, document)]
+        out = str(tmp_path / "out.csv")
+        if command == "fit":
+            assert main(["scan", *config, "--out", out]) == 0
+            assert main(["fit", out, "--out", str(tmp_path / "fit.json")]) == 0
+        else:
+            assert main([command, *config, "--out", out]) == 0
+        assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
 
     def test_scan_writes_csv_and_report(self, tmp_path):
         cfg = small_config()
@@ -291,6 +324,12 @@ class TestScan:
              1, "phase_linspace.num"),
             # 8 phases x 12 501 repetitions: the first count above 1e5 points
             ("scan.repetitions", 12_501, 1, "repetitions is more than 100000 points"),
+            ("scan.repetitions", 0, 1, "scan.repetitions: expected a positive integer"),
+            ("scan.n_pulses_per_point", 0, 1,
+             "scan.n_pulses_per_point: expected a positive integer"),
+            ("scan.phase_linspace", [], 1, "scan.phase_linspace: expected an object"),
+            ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0}, 1,
+             "missing key(s) ['num']"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
@@ -415,6 +454,7 @@ class TestCurve:
             ["v_vs_mu", "--mu", "0.1,0.2", "--mu-min", "nan"],
             ["v_vs_mu", "--mu", "0.1,0.2", "--mu-max", "0.5"],
             ["v_vs_mu", "--mu", "0.1,0.2", "--points", "3"],
+            ["v_vs_mu", "--mu", "abc"],
         ]
         for args in bad:
             out = tmp_path / "x.csv"
@@ -483,6 +523,10 @@ class TestFit:
                 b"phase_rad,raw,accidental,raw\n" + _GOOD_ROWS.replace(b"\n", b",0\n"),
                 "line 1: header names raw more than once",
             ),
+            (b"", "no data rows\n"),
+            (_SCAN_HEADER, "no data rows after header"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,-1\n", "line 7: negative accidental -1.0"),
+            (_SCAN_HEADER + _GOOD_ROWS + b"2.5,x,1\n", "line 7: invalid literal for int()"),
         ],
         ids=[
             "missing_column",
@@ -492,6 +536,10 @@ class TestFit:
             "oversized_count",
             "extra_field",
             "duplicate_column",
+            "empty",
+            "header_only",
+            "negative_accidental",
+            "non_integer_count",
         ],
     )
     def test_malformed_csv(self, tmp_path, capsys, contents, message):
@@ -499,3 +547,7 @@ class TestFit:
         csv.write_bytes(contents)
         assert main(["fit", str(csv), "--out", str(tmp_path / "r.json")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_missing_csv_is_an_io_error(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.json")]) == 3
+        assert "cannot read" in capsys.readouterr().err

@@ -285,15 +285,15 @@ class TestPhaseScan:
     def test_scan_records_fringe_phase_and_integration(self):
         cfg = ideal_experiment(n_pulses=10**5, phi_pump=0.4)
         scan = tb.run_phase_scan(cfg, [0.0, 0.5])
-        assert scan.points[0].phase_rad == pytest.approx(-0.4, abs=1e-12)
-        assert scan.points[1].phase_rad == pytest.approx(2 * 0.5 - 0.4, abs=1e-12)
+        assert scan[0].phase_rad == pytest.approx(-0.4, abs=1e-12)
+        assert scan[1].phase_rad == pytest.approx(2 * 0.5 - 0.4, abs=1e-12)
 
     def test_single_point_scan_counts_follow_probability(self):
         cfg = ideal_experiment(n_pulses=10**6, seed=5)
         scan = tb.run_phase_scan(cfg, [0.0])
         norm = 1.0 - math.exp(-0.01)
         expected = 10**6 * norm * (1 + truncated_mean_inverse(0.01)) / 16.0
-        assert abs(scan.points[0].raw_count - expected) <= 4.0 * math.sqrt(expected)
+        assert abs(scan[0].raw - expected) <= 4.0 * math.sqrt(expected)
 
     def test_scan_is_deterministic(self):
         cfg = ideal_experiment(n_pulses=10**5, seed=6)

@@ -33,7 +33,7 @@ def test_public_surface_is_what_the_law_cli_and_benchmark_use():
     assert sorted(timebin.__all__) == [
         "CoincidenceHistogram", "CoincidenceWindows", "ConfigurationError",
         "DegenerateScanError", "DetectorSpec", "ExperimentConfig", "FiberSpec",
-        "FitResult", "FringePoint", "FringeScan", "InterferometerSpec", "RunResult",
+        "FitResult", "FringePoint", "InterferometerSpec", "RunResult",
         "SourceConfig", "TimeBinState", "apply_phase_jitter", "broadened_pulse_width",
         "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_tallies",
         "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
@@ -149,7 +149,7 @@ def _run_result(**changes):
     return timebin.RunResult(**{**fields, **changes})
 
 
-_POINT = timebin.FringePoint(phase_rad=0.5, raw_count=10, accidental_estimate=1.0)
+_POINT = timebin.FringePoint(phase_rad=0.5, raw=10, accidental=1.0)
 # Each record: an instance, a valid change of one field, and a change its
 # validation refuses (None for records that accept any values).
 RECORDS = {
@@ -170,10 +170,7 @@ RECORDS = {
         timebin.CoincidenceHistogram((0.0, 1.0, 2.0), (3, 4)), {"counts": (4, 3)}, None
     ),
     "RunResult": (_run_result(), {"singles_a": 11}, {"accidental_coincidences": 4}),
-    "FringePoint": (_POINT, {"raw_count": 11}, {"raw_count": -1}),
-    "FringeScan": (
-        timebin.FringeScan(points=(_POINT,)), {"points": (_POINT, _POINT)}, {"points": ()}
-    ),
+    "FringePoint": (_POINT, {"raw": 11}, {"raw": -1}),
     "FitResult": (
         timebin.FitResult(0.9, 0.01, 0.9, False, 10.0, 100.0, 0.1, 1.5, 12),
         {"visibility": 0.8},
