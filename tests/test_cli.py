@@ -463,6 +463,24 @@ class TestCurve:
             assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["v_vs_e"],
+             "efa3a337608eb494829e2bddedd1b64a3b66ae03d0c3a779591b181cec535590"),
+            (["v_vs_mu"],
+             "8d30f2555a03c04a508b6a9649d4430a123ea69df550199ae1c664610b4c9610"),
+            (["v_vs_mu", "--mu", "0.05,0.1,0.4,60"],
+             "c5360eb3f48b225c781787424f58e4896720110180284a8d85ee376a1640c8ba"),
+        ],
+        ids=["v_vs_e_default", "v_vs_mu_default", "v_vs_mu_list_with_asymptotic"],
+    )
+    def test_output_is_pinned(self, tmp_path, argv, digest):
+        """The bytes of each curve kind; mu = 60 takes the asymptotic branch."""
+        out = tmp_path / "curve.csv"
+        assert main(["curve", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "option, value",
         [("--mu", "nan"), ("--mu", "0.1,inf"), ("--mu-min", "nan"), ("--mu-max", "inf")],
     )
