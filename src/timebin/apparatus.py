@@ -23,11 +23,8 @@ field defaults are the shipped apparatus, and the only copy of it:
 
 from __future__ import annotations
 
-import math
-
 from .record import Record
-
-_TWO_PI = 2.0 * math.pi
+from .states import wrap_phase
 
 
 class InterferometerSpec(Record):
@@ -44,9 +41,7 @@ class InterferometerSpec(Record):
     def __post_init__(self) -> None:
         if self.excess_loss_db < 0.0 or self.circulator_loss_db < 0.0:
             raise ValueError("losses must be non-negative")
-        # A tiny negative phase modulo 2*pi rounds up to 2*pi itself; the
-        # second modulo takes that to 0, so the stored phase lies in [0, 2*pi).
-        object.__setattr__(self, "phi_analyzer", self.phi_analyzer % _TWO_PI % _TWO_PI)
+        object.__setattr__(self, "phi_analyzer", wrap_phase(self.phi_analyzer))
 
 
 class DetectorSpec(Record):

@@ -11,11 +11,11 @@ line), 2 config validation error, 3 I/O error, 4 degenerate fit design.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
 import sys
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 from . import __version__
@@ -33,6 +33,7 @@ from .config_io import (
     ConfigValidationError,
     build_experiment,
     config_hash,
+    digest,
     effective_config_dict,
     load_config_file,
 )
@@ -48,17 +49,14 @@ if TYPE_CHECKING:
 EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_IO, EXIT_DEGENERATE = 0, 1, 2, 3, 4
 
 
-def _fmt(x: float) -> str:
-    """``x`` as CSV text: an int exactly, a float to 17 significant digits."""
-    return str(x) if isinstance(x, int) else format(x, ".17g")
+def _fmt(x: Any) -> str:
+    """``x`` as CSV text: a float to 17 significant digits, anything else with ``str``."""
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
-def _provenance_lines(cfg_hash: str, seed: Any) -> list[str]:
-    return [
-        f"# config_hash={cfg_hash}",
-        f"# seed={seed}",
-        f"# version={__version__}",
-    ]
+def _provenance(cfg_hash: str, seed: Any) -> dict[str, Any]:
+    """What every output starts with: the config hash, the seed and the version."""
+    return {"config_hash": cfg_hash, "seed": seed, "version": __version__}
 
 
 @contextmanager
@@ -71,9 +69,12 @@ def _output(path: str):
         raise _IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_csv(path: str, meta: dict[str, Any], header: Iterable[str], rows: Iterable) -> None:
+    """Write one ``# key=value`` line per ``meta`` item, then the CSV ``header`` and ``rows``."""
     with _output(path) as fh:
-        fh.write(text)
+        fh.writelines(f"# {key}={_fmt(value)}\n" for key, value in meta.items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_report(path: str, report: dict[str, Any]) -> None:
@@ -106,23 +107,14 @@ def _load(args: argparse.Namespace):
 def _cmd_run(args: argparse.Namespace) -> int:
     experiment, _, cfg_hash = _load(args)
     result = run_pulses(experiment)
-    lines = _provenance_lines(cfg_hash, experiment.rng_seed)
-    lines += [
-        f"# n_pulses={result.n_pulses}",
-        f"# duration_s={_fmt(result.duration_s)}",
-        f"# singles_a={result.singles_a}",
-        f"# singles_b={result.singles_b}",
-        f"# middle_singles_a={result.middle_singles_a}",
-        f"# middle_singles_b={result.middle_singles_b}",
-        f"# triple_coincidences={result.triple_coincidences}",
-        f"# accidental_coincidences={result.accidental_coincidences}",
-        "time_ns,counts_a,counts_b",
+    # The tally lines are the result's public fields, in order.
+    meta = _provenance(cfg_hash, experiment.rng_seed)
+    meta.update((name, value) for name, value in asdict(result).items() if name[0] != "_")
+    hist_a, hist_b = result.histogram_a, result.histogram_b
+    rows = [
+        (t * 1e9, ca, cb) for t, ca, cb in zip(hist_a.bin_centers_s, hist_a.counts, hist_b.counts)
     ]
-    for t, ca, cb in zip(
-        result.histogram_a.bin_centers_s, result.histogram_a.counts, result.histogram_b.counts
-    ):
-        lines.append(f"{_fmt(t * 1e9)},{ca},{cb}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, meta, ("time_ns", "counts_a", "counts_b"), rows)
     return EXIT_OK
 
 
@@ -151,28 +143,14 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     reports = [_scan_report(scan) for scan in scans]
 
     multi = settings.repetitions > 1
-    lines = _provenance_lines(cfg_hash, experiment.rng_seed)
-    lines.append(("rep," if multi else "") + ",".join(FringePoint._fields))
-    for rep, scan in enumerate(scans):
-        prefix = f"{rep}," if multi else ""
-        lines += [prefix + ",".join(map(_fmt, asdict(p).values())) for p in scan]
-    _write_text(args.out, "\n".join(lines) + "\n")
-
-    report: dict[str, Any] = {
-        "config_hash": cfg_hash,
-        "seed": experiment.rng_seed,
-        "version": __version__,
-    }
-    report.update({"repetitions": reports} if multi else reports[0])
+    # A repeated scan leads each row with its repetition; a single one drops that column.
+    drop = 0 if multi else 1
+    header = ("rep", *FringePoint._fields)[drop:]
+    rows = [(rep, *asdict(p).values())[drop:] for rep, scan in enumerate(scans) for p in scan]
+    provenance = _provenance(cfg_hash, experiment.rng_seed)
+    _write_csv(args.out, provenance, header, rows)
+    report = {**provenance, **({"repetitions": reports} if multi else reports[0])}
     _write_report(args.out + ".fit.json", report)
-    return EXIT_OK
-
-
-def _write_curve(args: argparse.Namespace, params: dict[str, Any], header: str, rows) -> int:
-    lines = _provenance_lines(config_hash(params), "none")
-    lines.append(header)
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
-    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -180,8 +158,9 @@ def _cmd_curve_e(args: argparse.Namespace) -> int:
     if not 2 <= args.points <= MAX_SCAN_POINTS:
         raise ConfigFormatError(f"--points: expected 2 to {MAX_SCAN_POINTS}, got {args.points}")
     rows = visibility_vs_entanglement_curve(args.points)
-    params = {"kind": "v_vs_e", "points": args.points}
-    return _write_curve(args, params, "entanglement_bits,visibility", rows)
+    provenance = _provenance(config_hash({"kind": "v_vs_e", "points": args.points}), "none")
+    _write_csv(args.out, provenance, ("entanglement_bits", "visibility"), rows)
+    return EXIT_OK
 
 
 def _cmd_curve_mu(args: argparse.Namespace) -> int:
@@ -195,7 +174,9 @@ def _cmd_curve_mu(args: argparse.Namespace) -> int:
         if not grid or not all(0.0 < mu < math.inf for mu in grid):
             raise ConfigFormatError(f"--mu: expected positive finite numbers, got {args.mu}")
     rows = [(mu, multipair_visibility(mu)) for mu in grid]
-    return _write_curve(args, {"kind": "v_vs_mu", "mu": grid}, "mu,visibility", rows)
+    provenance = _provenance(config_hash({"kind": "v_vs_mu", "mu": grid}), "none")
+    _write_csv(args.out, provenance, ("mu", "visibility"), rows)
+    return EXIT_OK
 
 
 def _parse_scan_csv(path: str, data: bytes) -> tuple[FringePoint, ...]:
@@ -251,13 +232,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _IoFailure(f"cannot read {args.scan_csv}: {exc}") from exc
     scan = subtract_accidentals(_parse_scan_csv(args.scan_csv, data))
-    report = {
-        "config_hash": hashlib.sha256(data).hexdigest()[:16],
-        "seed": "none",
-        "version": __version__,
-    }
-    report.update(_scan_report(scan))
-    _write_report(args.out, report)
+    # A refit's hash is the hash of the CSV it read.
+    _write_report(args.out, {**_provenance(digest(data), "none"), **_scan_report(scan)})
     return EXIT_OK
 
 

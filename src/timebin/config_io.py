@@ -17,11 +17,20 @@ that describe the same run share one hash.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
 from collections.abc import Iterable
+
+# The interpreter's own sha256, as random.py takes its sha512: hashlib would
+# load OpenSSL for the one digest a command takes.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 on
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .engine import ExperimentConfig
@@ -150,10 +159,14 @@ def default_config_dict() -> dict[str, Any]:
     return effective_config_dict({})
 
 
+def digest(data: bytes) -> str:
+    """The hash an output's provenance carries: the first 16 hex digits of sha256."""
+    return _sha256(data).hexdigest()[:16]
+
+
 def config_hash(cfg: dict[str, Any]) -> str:
     """Stable hash of a config document (canonical JSON, sorted keys)."""
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    return digest(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode())
 
 
 def load_config_file(path: str) -> dict[str, Any]:

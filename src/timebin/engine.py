@@ -141,17 +141,18 @@ class RunResult(Record):
     involved, or photons of different pairs in a multi-pair pulse) - the
     noise floor an experimenter estimates with a shifted coincidence
     window, known exactly here.  The two histograms are made on the first
-    read of either, and ``==`` compares the other fields only.
+    read of either, and ``==`` compares the other fields only.  The other
+    fields, in order, are the ``#`` tally lines of ``timebin run``'s CSV.
     """
 
+    n_pulses: int
+    duration_s: float
     singles_a: int
     singles_b: int
     middle_singles_a: int
     middle_singles_b: int
     triple_coincidences: int
     accidental_coincidences: int
-    n_pulses: int
-    duration_s: float
     _histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]]
 
     def __post_init__(self) -> None:
@@ -460,14 +461,14 @@ def _from_classes(
     pair, accidental, co, cn, oc, oo, on, nc, no, _ = counts
     middle_a, middle_b = pair + accidental + co + cn, pair + accidental + oc + nc
     return RunResult(
+        n_pulses=config.n_pulses,
+        duration_s=config.n_pulses / config.source.rep_rate_hz,
         singles_a=middle_a + oc + oo + on,
         singles_b=middle_b + co + oo + no,
         middle_singles_a=middle_a,
         middle_singles_b=middle_b,
         triple_coincidences=pair + accidental,
         accidental_coincidences=accidental,
-        n_pulses=config.n_pulses,
-        duration_s=config.n_pulses / config.source.rep_rate_hz,
         _histograms=histograms,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from .record import Record
-from .states import TimeBinState
+from .states import TimeBinState, wrap_phase
 
 # 100 ps full width at half maximum as an RMS width, to five digits
 # (100 ps / (2 sqrt(2 ln 2)) = 42.46609 ps).
@@ -28,7 +28,8 @@ class SourceConfig(Record):
     ``mean_pairs`` is the mean number of photon pairs per pump pulse.
     ``arm_attenuation_a`` / ``_b`` are linear power transmissions of the
     short and long pump arms; ``bin_separation_s`` is the pump
-    interferometer delay separating the two time bins.
+    interferometer delay separating the two time bins.  ``phi_pump`` is
+    stored modulo 2*pi, as the analyzer phases are.
     """
 
     rep_rate_hz: float = 8.0e7
@@ -44,6 +45,7 @@ class SourceConfig(Record):
             raise ValueError("rep_rate_hz must be positive")
         if self.mean_pairs < 0.0:
             raise ValueError("mean_pairs must be non-negative")
+        object.__setattr__(self, "phi_pump", wrap_phase(self.phi_pump))
         self.state()  # checks the arm attenuations
         if self.pulse_width_s <= 0.0:
             raise ValueError("pulse_width_s must be positive")

@@ -14,7 +14,8 @@ contributions whose relative phase drives the coincidence fringe.
 The engine's outcome law carries that fringe through the whole apparatus.
 This module holds the state the source prepares and two closed-form
 measures of it: its entanglement entropy and the fringe visibility of an
-ideal apparatus, 2*alpha*beta.
+ideal apparatus, 2*alpha*beta.  ``wrap_phase`` is the one rule by which
+the source and the analyzers store a phase: modulo 2*pi.
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ import math
 from .record import Record
 
 _NORM_TOL = 1e-12
+_TWO_PI = 2.0 * math.pi
+
+
+def wrap_phase(phi: float) -> float:
+    """``phi`` modulo 2*pi, in [0, 2*pi)."""
+    # A tiny negative phase modulo 2*pi rounds up to 2*pi itself; the
+    # second modulo takes that to 0.
+    return phi % _TWO_PI % _TWO_PI
 
 
 class TimeBinState(Record):

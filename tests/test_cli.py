@@ -237,6 +237,16 @@ class TestScan:
             assert main([command, *config, "--out", out]) == 0
         assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("pump_phase", [1e16, 1e308])
+    def test_large_pump_phase_keeps_every_point(self, tmp_path, pump_phase):
+        """The pump phase is stored modulo 2*pi, so adding it cannot round
+        the scan's twelve fringe phases together."""
+        out = tmp_path / "scan.csv"
+        config = write_config(tmp_path, {"source": {"pump_phase_rad": pump_phase}})
+        assert main(["scan", "--config", config, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len({float(row[0]) for row in rows}) == len(rows) == 12
+
     def test_scan_writes_csv_and_report(self, tmp_path):
         cfg = small_config()
         cfg["source"]["mean_pairs"] = 0.05
