@@ -7,12 +7,13 @@ factor; the allowed keys, the unit conversions and the built-in document
 all come from these tables.  A key left out takes its record's own
 default, so every default is written once, in the records.  Unknown
 keys are rejected so typos fail loudly instead of silently falling back
-to defaults.  The scan follows the same rule: a document without a grid
-scans the default one, and without ``n_pulses_per_point`` each point runs
-``run.n_pulses`` pulses, so ``build_experiment`` always returns complete
-scan settings.  ``effective_config_dict`` writes what was built back out
-as a complete document, which is what ``config_hash`` covers: documents
-that describe the same run share one hash.
+to defaults, and so is a key given twice in one object.  The scan
+follows the same rule: a document without a grid scans the default one,
+and without ``n_pulses_per_point`` each point runs ``run.n_pulses``
+pulses, so ``build_experiment`` always returns complete scan settings.
+``effective_config_dict`` writes what was built back out as a complete
+document, which is what ``config_hash`` covers: documents that describe
+the same run share one hash.
 """
 
 from __future__ import annotations
@@ -169,10 +170,22 @@ def config_hash(cfg: dict[str, Any]) -> str:
     return digest(json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode())
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, refused if it names a key twice: json would keep the last."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigFormatError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config_file(path: str) -> dict[str, Any]:
     with open(path, encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_pairs_hook=_object)
+        except ConfigFormatError as exc:
+            raise ConfigFormatError(f"{path}: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigFormatError(f"{path}: not UTF-8 text: {exc}") from exc
         # ValueError covers JSONDecodeError and integer literals past Python's

@@ -56,12 +56,14 @@ steps:
 Runs.  Every scalar count of a RunResult depends on a pulse's outcome
 only through its class: each side clicks in the central window, clicks
 elsewhere or does not click, and a central-central coincidence is one-pair
-or accidental, ten classes in all.  Their probabilities are the same
-product taken with each side's click law summed by class, its floats
-added left to right on every Python.  Summing the outcomes of a multinomial
-by class gives a multinomial, so a run draws its ten class counts, as
-conditional binomials on ``random.Random(rng_seed)``, and its scalars have
-the law of one draw over all outcomes, for any n_pulses up to 2**63 - 1.
+or accidental, ten classes in all.  The cells of each side class are
+decided once, as ``_cells``' side groups.  ``_Law._resolve`` takes the
+product with each side's click law summed over its groups, as it does for
+the outcomes, its floats added left to right on every Python.  Summing the
+outcomes of a multinomial by class gives a multinomial, so a run draws its
+ten class counts, as conditional binomials on ``random.Random(rng_seed)``,
+and its scalars have the law of one draw over all outcomes, for any
+n_pulses up to 2**63 - 1.
 The histograms are drawn on first read: the same stream goes on to split
 each class count over the class's outcomes, by the same sampler, which
 completes that one draw.  Results depend only on (rng_seed, n_pulses).
@@ -207,8 +209,9 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
 
     Returns the histogram's bin edges, the cell edges (from -inf to inf:
     the outer cells belong to the edge bins), which cells lie in a window,
-    the slice of central-window cells and the first cell of every bin, as
-    tuples shared between calls.
+    the side groups and the first cell of every bin, as tuples shared
+    between calls.  The side groups are the one place a click's class is
+    decided: central-window cells, every other time cell, and "no click".
     """
     nbins = 3 * _HIST_BINS_PER_DELAY
     step = 3.0 * delay_s / nbins
@@ -220,11 +223,12 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
     inner = [e for e in bin_edges[1:-1] if min(abs(e - cut) for cut in cuts) > tol]
     edges = (-math.inf, *sorted(inner + cuts), math.inf)
     window = _classify(windows, delay_s, edges[:-1])
-    central = [i for i, k in enumerate(window) if k == 1]
     # The central window is empty below float resolution.
-    mid = slice(central[0], central[-1] + 1) if central else slice(0, 0)
+    central = tuple(i for i, k in enumerate(window) if k == 1)
+    other = tuple(i for i, k in enumerate(window) if k != 1)
+    groups = (central, other, (len(window),))  # "no click" is the last column
     bin_starts = (0, *(bisect_left(edges, e - tol) for e in bin_edges[1:-1]))
-    return bin_edges, edges, tuple(k < 3 for k in window), mid, bin_starts
+    return bin_edges, edges, tuple(k < 3 for k in window), groups, bin_starts
 
 
 @lru_cache(maxsize=32)
@@ -236,12 +240,11 @@ def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float
     Gaussian spread ``sigma_s``, row 3 for no photon, the last column for
     no click; ``photon_first`` has 3 rows of central-window cells, the
     part of rows 0-2 where the photon beat the dark candidate.  Then the
-    class law, the same pair with each row of ``clicks`` summed into
-    (central-window click, other click, no click) and each row of
-    ``photon_first`` summed over the central window.  All are tuples,
-    shared between calls.
+    class law, the same pair with each row of ``clicks`` summed over each
+    of ``_cells``' side groups and each row of ``photon_first`` summed over
+    the central group.  All are tuples, shared between calls.
     """
-    _, edges, in_window, mid, _ = _cells(windows, delay_s)
+    _, edges, in_window, groups, _ = _cells(windows, delay_s)
     width = windows.window_width_s
     p_dark = 1.0 - (1.0 - min(dark_rate_cps * width, 1.0)) ** 3
     density = p_dark / (3.0 * width)
@@ -280,14 +283,11 @@ def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float
             )
             photon.append(first)
             click.append(first + q * sigma_s * (antider[i + 1] - antider[i]))
-        photon_first.append(tuple(photon[mid]))
+        photon_first.append(tuple(photon[i] for i in groups[0]))
         clicks.append((*click, 0.0))
     clicks.append((*dark, 1.0 - _sum(dark)))
 
-    classes = tuple(
-        (_sum(row[mid]), _sum(row[: mid.start]) + _sum(row[mid.stop : -1]), row[-1])
-        for row in clicks
-    )
+    classes = tuple(tuple(_sum(row[i] for i in group) for group in groups) for row in clicks)
     photon_central = tuple((_sum(row),) for row in photon_first)
     return (tuple(clicks), tuple(photon_first)), (classes, photon_central)
 
@@ -306,14 +306,14 @@ class _Law:
     photon-state law W (4 x 4) and ``pair`` its part where both sides'
     photons come from one pair (3 x 3).  ``class_probs`` resolves the law
     with the class laws of the two sides, ``outcomes`` with their cell
-    laws; both go through ``_product``.
+    laws; both go through ``_resolve``.
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
         src, windows = config.source, config.windows
         state = src.state()
         delay = src.bin_separation_s
-        self.bin_edges_s, edges, _, self.mid, self.bin_starts = _cells(windows, delay)
+        self.bin_edges_s, edges, _, self.groups, self.bin_starts = _cells(windows, delay)
         self.n_cells = len(edges)  # the time cells and "no click"
 
         first, last = config.analyzers[0], config.analyzers[-1]
@@ -374,43 +374,39 @@ class _Law:
         self.weights[3][3] += math.exp(-mu)
         self.pair = [[p_pair * self.p_same * s for s in row[:3]] for row in same[:3]]
 
-    def class_probs(self) -> list[float]:
-        """Probabilities of the ten outcome classes, in the order of ``_from_classes``.
-
-        With side classes (central, other, none): the central-central
-        one-pair and accidental classes, then the other eight pairs of side
-        classes in row-major order, "none, none" last.
-        """
-        (_, (classes_a, central_a)), (_, (classes_b, central_b)) = self.sides
-        joint = [p for row in _product(classes_a, self.weights, classes_b) for p in row]
-        [[pair]] = _product(central_a, self.pair, central_b)
-        return [max(p, 0.0) for p in (pair, joint[0] - pair, *joint[1:])]
-
-    @cached_property
-    def outcomes(self) -> list[tuple[list[tuple[int, int]], list[float]]]:
+    def _resolve(self, laws, groups) -> list[tuple[list[tuple[int, int]], list[float]]]:
         """Every outcome's (side a cell, side b cell) and probability, per class.
 
-        The classes are those of ``class_probs``.  An outcome is a cell of
-        C_a^T W C_b, except in the central-window block: there the part
+        ``laws`` are the two sides' (clicks, photon_first) and ``groups``
+        the columns of ``clicks`` in each side class; ``photon_first``'s
+        columns are those of the central group.  An outcome is a cell of
+        C_a^T W C_b, except in the central-central block: there the part
         where both photons of one pair beat their dark candidates is class
-        0, and the rest of the cell is class 1.
+        0, and the rest of the cell is class 1.  The other eight pairs of
+        side classes follow in row-major order, "none, none" last.
         """
-        ((clicks_a, first_a), _), ((clicks_b, first_b), _) = self.sides
+        (clicks_a, first_a), (clicks_b, first_b) = laws
         joint = _product(clicks_a, self.weights, clicks_b)
         one_pair = [p for row in _product(first_a, self.pair, first_b) for p in row]
-        mid = range(self.mid.start, self.mid.stop)
-        other = [i for i in range(self.n_cells - 1) if i not in mid]
-        groups = (mid, other, [self.n_cells - 1])  # click central, elsewhere, none
-
         classes = []
-        for a, b in product(groups, groups):
-            cells = list(product(a, b))
+        for a, b in product(range(3), repeat=2):
+            cells = list(product(groups[a], groups[b]))
             probs = [joint[i][j] for i, j in cells]
-            if a is mid and b is mid:
+            if a == b == 0:
                 classes.append((cells, [max(p, 0.0) for p in one_pair]))
                 probs = [p - q for p, q in zip(probs, one_pair)]
             classes.append((cells, [max(p, 0.0) for p in probs]))
         return classes
+
+    def class_probs(self) -> list[float]:
+        """Probabilities of the ten outcome classes, in the order of ``_from_classes``."""
+        laws = [classes for _, classes in self.sides]
+        return [p for _, (p,) in self._resolve(laws, ((0,), (1,), (2,)))]
+
+    @cached_property
+    def outcomes(self) -> list[tuple[list[tuple[int, int]], list[float]]]:
+        """Every outcome's (side a cell, side b cell) and probability, per class."""
+        return self._resolve([cells for cells, _ in self.sides], self.groups)
 
 
 def _multinomial(rng: random.Random, n: int, probs: list[float]) -> list[int]:

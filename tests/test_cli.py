@@ -169,6 +169,23 @@ class TestRun:
         assert repr(key.partition(".")[2]) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"run": {"n_pulses": 1000}, "run": {"seed": 5}}', "run"),
+            ('{"run": {"n_pulses": 1000, "seed": 5, "seed": 6}}', "seed"),
+        ],
+        ids=["section", "key_in_section"],
+    )
+    def test_key_given_twice_rejected(self, tmp_path, capsys, text, key):
+        # json keeps the last of the two, which would run 1e8 pulses at seed 5
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        for command in ("run", "scan"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+            assert f"{key!r} given twice" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
         "config, out, code",
         [
             ("config.json", "no/such/dir/out.csv", 3),

@@ -182,16 +182,22 @@ class TestOutcomeLaw:
     def test_outcomes_are_the_matrix_product(self, name):
         # numpy as the reference: C_a^T W C_b from the same lists, its
         # central block split into the one-pair part and the rest
+        experiment = law_grid_experiment(name)
+        delay, half = experiment.source.bin_separation_s, 0.5 * experiment.windows.window_width_s
+        _, edges, _, (central, _, _), _ = engine._cells(experiment.windows, delay)
+        assert central == tuple(
+            i for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
+            if delay - half <= lo and hi <= delay + half
+        )
         for phase in (0.0, 0.4, 1.3, 2.2, 2.9):
             law = _Law(law_grid_experiment(name, phase))
             ((clicks_a, first_a), _), ((clicks_b, first_b), _) = law.sides
             joint = np.array(clicks_a).T @ np.array(law.weights) @ np.array(clicks_b)
-            mid, none = law.mid, law.n_cells - 1
+            block = np.ix_(law.groups[0], law.groups[0])
             one_pair = np.zeros_like(joint)
             # photon_first holds the central-window cells only
-            one_pair[mid, mid] = np.array(first_a).T @ np.array(law.pair) @ np.array(first_b)
-            side = [0 if mid.start <= i < mid.stop else 2 if i == none else 1
-                    for i in range(law.n_cells)]
+            one_pair[block] = np.array(first_a).T @ np.array(law.pair) @ np.array(first_b)
+            side = {i: group for group, cells in enumerate(law.groups) for i in cells}
             seen = np.zeros(joint.shape, dtype=int)
             for cls, (cells, probs) in enumerate(law.outcomes):
                 for (i, j), p in zip(cells, probs):
@@ -203,6 +209,19 @@ class TestOutcomeLaw:
                     assert abs(p - max(reference, 0.0)) <= 1e-12 * abs(reference), (cls, i, j)
                     seen[i, j] += cls != 0
             assert (seen == 1).all()  # every cell once; class 0 splits cells of class 1
+
+    @pytest.mark.parametrize("alpha_sq, mu", [(0.5, 0.01), (0.8, 0.01), (0.5, 0.4), (0.7, 0.1)])
+    def test_law_fringe_is_the_closed_form(self, alpha_sq, mu):
+        # On the ideal apparatus the coincidence probability is proportional
+        # to 1 + E[1/n | n >= 1] * 2 alpha beta cos(phi): no draws, no fit.
+        # Folded, the fringe phase is twice the analyzer phase.
+        coincidence = [
+            sum(_Law(ideal_experiment(alpha_sq, mu, phi_analyzer=phi)).class_probs()[:2])
+            for phi in (0.0, math.pi / 2)
+        ]
+        visibility = (coincidence[0] - coincidence[1]) / (coincidence[0] + coincidence[1])
+        expected = 2.0 * math.sqrt(alpha_sq * (1.0 - alpha_sq)) * tb.multipair_visibility(mu)
+        assert abs(visibility - expected) <= 1e-12 * expected
 
     @pytest.mark.parametrize("name", ["default_11km", "independent_333ps", "dark_only"])
     def test_drawn_histograms_complete_the_class_draw(self, name):
@@ -222,7 +241,7 @@ class TestOutcomeLaw:
 
 def tally_by_cell(law, per_outcome, experiment):
     """The RunResult of per-outcome counts, read off each outcome's two click cells."""
-    mid, none = range(law.mid.start, law.mid.stop), law.n_cells - 1
+    mid, _, (none,) = law.groups
     tally = dict.fromkeys(COUNT_FIELDS, 0)
     for cls, ((cells, _), counts) in enumerate(zip(law.outcomes, per_outcome)):
         for (i, j), count in zip(cells, counts):
