@@ -15,6 +15,7 @@ from collections.abc import Iterable, Sequence
 
 from .grid import linspace
 from .record import Record, replace
+from .states import entropy_of_entanglement
 
 _MIN_POINTS = 5
 _MIN_DISTINCT_PHASES = 3
@@ -201,8 +202,6 @@ def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    from .states import entropy_of_entanglement
-
     curve = []
     for a2 in linspace(0.5, 1.0, n_points):
         ent = entropy_of_entanglement(a2)

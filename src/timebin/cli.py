@@ -182,7 +182,7 @@ def _cmd_curve_mu(args: argparse.Namespace) -> int:
 def _parse_scan_csv(path: str, data: bytes) -> tuple[FringePoint, ...]:
     """The scan in ``data``, the contents of the CSV file ``path``."""
     try:
-        raw_lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").readlines()
+        raw_lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").readlines()
     except UnicodeDecodeError as exc:
         raise ConfigFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     rows = [

@@ -181,7 +181,7 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def load_config_file(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             cfg = json.load(fh, object_pairs_hook=_object)
         except ConfigFormatError as exc:
@@ -326,6 +326,14 @@ def build_experiment(
             else:
                 parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
         experiment = ExperimentConfig(**parts, **run)
+        # The windows sit at 0, d and 2d; the last is the first to round away.
+        far = 2.0 * experiment.source.bin_separation_s
+        half = 0.5 * experiment.windows.window_width_s
+        if not far - half < far + half:
+            raise ValueError(
+                "the coincidence window at twice the bin separation is empty in floating"
+                " point: window_width_ps is too small for so large a bin_separation_ns"
+            )
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive")
     except ConfigFormatError:

@@ -88,10 +88,6 @@ from .source import SourceConfig, multipair_visibility
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
 
 
-class ConfigurationError(ValueError):
-    """Raised when an experiment description is internally inconsistent."""
-
-
 class ExperimentConfig(Record):
     """Complete apparatus description for one run.
 
@@ -113,15 +109,13 @@ class ExperimentConfig(Record):
 
     def __post_init__(self) -> None:
         if self.windows.window_width_s >= self.source.bin_separation_s:
-            raise ConfigurationError("window_width_s must be smaller than the bin separation")
+            raise ValueError("window_width_s must be smaller than the bin separation")
         if self.n_pulses <= 0:
-            raise ConfigurationError("n_pulses must be positive")
+            raise ValueError("n_pulses must be positive")
         if self.rng_seed < 0:
-            raise ConfigurationError("rng_seed must be non-negative")
+            raise ValueError("rng_seed must be non-negative")
         if len(self.analyzers) not in (1, 2):
-            raise ConfigurationError(
-                f"one or two analyzers are required, got {len(self.analyzers)}"
-            )
+            raise ValueError(f"one or two analyzers are required, got {len(self.analyzers)}")
 
 
 class CoincidenceHistogram(Record):
@@ -491,7 +485,8 @@ def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:
         # zero in every one of its outcomes.
         if count and not any(probs):
             probs = [1.0] * len(probs)
-        per_outcome.append(_multinomial(rng, count, probs))
+        # A central window below float resolution leaves its classes no outcome.
+        per_outcome.append(_multinomial(rng, count, probs) if probs else [])
     return per_outcome
 
 

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import math
@@ -152,6 +153,27 @@ class TestRun:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "window_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("separation_ns, code", [(1e15, 0), (1e16, 2)])
+    def test_bin_separation_past_float_resolution(self, tmp_path, capsys, separation_ns, code):
+        """At 1e16 ns the central window and the one at twice the separation
+        round to no width: no coincidence could be counted."""
+        config = write_config(tmp_path, {"source": {"bin_separation_ns": separation_ns}})
+        for command in ("run", "scan"):
+            assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == code
+            assert ("coincidence window" in capsys.readouterr().err) == (code == 2)
+
+    def test_byte_order_mark_in_config_is_accepted(self, tmp_path):
+        """A UTF-8 byte-order mark before ``{}`` is the built-in document."""
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(codecs.BOM_UTF8 + b"{}")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert main(["scan", "--out", str(plain)]) == 0
+        assert main(["scan", "--config", str(bom), "--out", str(marked)]) == 0
+        assert marked.read_bytes() == plain.read_bytes()
+        assert (tmp_path / "marked.csv.fit.json").read_bytes() == (
+            tmp_path / "plain.csv.fit.json"
+        ).read_bytes()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -548,6 +570,21 @@ class TestFit:
         assert main(["fit", str(csv), "--out", str(fit_out)]) == 0
         report = json.loads(fit_out.read_text())
         assert report["v_net"]["visibility"] == pytest.approx(0.5, abs=1e-10)
+
+    def test_byte_order_mark_is_accepted(self, tmp_path):
+        """A scan CSV led by a UTF-8 byte-order mark, as spreadsheets write it,
+        gives the same fits; the report's hash is that of the bytes read."""
+        plain, marked = tmp_path / "scan.csv", tmp_path / "marked.csv"
+        assert main(["scan", "--out", str(plain)]) == 0
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        reports = []
+        for csv in (plain, marked):
+            out = tmp_path / f"{csv.stem}.json"
+            assert main(["fit", str(csv), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report.pop("config_hash") == hashlib.sha256(csv.read_bytes()).hexdigest()[:16]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_negative_count_reports_row(self, tmp_path, capsys):
         csv = tmp_path / "neg.csv"

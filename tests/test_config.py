@@ -95,6 +95,16 @@ class TestValidation:
         with pytest.raises(ConfigValidationError, match="window_width"):
             build_experiment(cfg)
 
+    @pytest.mark.parametrize(
+        "section, key, refused, accepted",
+        [("source", "bin_separation_ns", 2e15, 1e15), ("windows", "window_width_ps", 1e-300, 1e-3)],
+    )
+    def test_window_below_float_resolution_rejected(self, section, key, refused, accepted):
+        # 400 ps around 4e6 s, or 1e-300 ps around 2.4 ns, rounds to no width.
+        with pytest.raises(ConfigValidationError, match="coincidence window at twice"):
+            build_experiment({section: {key: refused}})
+        build_experiment({section: {key: accepted}})
+
     def test_non_numeric_value_rejected(self):
         cfg = default_config_dict()
         cfg["source"]["mean_pairs"] = "lots"

@@ -58,11 +58,11 @@ class TestConfigValidation:
         # one analyzer is the folded arrangement, two the independent one
         cfg = ideal_experiment()
         for analyzers in ((), cfg.analyzers * 3):
-            with pytest.raises(tb.ConfigurationError):
+            with pytest.raises(ValueError, match="one or two analyzers are required"):
                 replace(cfg, analyzers=analyzers)
 
     def test_positive_pulse_count(self):
-        with pytest.raises(tb.ConfigurationError):
+        with pytest.raises(ValueError, match="n_pulses must be positive"):
             replace(ideal_experiment(), n_pulses=0)
 
 
@@ -93,6 +93,12 @@ class TestRunPulses:
         result = tb.run_pulses(ideal_experiment(mu=0.1, n_pulses=10**5, window_width_s=1e-312))
         assert result.singles_a > 0
         assert result.middle_singles_a == result.triple_coincidences == 0
+
+    def test_histograms_with_windows_below_float_resolution(self):
+        # the vanished central window leaves its classes no outcome to split a count over
+        result = tb.run_pulses(ideal_experiment(mu=0.1, n_pulses=10**5, window_width_s=1e-312))
+        assert sum(result.histogram_a.counts) == result.singles_a > 0
+        assert sum(result.histogram_b.counts) == result.singles_b > 0
 
     def test_duration_reflects_rep_rate(self):
         cfg = ideal_experiment(n_pulses=8 * 10**6)

@@ -31,19 +31,20 @@ def test_every_exported_name_resolves():
 
 def test_public_surface_is_what_the_law_cli_and_benchmark_use():
     assert sorted(timebin.__all__) == [
-        "CoincidenceHistogram", "CoincidenceWindows", "ConfigurationError",
-        "DegenerateScanError", "DetectorSpec", "ExperimentConfig", "FiberSpec",
-        "FitResult", "FringePoint", "InterferometerSpec", "RunResult",
-        "SourceConfig", "TimeBinState", "apply_phase_jitter", "broadened_pulse_width",
+        "CoincidenceHistogram", "CoincidenceWindows", "DegenerateScanError",
+        "DetectorSpec", "ExperimentConfig", "FiberSpec", "FitResult", "FringePoint",
+        "InterferometerSpec", "RunResult", "SourceConfig", "TimeBinState",
+        "apply_phase_jitter", "broadened_pulse_width",
         "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_tallies",
         "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
         "run_phase_scan", "run_pulses", "state_from_attenuations", "subtract_accidentals",
         "survival_probability", "visibility_vs_entanglement_curve",
     ]
-    # Test references (tests/reference.py), a deleted model, and a constant
-    # that is only SourceConfig's default.
+    # Test references (tests/reference.py), a deleted model, a constant that
+    # is only SourceConfig's default, and an error type now plain ValueError.
     for name in (
         "AnalyzerState",
+        "ConfigurationError",
         "PUMP_PULSE_SIGMA_S",
         "bin_overlap_probability",
         "bootstrap_visibility_sigma",
@@ -140,6 +141,36 @@ def test_commands_load_no_dataclasses_inspect_typing_or_openssl(tmp_path):
         "print(sorted(unwanted & (set(sys.modules) - before)))"
     )
     assert run_python(code) == "[]"
+
+
+def test_commands_load_no_further_package_module(tmp_path):
+    """``import timebin.cli`` loads every module a command needs but one.
+
+    Each command in a fresh interpreter: what it adds to the ``timebin``
+    modules ``import timebin.cli`` loaded.  Only the commands that draw
+    load the sampler, ``timebin.binomial``.
+    """
+    scan_csv, out = tmp_path / "s.csv", str(tmp_path / "out")
+    scan_csv.write_text(
+        "phase_rad,raw,accidental\n0.0,100,1\n0.5,80,1\n1.0,50,1\n1.5,20,1\n2.0,5,1\n"
+    )
+    draws = ["timebin.binomial"]
+    commands = [
+        (["run", "--out", out], draws),
+        (["scan", "--out", out], draws),
+        (["fit", str(scan_csv), "--out", out], []),
+        (["curve", "v_vs_e", "--out", out], []),
+        (["curve", "v_vs_mu", "--out", out], []),
+    ]
+    for argv, modules in commands:
+        code = (
+            "import sys\n"
+            "from timebin.cli import main\n"
+            "before = set(sys.modules)\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('timebin')))"
+        )
+        assert run_python(code) == str(modules), argv
 
 
 def _run_result(**changes):
