@@ -23,6 +23,7 @@ field defaults are the shipped apparatus, and the only copy of it:
 
 from __future__ import annotations
 
+import math
 from .record import Record
 from .states import wrap_phase
 
@@ -39,7 +40,7 @@ class InterferometerSpec(Record):
     circulator_loss_db: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.excess_loss_db < 0.0 or self.circulator_loss_db < 0.0:
+        if not all(0.0 <= x < math.inf for x in (self.excess_loss_db, self.circulator_loss_db)):
             raise ValueError("losses must be non-negative")
         object.__setattr__(self, "phi_analyzer", wrap_phase(self.phi_analyzer))
 
@@ -54,7 +55,7 @@ class DetectorSpec(Record):
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if min(self.dark_rate_cps, self.jitter_rms_s) < 0.0:
+        if not all(0.0 <= x < math.inf for x in (self.dark_rate_cps, self.jitter_rms_s)):
             raise ValueError("detector parameters must be non-negative")
 
 
@@ -69,5 +70,5 @@ class CoincidenceWindows(Record):
     window_width_s: float = 400e-12
 
     def __post_init__(self) -> None:
-        if self.window_width_s <= 0.0:
+        if not 0.0 < self.window_width_s < math.inf:
             raise ValueError("window_width_s must be positive")

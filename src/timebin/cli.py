@@ -27,7 +27,6 @@ from .analysis import (
     visibility_vs_entanglement_curve,
 )
 from .config_io import (
-    MAX_PULSES,
     MAX_SCAN_POINTS,
     ConfigFormatError,
     ConfigValidationError,
@@ -37,7 +36,7 @@ from .config_io import (
     effective_config_dict,
     load_config_file,
 )
-from .engine import run_phase_scan, run_pulses
+from .engine import MAX_PULSES, run_phase_scan, run_pulses
 from .grid import linspace
 from .record import asdict, replace
 from .source import multipair_visibility

@@ -34,7 +34,7 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
-from .engine import ExperimentConfig
+from .engine import MAX_PULSES, ExperimentConfig
 from .fiber import FiberSpec
 from .grid import linspace
 from .record import Record, replace
@@ -45,11 +45,9 @@ if TYPE_CHECKING:
     from typing import Any
 
 NS, PS = 1e-9, 1e-12
-# The engine counts pulses as int64, so no run, and no count of one, exceeds
-# MAX_PULSES.  Every grid the program allocates (a scan's phases times its
-# repetitions, a curve's points) has at most MAX_SCAN_POINTS points; a scan
-# that long takes about 18 s on one core.
-MAX_PULSES = 2**63 - 1
+# Every grid the program allocates (a scan's phases times its repetitions,
+# a curve's points) has at most MAX_SCAN_POINTS points; a scan that long
+# takes about 18 s on one core.
 MAX_SCAN_POINTS = 10**5
 # The phase grid of a document that gives none: one fringe period of the
 # folded arrangement.
@@ -253,8 +251,10 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
                 f"analyzer: {'/'.join(_ANALYZER_B)} only apply to the independent arrangement"
             )
         return (first,)
-    # The second device has no circulator and takes the first one's excess loss.
-    second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer, circulator_loss_db=0.0)
+    # Only the folded arrangement has a circulator: its loss is zeroed here so
+    # that it moves no hash.  The second device takes the first one's excess loss.
+    first = replace(first, circulator_loss_db=0.0)
+    second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer)
     return (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
 
 
@@ -315,6 +315,8 @@ def build_experiment(
     # leaves it out.
     run = _convert("run", cfg.get("run", {}), {**_RUN, "batch_size": ("batch_size", int)})
     batch_size = run.pop("batch_size", None)
+    if run.get("n_pulses", 0) > MAX_PULSES:
+        raise ConfigFormatError(f"run.n_pulses: at most {MAX_PULSES} pulses")
     if seed_override is not None:
         run["rng_seed"] = seed_override
 
@@ -326,23 +328,12 @@ def build_experiment(
             else:
                 parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
         experiment = ExperimentConfig(**parts, **run)
-        # The windows sit at 0, d and 2d; the last is the first to round away.
-        far = 2.0 * experiment.source.bin_separation_s
-        half = 0.5 * experiment.windows.window_width_s
-        if not far - half < far + half:
-            raise ValueError(
-                "the coincidence window at twice the bin separation is empty in floating"
-                " point: window_width_ps is too small for so large a bin_separation_ns"
-            )
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive")
     except ConfigFormatError:
         raise
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
-
-    if experiment.n_pulses > MAX_PULSES:
-        raise ConfigFormatError(f"run.n_pulses: at most {MAX_PULSES} pulses")
     return experiment, _build_scan(cfg.get("scan", {}), experiment.n_pulses)
 
 

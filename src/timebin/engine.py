@@ -86,6 +86,8 @@ from .record import Record, replace
 from .source import SourceConfig, multipair_visibility
 
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
+# The binomial sampler's exact range: no run, and no count of one, exceeds it.
+MAX_PULSES = 2**63 - 1
 
 
 class ExperimentConfig(Record):
@@ -110,8 +112,15 @@ class ExperimentConfig(Record):
     def __post_init__(self) -> None:
         if self.windows.window_width_s >= self.source.bin_separation_s:
             raise ValueError("window_width_s must be smaller than the bin separation")
-        if self.n_pulses <= 0:
-            raise ValueError("n_pulses must be positive")
+        # The last window is the first to round away.
+        far, half = _centers(self.source.bin_separation_s)[-1], 0.5 * self.windows.window_width_s
+        if not far - half < far + half:
+            raise ValueError(
+                "the coincidence window at twice the bin separation is empty in floating"
+                " point: window_width_s is too small for so large a bin_separation_s"
+            )
+        if not 0 < self.n_pulses <= MAX_PULSES:
+            raise ValueError(f"n_pulses must be positive and at most {MAX_PULSES}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if len(self.analyzers) not in (1, 2):
@@ -217,7 +226,6 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
     inner = [e for e in bin_edges[1:-1] if min(abs(e - cut) for cut in cuts) > tol]
     edges = (-math.inf, *sorted(inner + cuts), math.inf)
     window = _classify(windows, delay_s, edges[:-1])
-    # The central window is empty below float resolution.
     central = tuple(i for i, k in enumerate(window) if k == 1)
     other = tuple(i for i, k in enumerate(window) if k != 1)
     groups = (central, other, (len(window),))  # "no click" is the last column
@@ -485,8 +493,7 @@ def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:
         # zero in every one of its outcomes.
         if count and not any(probs):
             probs = [1.0] * len(probs)
-        # A central window below float resolution leaves its classes no outcome.
-        per_outcome.append(_multinomial(rng, count, probs) if probs else [])
+        per_outcome.append(_multinomial(rng, count, probs))
     return per_outcome
 
 

@@ -31,13 +31,13 @@ class FiberSpec(Record):
     phase_jitter_rms: float = 0.23
 
     def __post_init__(self) -> None:
-        if self.length_km < 0.0:
+        if not 0.0 <= self.length_km < math.inf:
             raise ValueError("length_km must be non-negative")
-        if self.attenuation_db_per_km < 0.0:
+        if not 0.0 <= self.attenuation_db_per_km < math.inf:
             raise ValueError("attenuation_db_per_km must be non-negative")
-        if self.filter_bandwidth_nm <= 0.0:
+        if not 0.0 < self.filter_bandwidth_nm < math.inf:
             raise ValueError("filter_bandwidth_nm must be positive")
-        if self.phase_jitter_rms < 0.0:
+        if not 0.0 <= self.phase_jitter_rms < math.inf:
             raise ValueError("phase_jitter_rms must be non-negative")
         if not math.isfinite(dispersion_spread(self)):
             raise ValueError("dispersion spread overflows: wavelengths or bandwidth out of range")

@@ -56,6 +56,23 @@ class TestSpecs:
         with pytest.raises(ValueError):
             tb.DetectorSpec(dark_rate_cps=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            pytest.param(record, field, id=f"{record.__name__}.{field}")
+            for record in (
+                tb.SourceConfig, tb.FiberSpec, tb.InterferometerSpec, tb.DetectorSpec,
+                tb.CoincidenceWindows,
+            )
+            for field, default in record._defaults.items()
+            if isinstance(default, float)
+        ],
+    )
+    def test_non_finite_input_refused(self, record, field, value):
+        with pytest.raises(ValueError):
+            record(**{field: value})
+
     def test_unknown_arrangement(self, tmp_path, capsys):
         path = tmp_path / "stacked.json"
         path.write_text(json.dumps({"analyzer": {"arrangement": "stacked"}}))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from timebin.cli import main
-from timebin.config_io import default_config_dict, effective_config_dict
+from timebin.config_io import config_hash, default_config_dict, effective_config_dict
 from timebin.source import multipair_visibility
 
 from .conftest import built_in_spellings
@@ -102,6 +102,21 @@ class TestRun:
                          "--out", str(tmp_path / f"{name}.csv")]) == 0
         for suffix in suffixes:
             outputs = {(tmp_path / f"{name}.csv{suffix}").read_bytes() for name in spellings}
+            assert len(outputs) == 1
+
+    @pytest.mark.parametrize("command, suffixes", [("run", [""]), ("scan", ["", ".fit.json"])])
+    def test_independent_arrangement_ignores_circulator_loss(self, tmp_path, command, suffixes):
+        """Only the folded arrangement has a circulator: its loss moves no byte and no hash."""
+        docs = {
+            f"loss{loss:g}": {"analyzer": {"arrangement": "independent", "circulator_loss_db": loss}}
+            for loss in (1.0, 7.0)
+        }
+        assert len({config_hash(effective_config_dict(doc)) for doc in docs.values()}) == 1
+        for name, doc in docs.items():
+            assert main([command, "--config", write_config(tmp_path, doc, f"{name}.json"),
+                         "--out", str(tmp_path / f"{name}.csv")]) == 0
+        for suffix in suffixes:
+            outputs = {(tmp_path / f"{name}.csv{suffix}").read_bytes() for name in docs}
             assert len(outputs) == 1
 
     def test_largest_pulse_count_runs(self, tmp_path):

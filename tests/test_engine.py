@@ -65,6 +65,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_pulses must be positive"):
             replace(ideal_experiment(), n_pulses=0)
 
+    @pytest.mark.parametrize(
+        "section, change, message",
+        [
+            # a 1e-312 s window vanishes around the 2.4 ns centre
+            ("windows", {"window_width_s": 1e-312}, "coincidence window at twice the bin"),
+            # and 400 ps around 4e6 s
+            ("source", {"bin_separation_s": 2e6}, "coincidence window at twice the bin"),
+            # past the binomial sampler's exact range
+            (None, {"n_pulses": 2**63}, f"n_pulses must be positive and at most {2**63 - 1}"),
+        ],
+        ids=["window_width", "bin_separation", "n_pulses"],
+    )
+    def test_engine_limits_refused(self, section, change, message):
+        cfg = ideal_experiment()
+        if section is not None:
+            change = {section: replace(getattr(cfg, section), **change)}
+        with pytest.raises(ValueError, match=message):
+            replace(cfg, **change)
+
 
 class TestRunPulses:
     def test_empty_source_and_dark_free_detectors_yield_zeros(self):
@@ -87,18 +106,6 @@ class TestRunPulses:
         result = tb.run_pulses(cfg)
         assert np.asarray(result.histogram_a.counts).sum() == result.singles_a
         assert np.asarray(result.histogram_b.counts).sum() == result.singles_b
-
-    def test_windows_below_float_resolution_stay_empty(self):
-        # a 1e-312 s window vanishes around the 1.2 ns and 2.4 ns centres
-        result = tb.run_pulses(ideal_experiment(mu=0.1, n_pulses=10**5, window_width_s=1e-312))
-        assert result.singles_a > 0
-        assert result.middle_singles_a == result.triple_coincidences == 0
-
-    def test_histograms_with_windows_below_float_resolution(self):
-        # the vanished central window leaves its classes no outcome to split a count over
-        result = tb.run_pulses(ideal_experiment(mu=0.1, n_pulses=10**5, window_width_s=1e-312))
-        assert sum(result.histogram_a.counts) == result.singles_a > 0
-        assert sum(result.histogram_b.counts) == result.singles_b > 0
 
     def test_duration_reflects_rep_rate(self):
         cfg = ideal_experiment(n_pulses=8 * 10**6)

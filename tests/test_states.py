@@ -27,6 +27,11 @@ class TestTimeBinState:
         with pytest.raises(ValueError):
             TimeBinState(alpha=0.9, beta=0.9)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitudes(self, value):
+        with pytest.raises(ValueError):
+            TimeBinState(alpha=value, beta=0.5)
+
     @given(amplitude_sq, phase)
     def test_accepts_any_normalised_split(self, alpha_sq, phi):
         state = state_from_alpha_sq(alpha_sq, phi)
