@@ -5,24 +5,21 @@ pulse and per detector side at most one event is registered (the counting
 electronics gate once per pump period), so the registered photons of a
 pair pulse belong to one pair with probability 1/n.  Such a pair carries
 the full two-photon interference of the matched analyzers: with
-f = V*cos(phi) the four output-port patterns - (detector, detector),
-(detector, unmonitored), (unmonitored, detector), (unmonitored,
-unmonitored) - weigh (4+f, 4-f, 4-f, 4+f)/16, and within a pattern the
-seven reachable bin pairs weigh
+f = V*cos(phi), both photons leave by the monitored ports in the bin pairs
 
     (first,first) (first,mid) (mid,first) : alpha^2 each
-    (mid,mid)                             : 1 +/- f
+    (mid,mid)                             : 1 + f
     (mid,last) (last,mid) (last,last)     : beta^2 each
 
-out of 4 +/- f, the sign following the pattern.  Photons of different
-pairs are uncorrelated: each side sees one photon of its own pair, which
-reaches the monitored port with probability 1/2 and the bins with weights
-alpha^2, 1, beta^2 (out of 2); this flat background dilutes the fringe of
-multi-pair pulses.  Monitored-port photons face fiber survival, analyzer
-excess loss and detector efficiency as one thinning, and arrive Gaussian
-around their bin, with the broadened pulse width and the detector jitter
-in quadrature.  Each detector has at most one dark candidate per pulse,
-with probability 1 - (1 - min(r*w, 1))^3 and uniform over the three
+out of 16, while one photon alone leaves by its monitored port in the
+bins with weights alpha^2, 1, beta^2 out of 4, whatever f.  Photons of
+different pairs are uncorrelated: each side sees one photon of its own
+pair, which follows that marginal; this flat background dilutes the fringe
+of multi-pair pulses.  A monitored-port photon survives fiber, analyzer
+excess loss and detector efficiency with probability eta, and arrives
+Gaussian around its bin, with the broadened pulse width and the detector
+jitter in quadrature.  Each detector has at most one dark candidate per
+pulse, with probability 1 - (1 - min(r*w, 1))^3 and uniform over the three
 windows (events elsewhere can never classify nor coincide); the earlier of
 photon and dark candidate is the click.  Clicks are classified against the
 three half-open windows and histogrammed in 50 ps bins; clicks beyond the
@@ -38,17 +35,21 @@ Generation, 1986, ch. X), and the mean of every count is n times a sum of
 outcome probabilities (``expected_tallies``).  The law is built in three
 steps:
 
-- Photon states.  W[x, y] is the probability that side a holds a photon
-  in bin x = 0, 1, 2 (3: none) and side b one in bin y.  The port and bin
-  weights are affine in f, so a Gaussian phase jitter of total RMS sigma
-  averages exactly to f = V*cos(phi)*exp(-sigma^2/2).  A pair pulse's
-  photons come from one pair with probability E[1/n | n >= 1], which is
+- Photon states.  W[x, y] is the source's law at the monitored ports:
+  the probability that side a's photon leaves by its monitored port in
+  bin x = 0, 1, 2 (3: none there) and side b's in bin y.  It holds no
+  loss, and f enters one entry of one pair's law, so a Gaussian phase
+  jitter of total RMS sigma averages exactly to
+  f = V*cos(phi)*exp(-sigma^2/2).  A pair pulse's photons come from one
+  pair with probability E[1/n | n >= 1], which is
   ``source.multipair_visibility(mu)``; otherwise the two sides follow the
   product of their single-photon marginals.
-- The race.  Per side, C[x, cell] is the click law given the photon
-  state.  The dark candidate's CDF D is piecewise linear, so the photon
-  clicks in cell I with probability int_I phi(t) (1 - D(t)) dt and the
-  dark candidate with int_I D'(t) (1 - Phi(t)) dt, closed forms in erfc.
+- The click laws.  Per side, C[x, cell] is the click law given the photon
+  state; it carries the side's losses, jitter, dark counts and windows.  A
+  lost photon leaves the dark candidate alone.  The dark candidate's CDF D
+  is piecewise linear, so the photon clicks in cell I with probability
+  eta int_I phi(t) (1 - D(t)) dt and the dark candidate with
+  int_I D'(t) (1 - Phi(t)) dt, closed forms in erfc.
 - The joint law is C_a^T W C_b.  In its central-window block, the part
   where both photons of one pair beat their dark candidates is split off;
   the rest of that block are the accidental coincidences.
@@ -234,17 +235,22 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
 
 
 @lru_cache(maxsize=32)
-def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float):
+def _click_law(
+    windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float, eta: float
+):
     """Click law of one detector for each photon state, by cell and by class.
 
-    Returns the cell law ``(clicks, photon_first)``: ``clicks`` has 4 rows
-    of cells + 1, row x < 3 for a photon arriving around x * delay with
-    Gaussian spread ``sigma_s``, row 3 for no photon, the last column for
-    no click; ``photon_first`` has 3 rows of central-window cells, the
-    part of rows 0-2 where the photon beat the dark candidate.  Then the
-    class law, the same pair with each row of ``clicks`` summed over each
-    of ``_cells``' side groups and each row of ``photon_first`` summed over
-    the central group.  All are tuples, shared between calls.
+    It carries the side's losses, jitter, dark counts and windows.  Returns
+    the cell law ``(clicks, photon_first)``: ``clicks`` has 4 rows of
+    cells + 1, row x < 3 for a photon at the monitored port in bin x, which
+    survives with probability ``eta`` (a lost one leaves the dark candidate
+    alone) and arrives around x * delay with Gaussian spread ``sigma_s``,
+    row 3 for none there, the last column for no click; ``photon_first``
+    has 3 rows of central-window cells, the part of rows 0-2 where the
+    photon survived and beat the dark candidate.  Then the class law, the
+    same pair with each row of ``clicks`` summed over each of ``_cells``'
+    side groups and each row of ``photon_first`` summed over the central
+    group.  All are tuples, shared between calls.
     """
     _, edges, in_window, groups, _ = _cells(windows, delay_s)
     width = windows.window_width_s
@@ -253,6 +259,7 @@ def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float
     cells = list(zip(edges[:-1], edges[1:], in_window))
     dark = [density * (hi - lo) if inside else 0.0 for lo, hi, inside in cells]
     no_dark_yet = [1.0 - before for before in accumulate(dark[:-1], initial=0.0)]
+    no_photon = (*dark, 1.0 - _sum(dark))
     root_half, root_two_pi = math.sqrt(0.5), math.sqrt(2.0 * math.pi)
 
     clicks, photon_first = [], []
@@ -285,9 +292,9 @@ def _click_law(windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float
             )
             photon.append(first)
             click.append(first + q * sigma_s * (antider[i + 1] - antider[i]))
-        photon_first.append(tuple(photon[i] for i in groups[0]))
-        clicks.append((*click, 0.0))
-    clicks.append((*dark, 1.0 - _sum(dark)))
+        photon_first.append(tuple(eta * photon[i] for i in groups[0]))
+        clicks.append(tuple(eta * c + (1.0 - eta) * d for c, d in zip((*click, 0.0), no_photon)))
+    clicks.append(no_photon)
 
     classes = tuple(tuple(_sum(row[i] for i in group) for group in groups) for row in clicks)
     photon_central = tuple((_sum(row),) for row in photon_first)
@@ -304,8 +311,9 @@ def _product(left, matrix, right) -> list[list[float]]:
 class _Law:
     """The per-pulse outcome law of one configured run.
 
-    ``sides`` holds the ``_click_law`` of detectors a and b, ``weights`` the
-    photon-state law W (4 x 4) and ``pair`` its part where both sides'
+    ``sides`` holds the ``_click_law`` of detectors a and b, each with its
+    own side's losses; ``weights`` is the source's photon-state law W
+    (4 x 4) at the monitored ports and ``pair`` its part where both sides'
     photons come from one pair (3 x 3).  ``class_probs`` resolves the law
     with the class laws of the two sides, ``outcomes`` with their cell
     laws; both go through ``_resolve``.
@@ -322,16 +330,18 @@ class _Law:
         losses_db = [first.excess_loss_db, last.excess_loss_db]
         if len(config.analyzers) == 1:
             losses_db[0] += first.circulator_loss_db
-        detect, self.sides = [], []
+        self.sides = []
         for fib, det, loss_db in zip(
             (config.fiber_a, config.fiber_b), (config.detector_a, config.detector_b), losses_db
         ):
-            detect.append(survival_probability(fib) * 10.0 ** (-loss_db / 10.0) * det.efficiency)
+            eta = survival_probability(fib) * 10.0 ** (-loss_db / 10.0) * det.efficiency
             sigma = math.hypot(broadened_pulse_width(fib, src.pulse_width_s), det.jitter_rms_s)
-            self.sides.append(_click_law(windows, delay, det.dark_rate_cps, sigma))
+            self.sides.append(_click_law(windows, delay, det.dark_rate_cps, sigma, eta))
 
-        # Photon states (bin 0, 1, 2, none) of the two sides.  A pair's
-        # pattern-and-bins weights are w/16 with w affine in f.
+        # Photon states of the two sides: bin 0, 1, 2 at the monitored port,
+        # 3 for none there.  joint is one pair at both monitored ports, the
+        # only place f enters; marginal is one photon alone; same is one
+        # pair, joint filled out to its marginals.
         a2, b2 = state.alpha**2, state.beta**2
         sigma_phase = math.hypot(config.fiber_a.phase_jitter_rms, config.fiber_b.phase_jitter_rms)
         f = (
@@ -339,42 +349,26 @@ class _Law:
             * math.cos(fringe_phase(config))
             * math.exp(-0.5 * sigma_phase * sigma_phase)
         )
-        both, crossed = (
-            [
-                [max(w, 0.0) / 16.0 for w in row]
-                for row in ((a2, a2, 0.0), (a2, 1.0 + sign * f, b2), (0.0, b2, b2))
-            ]
-            for sign in (1.0, -1.0)
-        )
-        eta_a, eta_b = detect
-        same = [
-            [eta_a * eta_b * w for w in row]
-            + [eta_a * ((1.0 - eta_b) * _sum(row) + _sum(cross))]
-            for row, cross in zip(both, crossed)
+        joint = [
+            [w / 16.0 for w in row]
+            for row in ((a2, a2, 0.0), (a2, max(1.0 + f, 0.0), b2), (0.0, b2, b2))
         ]
-        same.append(
-            [
-                eta_b * ((1.0 - eta_a) * _sum(col) + _sum(cross))
-                for col, cross in zip(zip(*both), zip(*crossed))
-            ]
-            + [0.0]
-        )
+        marginal = [a2 / 4.0, 0.25, b2 / 4.0, 0.5]
+        same = [row + [m - _sum(row)] for row, m in zip(joint, marginal)]
+        same.append([m - _sum(col) for col, m in zip(zip(*joint), marginal)] + [0.0])
         same[3][3] = 1.0 - _sum(map(_sum, same))
-        apart_a, apart_b = (
-            [eta * a2 / 4.0, eta / 4.0, eta * b2 / 4.0, (4.0 - 2.0 * eta) / 4.0] for eta in detect
-        )
         mu = src.mean_pairs
         self.p_same = multipair_visibility(mu) if mu > 0.0 else 1.0
         p_pair = -math.expm1(-mu)
         self.weights = [
             [
                 p_pair * (self.p_same * s + (1.0 - self.p_same) * (u * v))
-                for s, v in zip(row, apart_b)
+                for s, v in zip(row, marginal)
             ]
-            for row, u in zip(same, apart_a)
+            for row, u in zip(same, marginal)
         ]
         self.weights[3][3] += math.exp(-mu)
-        self.pair = [[p_pair * self.p_same * s for s in row[:3]] for row in same[:3]]
+        self.pair = [[p_pair * self.p_same * w for w in row] for row in joint]
 
     def _resolve(self, laws, groups) -> list[tuple[list[tuple[int, int]], list[float]]]:
         """Every outcome's (side a cell, side b cell) and probability, per class.

@@ -160,6 +160,24 @@ def law_grid_experiment(name, phase_rad=None, n_pulses=10**9, seed=4321):
     return experiment
 
 
+FRINGE_PHASES = (0.4, 1.3, 2.2, 2.9)
+
+
+def at_fringe_phase(name, theta):
+    """``law_grid_experiment(name)`` with its first analyzer set for fringe phase ``theta``.
+
+    Anchored on ``fringe_phase``: the folded arrangement counts the
+    analyzer phase twice, the independent one once.
+    """
+    experiment = law_grid_experiment(name)
+
+    def at(phi):
+        return engine._with_analyzer_phase(experiment, phi, experiment.rng_seed)
+
+    offset = engine.fringe_phase(at(0.0))
+    return at((theta - offset) / (engine.fringe_phase(at(1.0)) - offset))
+
+
 class TestOutcomeLaw:
     @pytest.mark.parametrize("name", sorted(LAW_GRID))
     def test_run_follows_expected_tallies(self, name):
@@ -235,6 +253,60 @@ class TestOutcomeLaw:
         visibility = (coincidence[0] - coincidence[1]) / (coincidence[0] + coincidence[1])
         expected = 2.0 * math.sqrt(alpha_sq * (1.0 - alpha_sq)) * tb.multipair_visibility(mu)
         assert abs(visibility - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("name", sorted(LAW_GRID))
+    def test_law_is_affine_in_the_fringe(self, name):
+        # Every probability is P(0) and P(pi) mixed by cos(theta): the law
+        # is affine in f, which only the fringe phase moves.
+        def probs(theta):
+            law = _Law(at_fringe_phase(name, theta))
+            return law.class_probs() + [p for _, ps in law.outcomes for p in ps]
+
+        zero, pi = probs(0.0), probs(math.pi)
+        for theta in FRINGE_PHASES:
+            c = math.cos(theta)
+            for p, p0, p_pi in zip(probs(theta), zero, pi):
+                affine = 0.5 * (p0 + p_pi) + 0.5 * c * (p0 - p_pi)
+                assert abs(p - affine) <= 1e-12 * (p0 + p_pi), (theta, p, p0, p_pi)
+
+    @pytest.mark.parametrize("name", sorted(LAW_GRID))
+    def test_one_sides_counts_do_not_move_with_the_fringe(self, name):
+        def counts(theta):
+            tallies = tb.expected_tallies(at_fringe_phase(name, theta))
+            singles = [getattr(tallies, f) for f in COUNT_FIELDS if "singles" in f]
+            return singles + list(tallies.histogram_a.counts + tallies.histogram_b.counts)
+
+        zero = counts(0.0)
+        for theta in FRINGE_PHASES:
+            for value, base in zip(counts(theta), zero):
+                assert abs(value - base) <= 1e-12 * abs(base), (theta, value, base)
+
+    @pytest.mark.parametrize("name", sorted(LAW_GRID))
+    def test_photon_state_law_is_the_sources_alone(self, name):
+        # The link and the detectors change the click laws, never W.
+        experiment = law_grid_experiment(name)
+        lossy = replace(
+            experiment,
+            fiber_a=replace(experiment.fiber_a, length_km=experiment.fiber_a.length_km + 40.0),
+            fiber_b=replace(experiment.fiber_b, length_km=3.0),
+            analyzers=tuple(
+                replace(a, excess_loss_db=a.excess_loss_db + 2.5, circulator_loss_db=4.0)
+                for a in experiment.analyzers
+            ),
+            detector_a=replace(experiment.detector_a, efficiency=0.05),
+            detector_b=replace(experiment.detector_b, efficiency=1.0),
+        )
+        law, lossy_law = _Law(experiment), _Law(lossy)
+        assert lossy_law.sides != law.sides
+        assert (lossy_law.weights, lossy_law.pair) == (law.weights, law.pair)
+
+    def test_lost_photons_leave_the_dark_candidate_alone(self):
+        experiment = law_grid_experiment("independent_333ps")
+        (clicks, photon_first), (classes, photon_central) = engine._click_law(
+            experiment.windows, experiment.source.bin_separation_s, 2e7, 300e-12, 0.0
+        )
+        assert clicks[:3] == (clicks[3],) * 3 and classes[:3] == (classes[3],) * 3
+        assert not any(map(any, photon_first + photon_central))
 
     @pytest.mark.parametrize("name", ["default_11km", "independent_333ps", "dark_only"])
     def test_drawn_histograms_complete_the_class_draw(self, name):
