@@ -21,11 +21,11 @@ _MIN_POINTS = 5
 _MIN_DISTINCT_PHASES = 3
 _MIN_PHASE_SPAN = math.pi / 2
 _TURN = 2.0 * math.pi
-_SIGMA_FLOOR = 1e-12
+_SAME_PHASE = 1e-9  # phases closer than this on the circle are one phase
 
 
 class DegenerateScanError(ValueError):
-    """Scan cannot constrain a fringe (too few points or phases bunched up)."""
+    """Scan cannot constrain a fringe (too few points, phases bunched up, no variance)."""
 
 
 class FringePoint(Record):
@@ -82,15 +82,16 @@ def _check_design(phases: list[float]) -> None:
         raise DegenerateScanError(
             f"need at least {_MIN_POINTS} points, got {len(phases)}"
         )
-    n_distinct = len(set(phases))  # 0.0 and -0.0 are one phase
+    # Phases are points on the circle: each gap between neighbours wider than
+    # _SAME_PHASE ends one distinct phase, and the span is 2*pi less the widest.
+    wrapped = sorted(phi % _TURN for phi in phases)
+    gaps = [b - a for a, b in zip(wrapped, [*wrapped[1:], wrapped[0] + _TURN])]
+    n_distinct = sum(gap > _SAME_PHASE for gap in gaps)
     if n_distinct < _MIN_DISTINCT_PHASES:
         raise DegenerateScanError(
-            f"need at least {_MIN_DISTINCT_PHASES} distinct phases, got {n_distinct}"
+            f"need at least {_MIN_DISTINCT_PHASES} distinct phases modulo 2*pi, got {n_distinct}"
         )
-    # The span is measured on the circle: 2*pi less the widest gap between phases.
-    wrapped = sorted(phi % _TURN for phi in phases)
-    widest_gap = max(b - a for a, b in zip(wrapped, [*wrapped[1:], wrapped[0] + _TURN]))
-    if _TURN - widest_gap < _MIN_PHASE_SPAN:
+    if _TURN - max(gaps) < _MIN_PHASE_SPAN:
         raise DegenerateScanError("phase span below pi/2 cannot constrain a fringe")
 
 
@@ -101,7 +102,7 @@ def _inverse(matrix: list[list[float]]) -> list[list[float]]:
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
         if rows[pivot][col] == 0.0:
-            # distinct-looking phases can still coincide modulo 2*pi
+            # guards the division only: _check_design refuses the singular designs
             raise DegenerateScanError("singular fit design: zero pivot")
         rows[col], rows[pivot] = rows[pivot], rows[col]
         top = rows[col]
@@ -177,8 +178,9 @@ def fit_fringe(scan: Sequence[FringePoint], *, use_net: bool = True) -> FitResul
         # At zero amplitude the magnitude is direction-independent.
         grad = [0.0, 1.0 / offset, 1.0 / offset]
     var = _sum(g * c * h for g, row in zip(grad, cov) for c, h in zip(row, grad))
-    sigma = math.sqrt(max(var, 0.0))
-    sigma = max(sigma, _SIGMA_FLOOR)
+    if not 0.0 < var < math.inf:
+        raise DegenerateScanError(f"visibility variance {var!r} is not positive and finite")
+    sigma = math.sqrt(var)
 
     clamped = not 0.0 <= vis <= 1.0
     return FitResult(

@@ -32,7 +32,8 @@ class InterferometerSpec(Record):
     """One analyzer interferometer.
 
     ``circulator_loss_db`` only applies to the circulator-side detector
-    path of a folded setup.  Phases are stored modulo 2*pi.
+    path of a folded setup; ``ExperimentConfig`` stores it as 0 in the
+    independent one.  Phases are stored modulo 2*pi.
     """
 
     phi_analyzer: float = 0.0

@@ -251,9 +251,7 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
                 f"analyzer: {'/'.join(_ANALYZER_B)} only apply to the independent arrangement"
             )
         return (first,)
-    # Only the folded arrangement has a circulator: its loss is zeroed here so
-    # that it moves no hash.  The second device takes the first one's excess loss.
-    first = replace(first, circulator_loss_db=0.0)
+    # The second device takes the first one's excess loss.
     second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer)
     return (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
 

@@ -65,9 +65,10 @@ outcomes of a multinomial by class gives a multinomial, so a run draws its
 ten class counts, as conditional binomials on ``random.Random(rng_seed)``,
 and its scalars have the law of one draw over all outcomes, for any
 n_pulses up to 2**63 - 1.
-The histograms are drawn on first read: the same stream goes on to split
-each class count over the class's outcomes, by the same sampler, which
-completes that one draw.  Results depend only on (rng_seed, n_pulses).
+The histograms are drawn on first read: the same stream goes on from
+where the class counts left it to split each class count over the class's
+outcomes, by the same sampler, which completes that one draw.  Results,
+and every copy of one, depend only on (rng_seed, n_pulses).
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class ExperimentConfig(Record):
 
     ``ExperimentConfig()`` is the shipped default experiment.  One analyzer
     is the folded arrangement (both photons through one device), two are
-    the independent one (side a's device first).  The analyzers' delay is
-    the source's bin separation.
+    the independent one (side a's device first), which has no circulator:
+    its analyzers' ``circulator_loss_db`` is stored as 0.  The analyzers'
+    delay is the source's bin separation.
     """
 
     source: SourceConfig = SourceConfig()
@@ -126,6 +128,9 @@ class ExperimentConfig(Record):
             raise ValueError("rng_seed must be non-negative")
         if len(self.analyzers) not in (1, 2):
             raise ValueError(f"one or two analyzers are required, got {len(self.analyzers)}")
+        if len(self.analyzers) == 2:  # only the folded arrangement has a circulator
+            bare = tuple(replace(a, circulator_loss_db=0.0) for a in self.analyzers)
+            object.__setattr__(self, "analyzers", bare)
 
 
 class CoincidenceHistogram(Record):
@@ -327,9 +332,7 @@ class _Law:
         self.n_cells = len(edges)  # the time cells and "no click"
 
         first, last = config.analyzers[0], config.analyzers[-1]
-        losses_db = [first.excess_loss_db, last.excess_loss_db]
-        if len(config.analyzers) == 1:
-            losses_db[0] += first.circulator_loss_db
+        losses_db = (first.excess_loss_db + first.circulator_loss_db, last.excess_loss_db)
         self.sides = []
         for fib, det, loss_db in zip(
             (config.fiber_a, config.fiber_b), (config.detector_a, config.detector_b), losses_db
@@ -495,13 +498,21 @@ def run_pulses(config: ExperimentConfig) -> RunResult:
     """Simulate the configured number of pump pulses.
 
     Draws the ten class counts on ``random.Random(rng_seed)``, and the
-    histograms on first read by continuing that stream, so the result
-    depends only on (rng_seed, n_pulses).
+    histograms on first read by continuing that stream from where the
+    counts left it, so the result and every copy of it depend only on
+    (rng_seed, n_pulses).
     """
     law = _Law(config)
     rng = random.Random(config.rng_seed)
     counts = _multinomial(rng, config.n_pulses, law.class_probs())
-    return _from_classes(config, counts, lambda: _histograms(law, _split(law, counts, rng)))
+    state = rng.getstate()
+
+    def histograms() -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
+        stream = random.Random()  # each read, of the result or of a copy, has its own
+        stream.setstate(state)
+        return _histograms(law, _split(law, counts, stream))
+
+    return _from_classes(config, counts, histograms)
 
 
 def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> ExperimentConfig:

@@ -110,6 +110,27 @@ class TestFitFringe:
         with pytest.raises(DegenerateScanError):
             tb.fit_fringe(points, use_net=False)
 
+    def test_phases_coinciding_up_to_rounding_rejected(self):
+        # 1.6 + 2*pi wraps back to 1.6 only up to rounding: two phases on the circle
+        phases = (0.0, 2.0 * math.pi, 4.0 * math.pi, 1.6, 1.6 + 2.0 * math.pi)
+        points = tuple(
+            tb.FringePoint(phase_rad=p, raw=r, accidental=0.0)
+            for p, r in zip(phases, (10, 20, 30, 40, 50))
+        )
+        with pytest.raises(DegenerateScanError, match="distinct"):
+            tb.fit_fringe(points, use_net=False)
+
+    def test_non_positive_variance_rejected(self):
+        # Counts 17 decades apart: the covariance rounds to a negative variance of V.
+        phases = (5.150937592472614, 0.09597788867333497, 4.059983454595468,
+                  4.497066670490688, 0.44277292870160007)
+        raws = (10**15, 10**17, 2, 1, 10**16)
+        points = tuple(
+            tb.FringePoint(phase_rad=p, raw=r, accidental=0.0) for p, r in zip(phases, raws)
+        )
+        with pytest.raises(DegenerateScanError, match="variance"):
+            tb.fit_fringe(points, use_net=False)
+
     def test_narrow_span_rejected(self):
         # The span is measured on the circle: the second scan crosses 2*pi and
         # has the first's design matrix.

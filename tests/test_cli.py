@@ -432,6 +432,19 @@ class TestScan:
                      "--out", str(tmp_path / "s.csv")])
         assert code == 4
 
+    def test_quarter_turn_folded_scan_is_degenerate(self, tmp_path, capsys):
+        # The folded fringe advances at twice the analyzer phase: every point
+        # lands at fringe phase 0 or pi, two phases on the circle.
+        cfg = small_config()
+        cfg["scan"] = {
+            "phases_rad": [math.pi / 2 * k for k in range(5)],
+            "n_pulses_per_point": 10_000,
+        }
+        code = main(["scan", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 4
+        assert "distinct phases" in capsys.readouterr().err
+
     def test_repetitions_add_rep_column(self, tmp_path):
         cfg = small_config()
         cfg["scan"]["repetitions"] = 2

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from types import SimpleNamespace
@@ -61,6 +62,17 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="one or two analyzers are required"):
                 replace(cfg, analyzers=analyzers)
 
+    def test_independent_arrangement_has_no_circulator(self):
+        # the record stores its circulator loss as 0, so the loss moves nothing
+        configs = [
+            tb.ExperimentConfig(analyzers=(tb.InterferometerSpec(circulator_loss_db=loss),) * 2)
+            for loss in (0.0, 1.0, 7.0)
+        ]
+        assert configs[0] == configs[1] == configs[2]
+        assert len({hash(cfg) for cfg in configs}) == 1
+        tallies = [tb.expected_tallies(cfg) for cfg in configs]
+        assert tallies[0] == tallies[1] == tallies[2]
+
     def test_positive_pulse_count(self):
         with pytest.raises(ValueError, match="n_pulses must be positive"):
             replace(ideal_experiment(), n_pulses=0)
@@ -100,6 +112,19 @@ class TestRunPulses:
         assert first == second  # every field but the histograms
         assert first.histogram_a == second.histogram_a
         assert first.histogram_b == second.histogram_b
+
+    @pytest.mark.parametrize("original_first", [True, False], ids=["original", "copies"])
+    def test_copies_read_one_draw(self, original_first):
+        """A result and its copies read the histograms of a fresh run, in either order."""
+        cfg = replace(tb.ExperimentConfig(), n_pulses=10**6, rng_seed=5)
+        result = tb.run_pulses(cfg)
+        copies = [copy.copy(result), replace(result)]
+        if hasattr(copy, "replace"):  # Python 3.13 on
+            copies.append(copy.replace(result))
+        readers = [result, *copies] if original_first else [*copies, result]
+        read = [(r.histogram_a, r.histogram_b) for r in readers]
+        fresh = tb.run_pulses(cfg)
+        assert read == [(fresh.histogram_a, fresh.histogram_b)] * len(readers)
 
     def test_histogram_totals_equal_singles(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=7)
