@@ -15,8 +15,8 @@ from .analysis import (
 )
 from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
 from .engine import (
-    CoincidenceHistogram, ExperimentConfig, RunResult, expected_tallies, fringe_phase,
-    run_phase_scan, run_pulses,
+    CoincidenceHistogram, ExperimentConfig, RunResult, expected_histograms, expected_tallies,
+    fringe_phase, run_histograms, run_phase_scan, run_pulses,
 )
 from .fiber import (
     FiberSpec, apply_phase_jitter, broadened_pulse_width, dispersion_spread, survival_probability,
@@ -28,8 +28,8 @@ __all__ = [
     "CoincidenceHistogram", "CoincidenceWindows", "DegenerateScanError", "DetectorSpec",
     "ExperimentConfig", "FiberSpec", "FitResult", "FringePoint", "InterferometerSpec",
     "RunResult", "SourceConfig", "TimeBinState", "apply_phase_jitter", "broadened_pulse_width",
-    "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_tallies",
-    "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility", "run_phase_scan",
-    "run_pulses", "state_from_attenuations", "subtract_accidentals", "survival_probability",
-    "visibility_vs_entanglement_curve",
+    "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_histograms",
+    "expected_tallies", "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
+    "run_histograms", "run_phase_scan", "run_pulses", "state_from_attenuations",
+    "subtract_accidentals", "survival_probability", "visibility_vs_entanglement_curve",
 ]

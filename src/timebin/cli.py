@@ -36,7 +36,7 @@ from .config_io import (
     effective_config_dict,
     load_config_file,
 )
-from .engine import MAX_PULSES, run_phase_scan, run_pulses
+from .engine import MAX_PULSES, run_histograms, run_phase_scan, run_pulses
 from .grid import linspace
 from .record import asdict, replace
 from .source import multipair_visibility
@@ -105,11 +105,9 @@ def _load(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     experiment, _, cfg_hash = _load(args)
-    result = run_pulses(experiment)
-    # The tally lines are the result's public fields, in order.
-    meta = _provenance(cfg_hash, experiment.rng_seed)
-    meta.update((name, value) for name, value in asdict(result).items() if name[0] != "_")
-    hist_a, hist_b = result.histogram_a, result.histogram_b
+    # The tally lines are the result's fields, in order.
+    meta = {**_provenance(cfg_hash, experiment.rng_seed), **asdict(run_pulses(experiment))}
+    hist_a, hist_b = run_histograms(experiment)
     rows = [
         (t * 1e9, ca, cb) for t, ca, cb in zip(hist_a.bin_centers_s, hist_a.counts, hist_b.counts)
     ]

@@ -25,15 +25,15 @@ photon and dark candidate is the click.  Clicks are classified against the
 three half-open windows and histogrammed in 50 ps bins; clicks beyond the
 histogram pile into its edge bins.
 
-The law.  Pulses are i.i.d., and every count of a RunResult is a sum over
+The law.  Pulses are i.i.d., and every count of a run is a sum over
 pulses of one function of the pulse's outcome: side a's click cell, side
 b's click cell and, for two central-window clicks, whether both are
 photons of one pair.  The cells are the histogram bins split at the window
 edges, plus "no click".  A run of n pulses is therefore exactly one
 multinomial draw over these outcomes (Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. X), and the mean of every count is n times a sum of
-outcome probabilities (``expected_tallies``).  The law is built in three
-steps:
+outcome probabilities (``expected_tallies``, ``expected_histograms``).
+The law is built in three steps:
 
 - Photon states.  W[x, y] is the source's law at the monitored ports:
   the probability that side a's photon leaves by its monitored port in
@@ -54,7 +54,7 @@ steps:
   where both photons of one pair beat their dark candidates is split off;
   the rest of that block are the accidental coincidences.
 
-Runs.  Every scalar count of a RunResult depends on a pulse's outcome
+Runs.  Every count of a RunResult depends on a pulse's outcome
 only through its class: each side clicks in the central window, clicks
 elsewhere or does not click, and a central-central coincidence is one-pair
 or accidental, ten classes in all.  The cells of each side class are
@@ -63,12 +63,12 @@ product with each side's click law summed over its groups, as it does for
 the outcomes, its floats added left to right on every Python.  Summing the
 outcomes of a multinomial by class gives a multinomial, so a run draws its
 ten class counts, as conditional binomials on ``random.Random(rng_seed)``,
-and its scalars have the law of one draw over all outcomes, for any
+and its tallies have the law of one draw over all outcomes, for any
 n_pulses up to 2**63 - 1.
-The histograms are drawn on first read: the same stream goes on from
-where the class counts left it to split each class count over the class's
-outcomes, by the same sampler, which completes that one draw.  Results,
-and every copy of one, depend only on (rng_seed, n_pulses).
+``run_histograms`` draws the same class counts and goes on along the same
+stream to split each class count over the class's outcomes, by the same
+sampler, which completes that one draw; ``expected_histograms`` gives
+their means.  Tallies and histograms alike depend on the config alone.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from operator import mul
@@ -151,9 +151,8 @@ class RunResult(Record):
     whose two clicks did not originate from one photon pair (dark counts
     involved, or photons of different pairs in a multi-pair pulse) - the
     noise floor an experimenter estimates with a shifted coincidence
-    window, known exactly here.  The two histograms are made on the first
-    read of either, and ``==`` compares the other fields only.  The other
-    fields, in order, are the ``#`` tally lines of ``timebin run``'s CSV.
+    window, known exactly here.  The fields, in order, are the ``#`` tally
+    lines of ``timebin run``'s CSV; ``run_histograms`` draws the run's histograms.
     """
 
     n_pulses: int
@@ -164,25 +163,12 @@ class RunResult(Record):
     middle_singles_b: int
     triple_coincidences: int
     accidental_coincidences: int
-    _histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]]
 
     def __post_init__(self) -> None:
         if self.triple_coincidences > min(self.singles_a, self.singles_b):
             raise ValueError("more coincidences than singles")
         if self.accidental_coincidences > self.triple_coincidences:
             raise ValueError("more accidental coincidences than coincidences")
-
-    @cached_property
-    def _histogram_pair(self) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
-        return self._histograms()
-
-    @property
-    def histogram_a(self) -> CoincidenceHistogram:
-        return self._histogram_pair[0]
-
-    @property
-    def histogram_b(self) -> CoincidenceHistogram:
-        return self._histogram_pair[1]
 
     def singles_product_estimate(self) -> float:
         """Chance-coincidence estimate from the measured singles alone.
@@ -447,12 +433,8 @@ def _histograms(
     )
 
 
-def _from_classes(
-    config: ExperimentConfig,
-    counts: list[float],
-    histograms: Callable[[], tuple[CoincidenceHistogram, CoincidenceHistogram]],
-) -> RunResult:
-    """The RunResult with these class counts (or their means) and histograms."""
+def _from_classes(config: ExperimentConfig, counts: list[float]) -> RunResult:
+    """The RunResult with these class counts (or their means)."""
     pair, accidental, co, cn, oc, oo, on, nc, no, _ = counts
     middle_a, middle_b = pair + accidental + co + cn, pair + accidental + oc + nc
     return RunResult(
@@ -464,22 +446,21 @@ def _from_classes(
         middle_singles_b=middle_b,
         triple_coincidences=pair + accidental,
         accidental_coincidences=accidental,
-        _histograms=histograms,
     )
 
 
 def expected_tallies(config: ExperimentConfig) -> RunResult:
-    """Exact mean of every count of ``run_pulses(config)``, as floats.
-
-    Built like ``run_pulses``, from the same outcome law: the counts from
-    its class sums, the histograms from every outcome on first read.
-    """
+    """Exact mean of every count of ``run_pulses(config)``, as floats, from its class law."""
     law, n = _Law(config), config.n_pulses
-    return _from_classes(
-        config,
-        [n * p for p in law.class_probs()],
-        lambda: _histograms(law, [[n * p for p in probs] for _, probs in law.outcomes]),
-    )
+    return _from_classes(config, [n * p for p in law.class_probs()])
+
+
+def expected_histograms(
+    config: ExperimentConfig,
+) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
+    """Exact mean of every count of ``run_histograms(config)``, as floats, from every outcome."""
+    law, n = _Law(config), config.n_pulses
+    return _histograms(law, [[n * p for p in probs] for _, probs in law.outcomes])
 
 
 def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:
@@ -494,25 +475,27 @@ def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:
     return per_outcome
 
 
-def run_pulses(config: ExperimentConfig) -> RunResult:
-    """Simulate the configured number of pump pulses.
-
-    Draws the ten class counts on ``random.Random(rng_seed)``, and the
-    histograms on first read by continuing that stream from where the
-    counts left it, so the result and every copy of it depend only on
-    (rng_seed, n_pulses).
-    """
+def _draw(config: ExperimentConfig) -> tuple[_Law, list[int], random.Random]:
+    """The outcome law, the ten class counts drawn from it and the stream they left."""
     law = _Law(config)
     rng = random.Random(config.rng_seed)
-    counts = _multinomial(rng, config.n_pulses, law.class_probs())
-    state = rng.getstate()
+    return law, _multinomial(rng, config.n_pulses, law.class_probs()), rng
 
-    def histograms() -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
-        stream = random.Random()  # each read, of the result or of a copy, has its own
-        stream.setstate(state)
-        return _histograms(law, _split(law, counts, stream))
 
-    return _from_classes(config, counts, histograms)
+def run_pulses(config: ExperimentConfig) -> RunResult:
+    """Simulate the configured number of pump pulses: their ten class counts, drawn once."""
+    _, counts, _ = _draw(config)
+    return _from_classes(config, counts)
+
+
+def run_histograms(config: ExperimentConfig) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
+    """Side a's and side b's arrival-time histograms of ``run_pulses(config)``'s run.
+
+    Draws the class counts as ``run_pulses`` does, then goes on along the
+    same stream to split them over the outcomes, which completes that draw.
+    """
+    law, counts, rng = _draw(config)
+    return _histograms(law, _split(law, counts, rng))
 
 
 def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> ExperimentConfig:

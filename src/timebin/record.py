@@ -3,8 +3,7 @@
 A subclass of ``Record`` lists its fields as annotations, in order, and
 gives defaults as class attributes.  Records are built from positional
 or keyword arguments, run ``__post_init__`` to validate, compare and hash
-by their fields, and refuse assignment and deletion.  A field whose name
-starts with an underscore takes no part in ``==``, the hash or the repr.
+by their fields, and refuse assignment and deletion.
 
 Nothing is generated: every record shares the methods below, so defining
 one costs no compilation when the package is imported.
@@ -21,16 +20,14 @@ class Record:
     _fields: tuple[str, ...] = ()
     _field_set: frozenset[str] = frozenset()
     _defaults: dict[str, object] = {}
-    _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)  # the class's own, from Python 3.10
         cls._field_set = frozenset(cls._fields)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
-        cls._compared = tuple(name for name in cls._fields if not name.startswith("_"))
-        # The compared fields' values: a tuple, or the value itself for one field.
-        cls._key_of = attrgetter(*cls._compared)
+        # The fields' values: a tuple, or the value itself for one field.
+        cls._key_of = attrgetter(*cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         values = self.__dict__
@@ -74,7 +71,7 @@ class Record:
 
     def __repr__(self) -> str:
         values = self.__dict__
-        shown = ", ".join(f"{name}={values[name]!r}" for name in self._compared)
+        shown = ", ".join(f"{name}={values[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name: str, value: object) -> None:

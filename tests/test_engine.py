@@ -1,4 +1,3 @@
-import copy
 import math
 import random
 from types import SimpleNamespace
@@ -104,33 +103,19 @@ class TestRunPulses:
         assert result.singles_a == result.singles_b == 0
         assert result.triple_coincidences == 0
         assert result.accidental_coincidences == 0
-        assert np.asarray(result.histogram_a.counts).sum() == 0
+        assert np.asarray(tb.run_histograms(cfg)[0].counts).sum() == 0
 
     def test_deterministic_given_seed(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=11)
         first, second = tb.run_pulses(cfg), tb.run_pulses(cfg)
-        assert first == second  # every field but the histograms
-        assert first.histogram_a == second.histogram_a
-        assert first.histogram_b == second.histogram_b
-
-    @pytest.mark.parametrize("original_first", [True, False], ids=["original", "copies"])
-    def test_copies_read_one_draw(self, original_first):
-        """A result and its copies read the histograms of a fresh run, in either order."""
-        cfg = replace(tb.ExperimentConfig(), n_pulses=10**6, rng_seed=5)
-        result = tb.run_pulses(cfg)
-        copies = [copy.copy(result), replace(result)]
-        if hasattr(copy, "replace"):  # Python 3.13 on
-            copies.append(copy.replace(result))
-        readers = [result, *copies] if original_first else [*copies, result]
-        read = [(r.histogram_a, r.histogram_b) for r in readers]
-        fresh = tb.run_pulses(cfg)
-        assert read == [(fresh.histogram_a, fresh.histogram_b)] * len(readers)
+        assert first == second
+        assert tb.run_histograms(cfg) == tb.run_histograms(cfg)
 
     def test_histogram_totals_equal_singles(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=7)
-        result = tb.run_pulses(cfg)
-        assert np.asarray(result.histogram_a.counts).sum() == result.singles_a
-        assert np.asarray(result.histogram_b.counts).sum() == result.singles_b
+        result, (hist_a, hist_b) = tb.run_pulses(cfg), tb.run_histograms(cfg)
+        assert np.asarray(hist_a.counts).sum() == result.singles_a
+        assert np.asarray(hist_b.counts).sum() == result.singles_b
 
     def test_duration_reflects_rep_rate(self):
         cfg = ideal_experiment(n_pulses=8 * 10**6)
@@ -143,8 +128,7 @@ class TestRunPulses:
 
     def test_side_peak_asymmetry_tracks_amplitudes(self):
         cfg = ideal_experiment(alpha_sq=0.8, n_pulses=2 * 10**7, seed=13)
-        result = tb.run_pulses(cfg)
-        thirds = np.asarray(result.histogram_a.counts).reshape(3, -1).sum(axis=1)
+        thirds = np.asarray(tb.run_histograms(cfg)[0].counts).reshape(3, -1).sum(axis=1)
         ratio = thirds[0] / thirds[2]
         sigma = ratio * math.sqrt(1.0 / thirds[0] + 1.0 / thirds[2])
         assert abs(ratio - 4.0) <= 3.0 * sigma
@@ -214,9 +198,10 @@ class TestOutcomeLaw:
             assert mean > 0.0
             sigma = math.sqrt(mean * (1.0 - mean / n))
             assert abs(observed - mean) <= 4.0 * sigma, field
-        for run_hist, mean_hist, singles in (
-            (result.histogram_a, expected.histogram_a, result.singles_a),
-            (result.histogram_b, expected.histogram_b, result.singles_b),
+        for run_hist, mean_hist, singles in zip(
+            tb.run_histograms(experiment),
+            tb.expected_histograms(experiment),
+            (result.singles_a, result.singles_b),
         ):
             observed = np.append(run_hist.counts, n - singles)
             mean = np.append(mean_hist.counts, n - np.asarray(mean_hist.counts).sum())
@@ -297,9 +282,11 @@ class TestOutcomeLaw:
     @pytest.mark.parametrize("name", sorted(LAW_GRID))
     def test_one_sides_counts_do_not_move_with_the_fringe(self, name):
         def counts(theta):
-            tallies = tb.expected_tallies(at_fringe_phase(name, theta))
+            experiment = at_fringe_phase(name, theta)
+            tallies = tb.expected_tallies(experiment)
+            hist_a, hist_b = tb.expected_histograms(experiment)
             singles = [getattr(tallies, f) for f in COUNT_FIELDS if "singles" in f]
-            return singles + list(tallies.histogram_a.counts + tallies.histogram_b.counts)
+            return singles + list(hist_a.counts + hist_b.counts)
 
         zero = counts(0.0)
         for theta in FRINGE_PHASES:
@@ -325,6 +312,29 @@ class TestOutcomeLaw:
         assert lossy_law.sides != law.sides
         assert (lossy_law.weights, lossy_law.pair) == (law.weights, law.pair)
 
+    def test_swapping_the_sides_transposes_the_law(self):
+        # Independent arrangement: the fibers, detectors and analyzers of the
+        # two sides trade places, and so do the sides in every outcome.
+        rng = random.Random(2027)
+        for _ in range(50):
+            experiment = random_independent_experiment(rng)
+            swapped = replace(
+                experiment,
+                fiber_a=experiment.fiber_b,
+                fiber_b=experiment.fiber_a,
+                detector_a=experiment.detector_b,
+                detector_b=experiment.detector_a,
+                analyzers=experiment.analyzers[::-1],
+            )
+            probs, swapped_probs = _Law(experiment).class_probs(), _Law(swapped).class_probs()
+            for p, k in zip(probs, SWAPPED_CLASSES):
+                assert abs(swapped_probs[k] - p) <= 1e-12 * p, (experiment, k)
+            swapped_hists = tb.expected_histograms(swapped)[::-1]
+            for hist, other in zip(tb.expected_histograms(experiment), swapped_hists):
+                assert hist.bin_edges_s == other.bin_edges_s
+                for c, d in zip(hist.counts, other.counts):
+                    assert abs(d - c) <= 1e-12 * c, experiment
+
     def test_lost_photons_leave_the_dark_candidate_alone(self):
         experiment = law_grid_experiment("independent_333ps")
         (clicks, photon_first), (classes, photon_central) = engine._click_law(
@@ -336,21 +346,62 @@ class TestOutcomeLaw:
     @pytest.mark.parametrize("name", ["default_11km", "independent_333ps", "dark_only"])
     def test_drawn_histograms_complete_the_class_draw(self, name):
         experiment = law_grid_experiment(name, n_pulses=10**7, seed=77)
-        result = tb.run_pulses(experiment)
+        result, histograms = tb.run_pulses(experiment), tb.run_histograms(experiment)
         law = _Law(experiment)
         rng = random.Random(experiment.rng_seed)
         counts = _multinomial(rng, experiment.n_pulses, law.class_probs())
         per_outcome = engine._split(law, counts, rng)
         assert [sum(c) for c in per_outcome] == counts
-        full = tally_by_cell(law, per_outcome, experiment)
-        assert full == result  # every field but the histograms
-        assert (full.histogram_a, full.histogram_b) == (result.histogram_a, result.histogram_b)
-        assert sum(result.histogram_a.counts) == result.singles_a
-        assert sum(result.histogram_b.counts) == result.singles_b
+        assert tally_by_cell(law, per_outcome, experiment) == (result, histograms)
+        assert sum(histograms[0].counts) == result.singles_a
+        assert sum(histograms[1].counts) == result.singles_b
+
+
+# The class of each class with sides a and b swapped: pair, accidental,
+# oo and none-none stay, co <-> oc, cn <-> nc, on <-> no.
+SWAPPED_CLASSES = (0, 1, 4, 7, 2, 5, 8, 3, 6, 9)
+
+
+def random_independent_experiment(rng):
+    """An independent-arrangement experiment, each side's parameters drawn on ``rng``."""
+
+    def fiber():
+        return tb.FiberSpec(
+            length_km=rng.uniform(0.0, 30.0),
+            center_wavelength_nm=rng.uniform(1290.0, 1340.0),
+            phase_jitter_rms=rng.uniform(0.0, 0.6),
+        )
+
+    def analyzer():
+        return tb.InterferometerSpec(
+            phi_analyzer=rng.uniform(0.0, 2.0 * math.pi), excess_loss_db=rng.uniform(0.0, 3.0)
+        )
+
+    def detector():
+        return tb.DetectorSpec(
+            efficiency=rng.uniform(0.05, 1.0),
+            dark_rate_cps=10.0 ** rng.uniform(3.0, 8.0),
+            jitter_rms_s=rng.uniform(20e-12, 300e-12),
+        )
+
+    return tb.ExperimentConfig(
+        source=tb.SourceConfig(
+            mean_pairs=rng.uniform(0.001, 1.0),
+            arm_attenuation_a=rng.uniform(0.1, 1.0),
+            arm_attenuation_b=rng.uniform(0.1, 1.0),
+            phi_pump=rng.uniform(0.0, 2.0 * math.pi),
+        ),
+        fiber_a=fiber(),
+        fiber_b=fiber(),
+        analyzers=(analyzer(), analyzer()),
+        detector_a=detector(),
+        detector_b=detector(),
+        windows=tb.CoincidenceWindows(window_width_s=rng.uniform(200e-12, 800e-12)),
+    )
 
 
 def tally_by_cell(law, per_outcome, experiment):
-    """The RunResult of per-outcome counts, read off each outcome's two click cells."""
+    """The RunResult and histograms of per-outcome counts, read off each outcome's two cells."""
     mid, _, (none,) = law.groups
     tally = dict.fromkeys(COUNT_FIELDS, 0)
     for cls, ((cells, _), counts) in enumerate(zip(law.outcomes, per_outcome)):
@@ -361,13 +412,12 @@ def tally_by_cell(law, per_outcome, experiment):
             tally["middle_singles_b"] += count * (j in mid)
             tally["triple_coincidences"] += count * (i in mid and j in mid)
             tally["accidental_coincidences"] += count * (cls == 1)
-    histograms = engine._histograms(law, per_outcome)
-    return tb.RunResult(
+    result = tb.RunResult(
         **tally,
         n_pulses=experiment.n_pulses,
         duration_s=experiment.n_pulses / experiment.source.rep_rate_hz,
-        _histograms=lambda: histograms,
     )
+    return result, engine._histograms(law, per_outcome)
 
 
 class TestMultinomial:

@@ -35,9 +35,10 @@ def test_public_surface_is_what_the_law_cli_and_benchmark_use():
         "DetectorSpec", "ExperimentConfig", "FiberSpec", "FitResult", "FringePoint",
         "InterferometerSpec", "RunResult", "SourceConfig", "TimeBinState",
         "apply_phase_jitter", "broadened_pulse_width",
-        "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_tallies",
-        "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
-        "run_phase_scan", "run_pulses", "state_from_attenuations", "subtract_accidentals",
+        "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_histograms",
+        "expected_tallies", "fit_fringe", "fringe_phase", "ideal_visibility",
+        "multipair_visibility", "run_histograms", "run_phase_scan", "run_pulses",
+        "state_from_attenuations", "subtract_accidentals",
         "survival_probability", "visibility_vs_entanglement_curve",
     ]
     # Test references (tests/reference.py), a deleted model, a constant that
@@ -177,7 +178,6 @@ def _run_result(**changes):
     fields = dict(
         singles_a=10, singles_b=12, middle_singles_a=5, middle_singles_b=6,
         triple_coincidences=3, accidental_coincidences=1, n_pulses=100, duration_s=1e-6,
-        _histograms=lambda: (None, None),
     )
     return timebin.RunResult(**{**fields, **changes})
 
@@ -280,22 +280,6 @@ def test_wrong_arguments_raise_type_error(record):
         # One field missing and one unknown: as many arguments as fields.
         with pytest.raises(TypeError):
             cls(**given, bogus=1)
-
-
-def test_run_result_equality_ignores_its_histograms():
-    first, second = _run_result(), _run_result(_histograms=lambda: ("other", "pair"))
-    assert first == second and hash(first) == hash(second)
-    assert "_histograms" not in repr(first)
-    assert repr(first) == repr(second)
-    assert (first.histogram_a, second.histogram_b) == (None, "pair")
-
-
-def test_replace_drops_cached_values():
-    calls = []
-    result = _run_result(_histograms=lambda: calls.append(1) or ("a", "b"))
-    assert (result.histogram_a, result.histogram_b) == ("a", "b") and calls == [1]
-    changed = replace(result, singles_a=11)
-    assert changed.histogram_a == "a" and calls == [1, 1]
 
 
 def test_records_have_docstrings_and_reprs(record):
