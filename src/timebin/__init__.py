@@ -1,8 +1,8 @@
 """Simulation and analysis toolkit for time-bin entangled photon pairs.
 
-Analytic state machinery, a pulse-level Monte Carlo of the full
-source / fiber / analyzer / detector chain, and the fringe-fit reduction
-that turns phase scans into visibilities.
+Analytic state machinery, runs drawn once from the exact per-pulse
+outcome law of the source / fiber / analyzer / detector chain, and the
+fringe-fit reduction that turns phase scans into visibilities.
 
 Everything is plain Python: the package needs no third-party module.
 """

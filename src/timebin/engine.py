@@ -137,7 +137,7 @@ class CoincidenceHistogram(Record):
     """Pump-referenced arrival-time histogram (counts per fixed-width bin)."""
 
     bin_edges_s: tuple[float, ...]
-    counts: tuple[float, ...]  # integers in a run, means in ``expected_tallies``
+    counts: tuple[float, ...]  # integers in a run, means in ``expected_histograms``
 
     @property
     def bin_centers_s(self) -> tuple[float, ...]:
@@ -427,7 +427,8 @@ def _histograms(
     ends = (*law.bin_starts[1:], law.n_cells - 1)  # the last cell is "no click"
     return tuple(
         CoincidenceHistogram(
-            law.bin_edges_s, tuple(sum(side[a:b]) for a, b in zip(law.bin_starts, ends))
+            bin_edges_s=law.bin_edges_s,
+            counts=tuple(sum(side[a:b]) for a, b in zip(law.bin_starts, ends)),
         )
         for side in sides
     )

@@ -1,9 +1,9 @@
 """Frozen records: the package's value classes, without ``dataclasses``.
 
 A subclass of ``Record`` lists its fields as annotations, in order, and
-gives defaults as class attributes.  Records are built from positional
-or keyword arguments, run ``__post_init__`` to validate, compare and hash
-by their fields, and refuse assignment and deletion.
+gives defaults as class attributes.  Records are built from keyword
+arguments only, run ``__post_init__`` to validate, compare and hash by
+their fields, and refuse assignment and deletion.
 
 Nothing is generated: every record shares the methods below, so defining
 one costs no compilation when the package is imported.
@@ -29,33 +29,21 @@ class Record:
         # The fields' values: a tuple, or the value itself for one field.
         cls._key_of = attrgetter(*cls._fields)
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, **kwargs) -> None:
         values = self.__dict__
         values.update(self._defaults)
-        if args:
-            if len(args) > len(self._fields) or not kwargs.keys().isdisjoint(
-                self._fields[: len(args)]
-            ):
-                raise TypeError(self._argument_error(args, kwargs))
-            values.update(zip(self._fields, args))
         values.update(kwargs)
         if values.keys() != self._field_set:
-            raise TypeError(self._argument_error(args, kwargs))
+            raise TypeError(self._argument_error())
         self.__post_init__()
 
-    def _argument_error(self, args: tuple, kwargs: dict) -> str:
-        """What is wrong with arguments ``__init__`` refused."""
-        name, fields = type(self).__qualname__, self._fields
-        if len(args) > len(fields):
-            return f"{name}() takes {len(fields)} arguments but {len(args)} were given"
-        unknown = [key for key in kwargs if key not in self._field_set]
+    def _argument_error(self) -> str:
+        """What is wrong with the arguments ``__init__`` refused, read from what it stored."""
+        name, given = type(self).__qualname__, self.__dict__
+        unknown = [key for key in given if key not in self._field_set]
         if unknown:
             return f"{name}() got an unexpected keyword argument {unknown[0]!r}"
-        twice = [key for key in fields[: len(args)] if key in kwargs]
-        if twice:
-            return f"{name}() got multiple values for argument {twice[0]!r}"
-        given = {*fields[: len(args)], *kwargs, *self._defaults}
-        missing = [key for key in fields if key not in given]
+        missing = [key for key in self._fields if key not in given]
         return f"{name}() missing required argument(s): {', '.join(map(repr, missing))}"
 
     def __post_init__(self) -> None:

@@ -494,6 +494,28 @@ class TestPhaseScan:
         with pytest.raises(ValueError):
             tb.run_phase_scan(ideal_experiment(n_pulses=10**5), [])
 
+    def test_each_point_is_one_run_pulses_call(self, monkeypatch):
+        # The trace contract: one engine.run_pulses call per point, in order.
+        original, calls = engine.run_pulses, []
+
+        def recording(config):
+            calls.append((config, original(config)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(engine, "run_pulses", recording)
+        cfg = ideal_experiment(mu=0.4, n_pulses=10**4, seed=29, phi_pump=0.3)
+        phases = analyzer_phases(5)
+        scan = tb.run_phase_scan(cfg, phases)
+        seeds = random.Random(cfg.rng_seed)
+        assert len(calls) == len(scan) == len(phases)
+        for phi, point, (config, result) in zip(phases, scan, calls):
+            assert config.analyzers[0].phi_analyzer == phi
+            assert config.rng_seed == seeds.getrandbits(64)
+            assert tb.fringe_phase(config) == point.phase_rad
+            assert point.raw == result.triple_coincidences
+            assert point.accidental == result.accidental_coincidences
+        assert any(point.accidental for point in scan)  # so the accidental check can fail
+
 
 class TestAgainstClosedForms:
     def test_fitted_visibility_tracks_analytic_over_states(self):

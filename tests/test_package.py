@@ -200,16 +200,32 @@ RECORDS = {
     ),
     "ExperimentConfig": (timebin.ExperimentConfig(), {"n_pulses": 5}, {"n_pulses": 0}),
     "CoincidenceHistogram": (
-        timebin.CoincidenceHistogram((0.0, 1.0, 2.0), (3, 4)), {"counts": (4, 3)}, None
+        timebin.CoincidenceHistogram(bin_edges_s=(0.0, 1.0, 2.0), counts=(3, 4)),
+        {"counts": (4, 3)},
+        None,
     ),
     "RunResult": (_run_result(), {"singles_a": 11}, {"accidental_coincidences": 4}),
     "FringePoint": (_POINT, {"raw": 11}, {"raw": -1}),
     "FitResult": (
-        timebin.FitResult(0.9, 0.01, 0.9, False, 10.0, 100.0, 0.1, 1.5, 12),
+        timebin.FitResult(
+            visibility=0.9,
+            visibility_sigma=0.01,
+            visibility_unclamped=0.9,
+            clamped=False,
+            amplitude=10.0,
+            offset=100.0,
+            phase_origin_rad=0.1,
+            residual_chi2=1.5,
+            n_points=12,
+        ),
         {"visibility": 0.8},
         None,
     ),
-    "ScanSettings": (ScanSettings((0.0, 1.0), 1000), {"repetitions": 2}, None),
+    "ScanSettings": (
+        ScanSettings(analyzer_phases_rad=(0.0, 1.0), n_pulses_per_point=1000),
+        {"repetitions": 2},
+        None,
+    ),
 }
 
 
@@ -229,7 +245,6 @@ def test_record_equality_and_hash(record):
     same, other = replace(rec), replace(rec, **change)
     assert same is not rec and same == rec and hash(same) == hash(rec)
     assert other != rec and not other == rec
-    assert type(rec)(*asdict(rec).values()) == rec
     assert type(rec)(**asdict(rec)) == rec
 
 
@@ -263,13 +278,10 @@ def test_replace_validates_again(name):
 def test_wrong_arguments_raise_type_error(record):
     rec = record[0]
     cls, fields = type(rec), asdict(rec)
-    first, *_ = fields
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
         cls(**fields, bogus=1)
-    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
-        cls(fields[first], **fields)
-    with pytest.raises(TypeError, match="arguments but"):
-        cls(*fields.values(), None)
+    with pytest.raises(TypeError):  # keyword arguments only
+        cls(*fields.values())
     with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
         replace(rec, bogus=1)
     required = [name for name in fields if name not in cls.__dict__]
