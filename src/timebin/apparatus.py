@@ -65,7 +65,8 @@ class CoincidenceWindows(Record):
 
     Peaks sit at 0, d and 2*d relative to the pump clock, d being the
     source's bin separation.  Windows are [center - w/2, center + w/2);
-    ``ExperimentConfig`` checks that w < d, so they do not overlap.
+    ``ExperimentConfig`` checks that w < d, so they do not overlap.  The
+    engine cuts its time cells at the edges ``engine._window_edges`` gives.
     """
 
     window_width_s: float = 400e-12

@@ -308,9 +308,7 @@ def build_experiment(
     for name, sec in cfg.items():
         if not isinstance(sec, dict):
             raise ConfigFormatError(f"{name}: expected an object")
-    # ``batch_size`` fills no field: a run is one draw.  It is still accepted
-    # and checked because a perfbench workload sets it; the built-in document
-    # leaves it out.
+    # ``batch_size`` fills no field (a run is one draw), but a perfbench workload sets it.
     run = _convert("run", cfg.get("run", {}), {**_RUN, "batch_size": ("batch_size", int)})
     batch_size = run.pop("batch_size", None)
     if run.get("n_pulses", 0) > MAX_PULSES:
@@ -328,11 +326,13 @@ def build_experiment(
         experiment = ExperimentConfig(**parts, **run)
         if batch_size is not None and batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        scan = _build_scan(cfg.get("scan", {}), experiment.n_pulses)
+        replace(experiment, n_pulses=scan.n_pulses_per_point)  # every scan point is valid too
     except ConfigFormatError:
         raise
     except ValueError as exc:
         raise ConfigValidationError(str(exc)) from exc
-    return experiment, _build_scan(cfg.get("scan", {}), experiment.n_pulses)
+    return experiment, scan
 
 
 def effective_config_dict(

@@ -21,9 +21,9 @@ Gaussian around its bin, with the broadened pulse width and the detector
 jitter in quadrature.  Each detector has at most one dark candidate per
 pulse, with probability 1 - (1 - min(r*w, 1))^3 and uniform over the three
 windows (events elsewhere can never classify nor coincide); the earlier of
-photon and dark candidate is the click.  Clicks are classified against the
-three half-open windows and histogrammed in 50 ps bins; clicks beyond the
-histogram pile into its edge bins.
+photon and dark candidate is the click.  The time cells of a click are cut
+at the three half-open windows' edges, which ``_window_edges`` gives, and at
+the 50 ps histogram bins; clicks beyond the histogram pile into its edge bins.
 
 The law.  Pulses are i.i.d., and every count of a run is a sum over
 pulses of one function of the pulse's outcome: side a's click cell, side
@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
@@ -116,14 +116,16 @@ class ExperimentConfig(Record):
         if self.windows.window_width_s >= self.source.bin_separation_s:
             raise ValueError("window_width_s must be smaller than the bin separation")
         # The last window is the first to round away.
-        far, half = _centers(self.source.bin_separation_s)[-1], 0.5 * self.windows.window_width_s
-        if not far - half < far + half:
+        start, end = _window_edges(self.windows.window_width_s, self.source.bin_separation_s)[-2:]
+        if not start < end:
             raise ValueError(
                 "the coincidence window at twice the bin separation is empty in floating"
                 " point: window_width_s is too small for so large a bin_separation_s"
             )
         if not 0 < self.n_pulses <= MAX_PULSES:
             raise ValueError(f"n_pulses must be positive and at most {MAX_PULSES}")
+        if not math.isfinite(self.n_pulses / self.source.rep_rate_hz):
+            raise ValueError("rep_rate_hz is too small: n_pulses / rep_rate_hz overflows")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if len(self.analyzers) not in (1, 2):
@@ -184,18 +186,14 @@ class RunResult(Record):
         return self.middle_singles_a * self.middle_singles_b / self.n_pulses
 
 
-def _centers(delay_s: float) -> tuple[float, float, float]:
-    """Window centres: the three arrival-time peaks, one bin separation apart."""
-    return (0.0, delay_s, 2.0 * delay_s)
+def _window_edges(width_s: float, delay_s: float) -> tuple[float, ...]:
+    """The edges of the three coincidence windows, in time order.
 
-
-def _classify(windows: CoincidenceWindows, delay_s: float, times: Iterable[float]) -> list[int]:
-    """Window index per click time: 0, 1, 2, or 3 for none."""
-    half = 0.5 * windows.window_width_s
-    centers = _centers(delay_s)
-    return [
-        next((k for k, c in enumerate(centers) if c - half <= t < c + half), 3) for t in times
-    ]
+    Window k is the half-open [edges[2k], edges[2k + 1]), centred on the
+    arrival-time peak k * delay_s.  This is the one statement of the rule.
+    """
+    half = 0.5 * width_s
+    return tuple(c + sign * half for c in (0.0, delay_s, 2.0 * delay_s) for sign in (-1.0, 1.0))
 
 
 @lru_cache(maxsize=32)
@@ -211,18 +209,18 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
     nbins = 3 * _HIST_BINS_PER_DELAY
     step = 3.0 * delay_s / nbins
     bin_edges = tuple(-0.5 * delay_s + step * i for i in range(nbins + 1))
-    half = 0.5 * windows.window_width_s
-    cuts = [c + sign * half for c in _centers(delay_s) for sign in (-1.0, 1.0)]
+    cuts = _window_edges(windows.window_width_s, delay_s)
     # A window edge that meets a bin edge up to rounding replaces it.
     tol = 1e-9 * (bin_edges[1] - bin_edges[0])
     inner = [e for e in bin_edges[1:-1] if min(abs(e - cut) for cut in cuts) > tol]
-    edges = (-math.inf, *sorted(inner + cuts), math.inf)
-    window = _classify(windows, delay_s, edges[:-1])
-    central = tuple(i for i, k in enumerate(window) if k == 1)
-    other = tuple(i for i, k in enumerate(window) if k != 1)
-    groups = (central, other, (len(window),))  # "no click" is the last column
+    edges = (-math.inf, *sorted([*inner, *cuts]), math.inf)
+    # n window edges at or before a cell's start: odd n is window (n - 1) // 2, 3 the central one.
+    below = [bisect_right(cuts, lo) for lo in edges[:-1]]
+    central = tuple(i for i, n in enumerate(below) if n == 3)
+    other = tuple(i for i, n in enumerate(below) if n != 3)
+    groups = (central, other, (len(below),))  # "no click" is the last column
     bin_starts = (0, *(bisect_left(edges, e - tol) for e in bin_edges[1:-1]))
-    return bin_edges, edges, tuple(k < 3 for k in window), groups, bin_starts
+    return bin_edges, edges, tuple(n % 2 == 1 for n in below), groups, bin_starts
 
 
 @lru_cache(maxsize=32)

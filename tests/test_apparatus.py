@@ -6,7 +6,7 @@ import pytest
 
 import timebin as tb
 from timebin.cli import main
-from timebin.engine import _classify
+from timebin.engine import _cells
 from timebin.record import replace
 from .conftest import ideal_experiment
 
@@ -27,9 +27,17 @@ def assert_binomial(observed, n, p):
     assert abs(observed - n * p) <= Z * sigma
 
 
+def window_of(t, width, delay):
+    """The half-open window rule: k if c - w/2 <= t < c + w/2 for c = k * delay, else 3."""
+    half = 0.5 * width
+    centres = (0.0, delay, 2.0 * delay)
+    return next((k for k, c in enumerate(centres) if c - half <= t < c + half), 3)
+
+
 def outside_window_counts(hist, cfg):
     """Histogram counts outside the three windows; 50 ps bins share the window edges."""
-    window = np.array(_classify(cfg.windows, cfg.source.bin_separation_s, hist.bin_centers_s))
+    width, delay = cfg.windows.window_width_s, cfg.source.bin_separation_s
+    window = np.array([window_of(t, width, delay) for t in hist.bin_centers_s])
     return np.asarray(hist.counts)[window == 3].sum()
 
 
@@ -164,31 +172,43 @@ class TestDetectClick:
         assert abs(result.middle_singles_a - n * p_photon_first) > 10.0 * sigma
 
 
-class TestClassifyBin:
-    """The half-open window rule, [centre - w/2, centre + w/2), in engine._classify."""
+class TestCellWindows:
+    """engine._cells puts each time cell in the window of its lower edge.
 
-    WINDOWS = ideal_experiment(window_width_s=400e-12).windows
+    Window edges that meet the 50 ps bin edges (400 ps), that meet none
+    (333 ps) and windows that nearly touch (1190 ps), at 1.2 ns.
+    """
+
     DELAY = 1.2e-9
+    WIDTHS = pytest.mark.parametrize(
+        "width", [400e-12, 333e-12, 1190e-12], ids=["400ps", "333ps", "1190ps"]
+    )
 
-    def classify(self, *times):
-        return _classify(self.WINDOWS, self.DELAY, times)
+    def cells(self, width):
+        return _cells(tb.CoincidenceWindows(window_width_s=width), self.DELAY)
 
-    def test_window_centres(self):
-        assert self.classify(0.0, 1.2e-9, 2.4e-9) == [0, 1, 2]
+    @WIDTHS
+    def test_every_cell_follows_the_half_open_rule(self, width):
+        _, edges, in_window, groups, _ = self.cells(width)
+        window = [window_of(lo, width, self.DELAY) for lo in edges[:-1]]
+        assert list(in_window) == [k < 3 for k in window]
+        assert groups == (
+            tuple(i for i, k in enumerate(window) if k == 1),
+            tuple(i for i, k in enumerate(window) if k != 1),
+            (len(window),),
+        )
 
-    def test_half_open_boundaries(self):
-        half = 0.5 * self.WINDOWS.window_width_s
+    @WIDTHS
+    def test_a_window_starts_a_cell_and_its_end_starts_the_next(self, width):
+        _, edges, in_window, (central, _, _), _ = self.cells(width)
+        half = 0.5 * width
         for k, c in enumerate((0.0, self.DELAY, 2.0 * self.DELAY)):
-            assert self.classify(c - half, c + half) == [k, 3]
-            assert self.classify(np.nextafter(c + half, -np.inf)) == [k]
-            assert self.classify(np.nextafter(c - half, -np.inf)) == [3]
-        assert self.classify(1.2e-9 + 400e-12) == [3]
-
-    def test_inside_last_window(self):
-        assert self.classify(2.4e-9 - 100e-12) == [2]
-
-    def test_between_windows(self):
-        assert self.classify(0.6e-9) == [3]
+            start, end = edges.index(c - half), edges.index(c + half)
+            assert all(in_window[start:end]) and not in_window[end]
+            assert (start in central) == (k == 1) and end not in central
+        # the three windows' cells add up to three window widths
+        inside = [hi - lo for lo, hi, i in zip(edges, edges[1:], in_window) if i]
+        assert sum(inside) == pytest.approx(3.0 * width, rel=1e-12)
 
 
 class TestAccidentalRate:

@@ -178,6 +178,24 @@ class TestRun:
             assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == code
             assert ("coincidence window" in capsys.readouterr().err) == (code == 2)
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"source": {"rep_rate_hz": 1e-310}, "run": {"n_pulses": 1000}},
+            {"source": {"rep_rate_hz": 1e-300}, "scan": {"n_pulses_per_point": 10_000_000_000}},
+        ],
+        ids=["run", "scan_point"],
+    )
+    def test_duration_overflow_refused(self, tmp_path, capsys, cfg):
+        """A run or scan point whose n_pulses / rep_rate_hz overflows has no duration."""
+        config = write_config(tmp_path, cfg)
+        for command in ("run", "scan"):
+            assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+            err = capsys.readouterr().err
+            assert "rep_rate_hz" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_byte_order_mark_in_config_is_accepted(self, tmp_path):
         """A UTF-8 byte-order mark before ``{}`` is the built-in document."""
         bom = tmp_path / "bom.json"

@@ -567,3 +567,36 @@ class TestAgainstClosedForms:
         fit = tb.fit_fringe(tb.subtract_accidentals(tb.run_phase_scan(cfg, phases)))
         expected = tb.apply_phase_jitter(1.0, jitter)
         assert abs(fit.visibility_unclamped - expected) <= 3.0 * fit.visibility_sigma
+
+
+class TestModelVisibility:
+    """The default apparatus' exact visibilities, from the law at fringe phases 0 and pi."""
+
+    @staticmethod
+    def visibilities(km):
+        base = tb.ExperimentConfig()
+        fiber = replace(base.fiber_a, length_km=km)
+        means = []
+        for phi in (0.0, 0.5 * math.pi):  # folded: fringe phases 0 and pi
+            cfg = replace(base, fiber_a=fiber, fiber_b=fiber,
+                          analyzers=(replace(base.analyzers[0], phi_analyzer=phi),))
+            tallies = tb.expected_tallies(cfg)
+            raw, accidental = tallies.triple_coincidences, tallies.accidental_coincidences
+            means.append((raw, raw - accidental))
+        (raw_max, net_max), (raw_min, net_min) = means
+        return (raw_max - raw_min) / (raw_max + raw_min), (net_max - net_min) / (net_max + net_min)
+
+    @pytest.mark.parametrize(
+        "km, v_raw, v_net",
+        [
+            (0.0, 0.9357093912, 0.9484748552),
+            (11.0, 0.8729540467, 0.9484465180),
+            (25.0, 0.3045694031, 0.8551530475),
+        ],
+    )
+    def test_pinned(self, km, v_raw, v_net):
+        assert self.visibilities(km) == pytest.approx((v_raw, v_net), abs=1e-9)
+
+    def test_net_visibility_survives_11_km(self):
+        # the paper's claim, in the model
+        assert abs(self.visibilities(11.0)[1] - self.visibilities(0.0)[1]) < 1e-4

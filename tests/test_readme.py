@@ -23,12 +23,17 @@ def section(title):
 
 
 def run_python(code, cwd=None):
-    """Run ``code`` in a fresh interpreter that imports this package."""
+    """Run ``code`` in a fresh interpreter that imports this package.
+
+    It must exit 0 and print nothing to stderr, an unclosed file's
+    ResourceWarning included.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
-                          text=True)
+    done = subprocess.run([sys.executable, "-W", "error::ResourceWarning", "-c", code], env=env,
+                          cwd=cwd, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_library_use_runs_without_numpy():
