@@ -1,5 +1,6 @@
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -170,6 +171,42 @@ class TestDetectClick:
         p_photon_first = (p_dark / 3.0) * (1.0 - p_photon) + p_photon * bin_share[1]
         sigma = math.sqrt(n * p_mid * (1.0 - p_mid))
         assert abs(result.middle_singles_a - n * p_photon_first) > 10.0 * sigma
+
+
+class TestClassifyBin:
+    """The window engine._cells gives the time cell that holds a click at t.
+
+    Windows of 400 ps centred on 0, 1.2 and 2.4 ns; 3 is "no window".
+    """
+
+    WINDOWS = tb.CoincidenceWindows(window_width_s=400e-12)
+    DELAY = 1.2e-9
+
+    def window(self, t):
+        _, edges, in_window, (central, _, _), _ = _cells(self.WINDOWS, self.DELAY)
+        i = bisect_right(edges, t) - 1
+        if not in_window[i]:
+            return 3
+        if i in central:
+            return 1
+        return 0 if i < central[0] else 2
+
+    def test_window_centres(self):
+        assert self.window(0.0) == 0
+        assert self.window(1.2e-9) == 1
+        assert self.window(2.4e-9) == 2
+
+    def test_half_open_boundaries(self):
+        half = 200e-12
+        assert self.window(1.2e-9 + 400e-12) == 3
+        assert self.window(1.2e-9 + half) == 3
+        assert self.window(1.2e-9 - half) == 1
+
+    def test_inside_last_window(self):
+        assert self.window(2.4e-9 - 100e-12) == 2
+
+    def test_between_windows(self):
+        assert self.window(0.6e-9) == 3
 
 
 class TestCellWindows:
