@@ -13,7 +13,7 @@ from .analysis import (
     DegenerateScanError, FitResult, FringePoint, fit_fringe, subtract_accidentals,
     visibility_vs_entanglement_curve,
 )
-from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
+from .apparatus import DetectorSpec, InterferometerSpec
 from .engine import (
     CoincidenceHistogram, ExperimentConfig, RunResult, expected_histograms, expected_tallies,
     fringe_phase, run_histograms, run_phase_scan, run_pulses,
@@ -25,9 +25,9 @@ from .source import SourceConfig, estimate_mu, multipair_visibility, state_from_
 from .states import TimeBinState, entropy_of_entanglement, ideal_visibility
 
 __all__ = [
-    "CoincidenceHistogram", "CoincidenceWindows", "DegenerateScanError", "DetectorSpec",
-    "ExperimentConfig", "FiberSpec", "FitResult", "FringePoint", "InterferometerSpec",
-    "RunResult", "SourceConfig", "TimeBinState", "apply_phase_jitter", "broadened_pulse_width",
+    "CoincidenceHistogram", "DegenerateScanError", "DetectorSpec", "ExperimentConfig",
+    "FiberSpec", "FitResult", "FringePoint", "InterferometerSpec", "RunResult",
+    "SourceConfig", "TimeBinState", "apply_phase_jitter", "broadened_pulse_width",
     "dispersion_spread", "entropy_of_entanglement", "estimate_mu", "expected_histograms",
     "expected_tallies", "fit_fringe", "fringe_phase", "ideal_visibility", "multipair_visibility",
     "run_histograms", "run_phase_scan", "run_pulses", "state_from_attenuations",

@@ -128,11 +128,15 @@ def fit_fringe(scan: Sequence[FringePoint], *, use_net: bool = True) -> FitResul
 
     Counting weights are Poissonian with a one-count variance floor.  The
     fit starts from raw-count weights and then reweights once from the
-    fitted predictions, which keeps the quoted uncertainty calibrated down
-    to a few counts per point (raw-count weights overweight downward
-    fluctuations there).  ``use_net`` fits the net counts, which
+    fitted predictions (raw-count weights overweight downward fluctuations
+    at low counts).  ``use_net`` fits the net counts, which
     subtract_accidentals fills; otherwise the raw counts are fitted.
     Each fit solves the 3 x 3 weighted normal equations.
+
+    Sigma is the weighted covariance propagated to V at first order, not
+    scaled by the residual chi-square, so a misfit does not widen it.  Raw
+    fits at about 12 counts per point fall within 3 sigma; net fits quote
+    it too wide (pull sd 0.47-0.90), which is ROADMAP item 7.
     """
     phases = [p.phase_rad for p in scan]
     if use_net:

@@ -1,4 +1,4 @@
-"""Apparatus specifications: analyzer interferometers, detectors, windows.
+"""Apparatus specifications: analyzer interferometers and detectors.
 
 The analyzer is an unbalanced interferometer whose delay is the pump's
 bin separation (``SourceConfig.bin_separation_s``, the one copy of it).
@@ -11,9 +11,11 @@ output split, a flat factor of two per photon on post-selected rates.
 
 Detectors click on an arriving photon with their quantum efficiency, fire
 spontaneously at the dark rate, and time-stamp with Gaussian jitter.  A
-coincidence is two clicks in the central window of the same pump period.
-Dead time is not modelled: each detector registers at most one click per
-pump period and carries nothing over to the next period.
+coincidence is two clicks in the central window of the same pump period;
+the windows' width is ``ExperimentConfig.window_width_s``, next to the bin
+separation it must stay below.  Dead time is not modelled: each detector
+registers at most one click per pump period and carries nothing over to
+the next period.
 
 These classes only describe the apparatus; the detector-gate model that
 draws clicks and classifies them into windows lives in ``engine``.  Their
@@ -58,19 +60,3 @@ class DetectorSpec(Record):
             raise ValueError("efficiency must lie in [0, 1]")
         if not all(0.0 <= x < math.inf for x in (self.dark_rate_cps, self.jitter_rms_s)):
             raise ValueError("detector parameters must be non-negative")
-
-
-class CoincidenceWindows(Record):
-    """Three half-open windows centred on the expected arrival-time peaks.
-
-    Peaks sit at 0, d and 2*d relative to the pump clock, d being the
-    source's bin separation.  Windows are [center - w/2, center + w/2);
-    ``ExperimentConfig`` checks that w < d, so they do not overlap.  The
-    engine cuts its time cells at the edges ``engine._window_edges`` gives.
-    """
-
-    window_width_s: float = 400e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.window_width_s < math.inf:
-            raise ValueError("window_width_s must be positive")

@@ -33,7 +33,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
+from .apparatus import DetectorSpec, InterferometerSpec
 from .engine import MAX_PULSES, ExperimentConfig
 from .fiber import FiberSpec
 from .grid import linspace
@@ -94,9 +94,10 @@ _WINDOWS = {"window_width_ps": ("window_width_s", PS)}
 _RUN = {"n_pulses": ("n_pulses", int), "seed": ("rng_seed", int)}
 
 # Section -> (ExperimentConfig field, record, key table), in build order.
+# The windows' keys fill ExperimentConfig's own fields, as the run's do.
 _SECTIONS = {
     "source": ("source", SourceConfig, _SOURCE),
-    "windows": ("windows", CoincidenceWindows, _WINDOWS),
+    "windows": (None, None, _WINDOWS),
     "fiber_a": ("fiber_a", FiberSpec, _FIBER),
     "fiber_b": ("fiber_b", FiberSpec, _FIBER),
     "analyzer": ("analyzers", InterferometerSpec, _ANALYZER),
@@ -133,10 +134,10 @@ def _written(experiment: ExperimentConfig, scan: ScanSettings) -> dict[str, Any]
     """The inverse of ``build_experiment``: every key written, the scan as ``phases_rad``."""
     first, *rest = experiment.analyzers
     analyzer = {**vars(first), "arrangement": _ARRANGEMENTS[len(rest)]}
-    doc = {
-        name: _document(analyzer if name == "analyzer" else vars(getattr(experiment, field)), table)
-        for name, (field, _, table) in _SECTIONS.items()
-    }
+    doc = {}
+    for name, (field, _, table) in _SECTIONS.items():
+        record = getattr(experiment, field) if field else experiment
+        doc[name] = _document(analyzer if name == "analyzer" else vars(record), table)
     for second in rest:
         doc["analyzer"].update(_document(vars(second), _ANALYZER_B))
     doc["run"] = _document(vars(experiment), _RUN)
@@ -321,6 +322,8 @@ def build_experiment(
         for name, (field, cls, table) in _SECTIONS.items():
             if name == "analyzer":
                 parts[field] = _build_analyzers(cfg.get(name, {}))
+            elif field is None:
+                parts.update(_convert(name, cfg.get(name, {}), table))
             else:
                 parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
         experiment = ExperimentConfig(**parts, **run)

@@ -21,9 +21,9 @@ Gaussian around its bin, with the broadened pulse width and the detector
 jitter in quadrature.  Each detector has at most one dark candidate per
 pulse, with probability 1 - (1 - min(r*w, 1))^3 and uniform over the three
 windows (events elsewhere can never classify nor coincide); the earlier of
-photon and dark candidate is the click.  The time cells of a click are cut
-at the three half-open windows' edges, which ``_window_edges`` gives, and at
-the 50 ps histogram bins; clicks beyond the histogram pile into its edge bins.
+photon and dark candidate is the click.  Its time cells are cut at the
+``_window_edges`` of the three ``window_width_s`` windows and at the 50 ps
+histogram bins; clicks beyond the histogram pile into its edge bins.
 
 The law.  Pulses are i.i.d., and every count of a run is a sum over
 pulses of one function of the pulse's outcome: side a's click cell, side
@@ -82,7 +82,7 @@ from itertools import accumulate, product
 from operator import mul
 
 from .analysis import FringePoint, _sum
-from .apparatus import CoincidenceWindows, DetectorSpec, InterferometerSpec
+from .apparatus import DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
 from .record import Record, replace
 from .source import SourceConfig, multipair_visibility
@@ -100,6 +100,11 @@ class ExperimentConfig(Record):
     the independent one (side a's device first), which has no circulator:
     its analyzers' ``circulator_loss_db`` is stored as 0.  The analyzers'
     delay is the source's bin separation.
+
+    The three half-open coincidence windows, ``window_width_s`` wide, are
+    centred on the arrival-time peaks at 0, d and 2*d after the pump clock,
+    d being the bin separation; the width must be below d, so that they do
+    not overlap.  ``_window_edges`` gives their edges.
     """
 
     source: SourceConfig = SourceConfig()
@@ -108,15 +113,17 @@ class ExperimentConfig(Record):
     analyzers: tuple[InterferometerSpec, ...] = (InterferometerSpec(),)
     detector_a: DetectorSpec = DetectorSpec()
     detector_b: DetectorSpec = DetectorSpec()
-    windows: CoincidenceWindows = CoincidenceWindows()
+    window_width_s: float = 400e-12
     n_pulses: int = 100_000_000
     rng_seed: int = 20260808
 
     def __post_init__(self) -> None:
-        if self.windows.window_width_s >= self.source.bin_separation_s:
+        if not 0.0 < self.window_width_s < math.inf:
+            raise ValueError("window_width_s must be positive")
+        if self.window_width_s >= self.source.bin_separation_s:
             raise ValueError("window_width_s must be smaller than the bin separation")
         # The last window is the first to round away.
-        start, end = _window_edges(self.windows.window_width_s, self.source.bin_separation_s)[-2:]
+        start, end = _window_edges(self.window_width_s, self.source.bin_separation_s)[-2:]
         if not start < end:
             raise ValueError(
                 "the coincidence window at twice the bin separation is empty in floating"
@@ -197,7 +204,7 @@ def _window_edges(width_s: float, delay_s: float) -> tuple[float, ...]:
 
 
 @lru_cache(maxsize=32)
-def _cells(windows: CoincidenceWindows, delay_s: float):
+def _cells(width_s: float, delay_s: float):
     """Time cells of the outcome law: the histogram bins split at the window edges.
 
     Returns the histogram's bin edges, the cell edges (from -inf to inf:
@@ -209,7 +216,7 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
     nbins = 3 * _HIST_BINS_PER_DELAY
     step = 3.0 * delay_s / nbins
     bin_edges = tuple(-0.5 * delay_s + step * i for i in range(nbins + 1))
-    cuts = _window_edges(windows.window_width_s, delay_s)
+    cuts = _window_edges(width_s, delay_s)
     # A window edge that meets a bin edge up to rounding replaces it.
     tol = 1e-9 * (bin_edges[1] - bin_edges[0])
     inner = [e for e in bin_edges[1:-1] if min(abs(e - cut) for cut in cuts) > tol]
@@ -225,7 +232,7 @@ def _cells(windows: CoincidenceWindows, delay_s: float):
 
 @lru_cache(maxsize=32)
 def _click_law(
-    windows: CoincidenceWindows, delay_s: float, dark_rate_cps: float, sigma_s: float, eta: float
+    width_s: float, delay_s: float, dark_rate_cps: float, sigma_s: float, eta: float
 ):
     """Click law of one detector for each photon state, by cell and by class.
 
@@ -241,10 +248,9 @@ def _click_law(
     side groups and each row of ``photon_first`` summed over the central
     group.  All are tuples, shared between calls.
     """
-    _, edges, in_window, groups, _ = _cells(windows, delay_s)
-    width = windows.window_width_s
-    p_dark = 1.0 - (1.0 - min(dark_rate_cps * width, 1.0)) ** 3
-    density = p_dark / (3.0 * width)
+    _, edges, in_window, groups, _ = _cells(width_s, delay_s)
+    p_dark = 1.0 - (1.0 - min(dark_rate_cps * width_s, 1.0)) ** 3
+    density = p_dark / (3.0 * width_s)
     cells = list(zip(edges[:-1], edges[1:], in_window))
     dark = [density * (hi - lo) if inside else 0.0 for lo, hi, inside in cells]
     no_dark_yet = [1.0 - before for before in accumulate(dark[:-1], initial=0.0)]
@@ -309,10 +315,10 @@ class _Law:
     """
 
     def __init__(self, config: ExperimentConfig) -> None:
-        src, windows = config.source, config.windows
+        src, width = config.source, config.window_width_s
         state = src.state()
         delay = src.bin_separation_s
-        self.bin_edges_s, edges, _, self.groups, self.bin_starts = _cells(windows, delay)
+        self.bin_edges_s, edges, _, self.groups, self.bin_starts = _cells(width, delay)
         self.n_cells = len(edges)  # the time cells and "no click"
 
         first, last = config.analyzers[0], config.analyzers[-1]
@@ -323,7 +329,7 @@ class _Law:
         ):
             eta = survival_probability(fib) * 10.0 ** (-loss_db / 10.0) * det.efficiency
             sigma = math.hypot(broadened_pulse_width(fib, src.pulse_width_s), det.jitter_rms_s)
-            self.sides.append(_click_law(windows, delay, det.dark_rate_cps, sigma, eta))
+            self.sides.append(_click_law(width, delay, det.dark_rate_cps, sigma, eta))
 
         # Photon states of the two sides: bin 0, 1, 2 at the monitored port,
         # 3 for none there.  joint is one pair at both monitored ports, the

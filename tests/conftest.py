@@ -36,7 +36,7 @@ def ideal_experiment(
         analyzers=(ana,),
         detector_a=det,
         detector_b=det,
-        windows=tb.CoincidenceWindows(window_width_s=window_width_s),
+        window_width_s=window_width_s,
         n_pulses=n_pulses,
         rng_seed=seed,
     )

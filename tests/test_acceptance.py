@@ -145,7 +145,7 @@ def test_pair_number_estimator_closed_loop():
         source=src, fiber_a=fiber, fiber_b=fiber,
         analyzers=(tb.InterferometerSpec(),),
         detector_a=det, detector_b=det,
-        windows=tb.CoincidenceWindows(),
+        window_width_s=400e-12,
         n_pulses=3 * 10**7, rng_seed=606,
     )
     singles_a = singles_b = triples = 0

@@ -37,7 +37,7 @@ def window_of(t, width, delay):
 
 def outside_window_counts(hist, cfg):
     """Histogram counts outside the three windows; 50 ps bins share the window edges."""
-    width, delay = cfg.windows.window_width_s, cfg.source.bin_separation_s
+    width, delay = cfg.window_width_s, cfg.source.bin_separation_s
     window = np.array([window_of(t, width, delay) for t in hist.bin_centers_s])
     return np.asarray(hist.counts)[window == 3].sum()
 
@@ -57,7 +57,7 @@ class TestSpecs:
     def test_windows_must_not_overlap(self):
         # 1.3 ns windows around peaks 1.2 ns apart
         with pytest.raises(ValueError):
-            replace(ideal_experiment(), windows=tb.CoincidenceWindows(window_width_s=1.3e-9))
+            replace(ideal_experiment(), window_width_s=1.3e-9)
 
     def test_detector_bounds(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestSpecs:
             pytest.param(record, field, id=f"{record.__name__}.{field}")
             for record in (
                 tb.SourceConfig, tb.FiberSpec, tb.InterferometerSpec, tb.DetectorSpec,
-                tb.CoincidenceWindows,
+                tb.ExperimentConfig,
             )
             for field, default in record._defaults.items()
             if isinstance(default, float)
@@ -179,11 +179,11 @@ class TestClassifyBin:
     Windows of 400 ps centred on 0, 1.2 and 2.4 ns; 3 is "no window".
     """
 
-    WINDOWS = tb.CoincidenceWindows(window_width_s=400e-12)
+    WIDTH = 400e-12
     DELAY = 1.2e-9
 
     def window(self, t):
-        _, edges, in_window, (central, _, _), _ = _cells(self.WINDOWS, self.DELAY)
+        _, edges, in_window, (central, _, _), _ = _cells(self.WIDTH, self.DELAY)
         i = bisect_right(edges, t) - 1
         if not in_window[i]:
             return 3
@@ -222,7 +222,7 @@ class TestCellWindows:
     )
 
     def cells(self, width):
-        return _cells(tb.CoincidenceWindows(window_width_s=width), self.DELAY)
+        return _cells(width, self.DELAY)
 
     @WIDTHS
     def test_every_cell_follows_the_half_open_rule(self, width):

@@ -169,6 +169,15 @@ class TestRun:
         assert code == 2
         assert "window_width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width_ps", [0, -5])
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_window_width_must_be_positive(self, tmp_path, capsys, command, width_ps):
+        config = write_config(tmp_path, {"windows": {"window_width_ps": width_ps}})
+        assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "window_width_s must be positive" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("separation_ns, code", [(1e15, 0), (1e16, 2)])
     def test_bin_separation_past_float_resolution(self, tmp_path, capsys, separation_ns, code):
         """At 1e16 ns the central window and the one at twice the separation

@@ -31,7 +31,7 @@ class TestDefaultConfig:
     def test_builds_and_converts_units(self):
         experiment, scan = build_experiment(default_config_dict())
         assert experiment.source.bin_separation_s == pytest.approx(1.2e-9, rel=1e-12)
-        assert experiment.windows.window_width_s == pytest.approx(400e-12, rel=1e-12)
+        assert experiment.window_width_s == pytest.approx(400e-12, rel=1e-12)
         assert experiment.detector_a.jitter_rms_s == pytest.approx(100e-12, rel=1e-12)
         assert len(experiment.analyzers) == 1  # the folded arrangement
         assert scan is not None
@@ -48,7 +48,7 @@ class TestDefaultConfig:
         assert empty.fiber_a == empty.fiber_b == tb.FiberSpec()
         assert empty.analyzers == (tb.InterferometerSpec(),)
         assert empty.detector_a == empty.detector_b == tb.DetectorSpec()
-        assert empty.windows == tb.CoincidenceWindows()
+        assert empty.window_width_s == tb.ExperimentConfig.window_width_s
 
     def test_default_document_hash(self):
         # the provenance line of every run without --config

@@ -79,14 +79,17 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, change, message",
         [
+            (None, {"window_width_s": 0.0}, "window_width_s must be positive"),
+            (None, {"window_width_s": -1e-12}, "window_width_s must be positive"),
             # a 1e-312 s window vanishes around the 2.4 ns centre
-            ("windows", {"window_width_s": 1e-312}, "coincidence window at twice the bin"),
+            (None, {"window_width_s": 1e-312}, "coincidence window at twice the bin"),
             # and 400 ps around 4e6 s
             ("source", {"bin_separation_s": 2e6}, "coincidence window at twice the bin"),
             # past the binomial sampler's exact range
             (None, {"n_pulses": 2**63}, f"n_pulses must be positive and at most {2**63 - 1}"),
         ],
-        ids=["window_width", "bin_separation", "n_pulses"],
+        ids=["window_width_zero", "window_width_negative", "window_width", "bin_separation",
+             "n_pulses"],
     )
     def test_engine_limits_refused(self, section, change, message):
         cfg = ideal_experiment()
@@ -224,8 +227,8 @@ class TestOutcomeLaw:
         # numpy as the reference: C_a^T W C_b from the same lists, its
         # central block split into the one-pair part and the rest
         experiment = law_grid_experiment(name)
-        delay, half = experiment.source.bin_separation_s, 0.5 * experiment.windows.window_width_s
-        _, edges, _, (central, _, _), _ = engine._cells(experiment.windows, delay)
+        delay, half = experiment.source.bin_separation_s, 0.5 * experiment.window_width_s
+        _, edges, _, (central, _, _), _ = engine._cells(experiment.window_width_s, delay)
         assert central == tuple(
             i for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
             if delay - half <= lo and hi <= delay + half
@@ -338,7 +341,7 @@ class TestOutcomeLaw:
     def test_lost_photons_leave_the_dark_candidate_alone(self):
         experiment = law_grid_experiment("independent_333ps")
         (clicks, photon_first), (classes, photon_central) = engine._click_law(
-            experiment.windows, experiment.source.bin_separation_s, 2e7, 300e-12, 0.0
+            experiment.window_width_s, experiment.source.bin_separation_s, 2e7, 300e-12, 0.0
         )
         assert clicks[:3] == (clicks[3],) * 3 and classes[:3] == (classes[3],) * 3
         assert not any(map(any, photon_first + photon_central))
@@ -396,7 +399,7 @@ def random_independent_experiment(rng):
         analyzers=(analyzer(), analyzer()),
         detector_a=detector(),
         detector_b=detector(),
-        windows=tb.CoincidenceWindows(window_width_s=rng.uniform(200e-12, 800e-12)),
+        window_width_s=rng.uniform(200e-12, 800e-12),
     )
 
 

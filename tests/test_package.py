@@ -31,7 +31,7 @@ def test_every_exported_name_resolves():
 
 def test_public_surface_is_what_the_law_cli_and_benchmark_use():
     assert sorted(timebin.__all__) == [
-        "CoincidenceHistogram", "CoincidenceWindows", "DegenerateScanError",
+        "CoincidenceHistogram", "DegenerateScanError",
         "DetectorSpec", "ExperimentConfig", "FiberSpec", "FitResult", "FringePoint",
         "InterferometerSpec", "RunResult", "SourceConfig", "TimeBinState",
         "apply_phase_jitter", "broadened_pulse_width",
@@ -42,9 +42,11 @@ def test_public_surface_is_what_the_law_cli_and_benchmark_use():
         "survival_probability", "visibility_vs_entanglement_curve",
     ]
     # Test references (tests/reference.py), a deleted model, a constant that
-    # is only SourceConfig's default, and an error type now plain ValueError.
+    # is only SourceConfig's default, an error type now plain ValueError and a
+    # record now ExperimentConfig.window_width_s.
     for name in (
         "AnalyzerState",
+        "CoincidenceWindows",
         "ConfigurationError",
         "PUMP_PULSE_SIGMA_S",
         "bin_overlap_probability",
@@ -195,9 +197,6 @@ RECORDS = {
         timebin.InterferometerSpec(), {"excess_loss_db": 2.0}, {"excess_loss_db": -1.0}
     ),
     "DetectorSpec": (timebin.DetectorSpec(), {"efficiency": 0.5}, {"efficiency": 1.5}),
-    "CoincidenceWindows": (
-        timebin.CoincidenceWindows(), {"window_width_s": 3e-10}, {"window_width_s": 0.0}
-    ),
     "ExperimentConfig": (timebin.ExperimentConfig(), {"n_pulses": 5}, {"n_pulses": 0}),
     "CoincidenceHistogram": (
         timebin.CoincidenceHistogram(bin_edges_s=(0.0, 1.0, 2.0), counts=(3, 4)),
