@@ -170,6 +170,8 @@ def _cmd_curve_mu(args: argparse.Namespace) -> int:
             raise ConfigFormatError(f"--mu: {exc}") from exc
         if not grid or not all(0.0 < mu < math.inf for mu in grid):
             raise ConfigFormatError(f"--mu: expected positive finite numbers, got {args.mu}")
+        if len(grid) > MAX_SCAN_POINTS:
+            raise ConfigFormatError(f"--mu: at most {MAX_SCAN_POINTS} values, got {len(grid)}")
     rows = [(mu, multipair_visibility(mu)) for mu in grid]
     provenance = _provenance(config_hash({"kind": "v_vs_mu", "mu": grid}), "none")
     _write_csv(args.out, provenance, ("mu", "visibility"), rows)

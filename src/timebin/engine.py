@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Iterable
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
@@ -209,9 +209,9 @@ def _cells(width_s: float, delay_s: float):
 
     Returns the histogram's bin edges, the cell edges (from -inf to inf:
     the outer cells belong to the edge bins), which cells lie in a window,
-    the side groups and the first cell of every bin, as tuples shared
-    between calls.  The side groups are the one place a click's class is
-    decided: central-window cells, every other time cell, and "no click".
+    the side groups (central-window cells, every other time cell, and "no
+    click") and the bin of every cell ("no click" is one past the last bin),
+    as tuples shared between calls: a click's class and bin are decided here.
     """
     nbins = 3 * _HIST_BINS_PER_DELAY
     step = 3.0 * delay_s / nbins
@@ -226,8 +226,10 @@ def _cells(width_s: float, delay_s: float):
     central = tuple(i for i, n in enumerate(below) if n == 3)
     other = tuple(i for i, n in enumerate(below) if n != 3)
     groups = (central, other, (len(below),))  # "no click" is the last column
-    bin_starts = (0, *(bisect_left(edges, e - tol) for e in bin_edges[1:-1]))
-    return bin_edges, edges, tuple(n % 2 == 1 for n in below), groups, bin_starts
+    # A cell's bin is the number of interior bin edges at or before its start, up to rounding.
+    starts = [e - tol for e in bin_edges[1:-1]]
+    bin_of = (*(bisect_right(starts, lo) for lo in edges[:-1]), nbins)
+    return bin_edges, edges, tuple(n % 2 == 1 for n in below), groups, bin_of
 
 
 @lru_cache(maxsize=32)
@@ -318,8 +320,7 @@ class _Law:
         src, width = config.source, config.window_width_s
         state = src.state()
         delay = src.bin_separation_s
-        self.bin_edges_s, edges, _, self.groups, self.bin_starts = _cells(width, delay)
-        self.n_cells = len(edges)  # the time cells and "no click"
+        self.bin_edges_s, _, _, self.groups, self.bin_of = _cells(width, delay)
 
         first, last = config.analyzers[0], config.analyzers[-1]
         losses_db = (first.excess_loss_db + first.circulator_loss_db, last.excess_loss_db)
@@ -423,19 +424,15 @@ def _histograms(
     law: _Law, per_outcome: list[list[float]]
 ) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
     """Both sides' histograms of per-outcome counts (or means), listed as in ``law.outcomes``."""
-    sides = [[0] * law.n_cells, [0] * law.n_cells]
+    edges, bin_of = law.bin_edges_s, law.bin_of
+    sides = [[0] * len(edges), [0] * len(edges)]  # every bin, then "no click"
     for (cells, _), values in zip(law.outcomes, per_outcome):
         for (i, j), value in zip(cells, values):
-            sides[0][i] += value
-            sides[1][j] += value
-    ends = (*law.bin_starts[1:], law.n_cells - 1)  # the last cell is "no click"
-    return tuple(
-        CoincidenceHistogram(
-            bin_edges_s=law.bin_edges_s,
-            counts=tuple(sum(side[a:b]) for a, b in zip(law.bin_starts, ends)),
-        )
-        for side in sides
-    )
+            sides[0][bin_of[i]] += value
+            sides[1][bin_of[j]] += value
+    for side in sides:
+        side.pop()  # "no click"
+    return tuple(CoincidenceHistogram(bin_edges_s=edges, counts=tuple(side)) for side in sides)
 
 
 def _from_classes(config: ExperimentConfig, counts: list[float]) -> RunResult:

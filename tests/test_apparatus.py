@@ -248,6 +248,40 @@ class TestCellWindows:
         assert sum(inside) == pytest.approx(3.0 * width, rel=1e-12)
 
 
+class TestCellBins:
+    """engine._cells gives every time cell the histogram bin that holds it.
+
+    The widths of ``TestCellWindows``; "no click" is one past the last bin.
+    """
+
+    DELAY = TestCellWindows.DELAY
+    WIDTHS = TestCellWindows.WIDTHS
+
+    @WIDTHS
+    def test_every_cell_lies_in_its_bin(self, width):
+        bin_edges, edges, _, _, bin_of = _cells(width, self.DELAY)
+        tol = 1e-9 * (bin_edges[1] - bin_edges[0])  # a window edge this near a bin edge replaces it
+        # the outer cells reach to -inf and inf and belong to the edge bins
+        assert bin_of[0] == 0 and bin_of[len(edges) - 2] == len(bin_edges) - 2
+        for lo, hi, k in zip(edges, edges[1:], bin_of):
+            assert lo == -math.inf or bin_edges[k] - tol <= lo, (lo, k)
+            assert hi == math.inf or hi <= bin_edges[k + 1] + tol, (hi, k)
+
+    @WIDTHS
+    def test_bins_never_decrease_and_hold_one_or_two_cells(self, width):
+        bin_edges, edges, _, _, bin_of = _cells(width, self.DELAY)
+        time_cells = list(bin_of[: len(edges) - 1])
+        assert time_cells == sorted(time_cells)
+        per_bin = [time_cells.count(k) for k in range(len(bin_edges) - 1)]
+        assert set(per_bin) <= {1, 2} and sum(per_bin) == len(time_cells), per_bin
+
+    @WIDTHS
+    def test_no_click_is_one_past_the_last_bin(self, width):
+        bin_edges, edges, _, (_, _, (no_click,)), bin_of = _cells(width, self.DELAY)
+        assert no_click == len(bin_of) - 1 == len(edges) - 1
+        assert bin_of[no_click] == len(bin_edges) - 1
+
+
 class TestAccidentalRate:
     def test_darks_only_run_matches_product_estimate(self):
         # photons off: every middle-window coincidence is accidental, and the

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from timebin.cli import main
-from timebin.config_io import config_hash, default_config_dict, effective_config_dict
+from timebin.config_io import (
+    MAX_SCAN_POINTS, config_hash, default_config_dict, effective_config_dict,
+)
 from timebin.source import multipair_visibility
 
 from .conftest import built_in_spellings
@@ -583,6 +585,17 @@ class TestCurve:
         out = tmp_path / "curve.csv"
         assert main(["curve", *argv, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_mu_grid_has_at_most_max_scan_points(self, tmp_path, capsys):
+        out = tmp_path / "vmu.csv"
+        at_cap = ",".join(["0.1"] * MAX_SCAN_POINTS)
+        assert main(["curve", "v_vs_mu", "--mu", at_cap, "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == MAX_SCAN_POINTS
+        out.unlink()
+        assert main(["curve", "v_vs_mu", "--mu", at_cap + ",0.2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--mu" in err and str(MAX_SCAN_POINTS) in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "option, value",

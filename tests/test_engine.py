@@ -423,6 +423,61 @@ def tally_by_cell(law, per_outcome, experiment):
     return result, engine._histograms(law, per_outcome)
 
 
+def dark_free_experiment(overrides, jitter_ps=100.0):
+    """The shipped defaults with ``overrides`` and dark-free detectors of efficiency 0.25."""
+    cfg = default_config_dict()
+    for section, values in overrides.items():
+        cfg[section].update(values)
+    detector = {"efficiency": 0.25, "dark_rate_cps": 0.0, "jitter_ps": jitter_ps}
+    cfg["detector_a"].update(detector)
+    cfg["detector_b"].update(detector)
+    return build_experiment(cfg)[0]
+
+
+class TestEachSide:
+    """Each side's counts carry that side's losses and the source's amplitudes."""
+
+    @pytest.mark.parametrize("mu", [0.005, 0.1, 0.4])
+    @pytest.mark.parametrize("circulator_loss_db", [0.0, 1.0, 3.0, 7.5])
+    def test_folded_circulator_loss_is_side_as_alone(self, circulator_loss_db, mu):
+        experiment = dark_free_experiment({
+            "source": {"mean_pairs": mu},
+            "fiber_a": {"length_km": 11.0},
+            "fiber_b": {"length_km": 11.0},
+            "analyzer": {"circulator_loss_db": circulator_loss_db},
+        })
+        tallies = tb.expected_tallies(experiment)
+        transmission = 10.0 ** (-circulator_loss_db / 10.0)
+        assert tallies.singles_a / tallies.singles_b == pytest.approx(transmission, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.005, 0.1, 0.4])
+    def test_independent_excess_losses_are_each_sides_own(self, mu):
+        experiment = dark_free_experiment({
+            "source": {"mean_pairs": mu},
+            "analyzer": {"arrangement": "independent", "excess_loss_db": 1.0,
+                         "excess_loss_b_db": 2.5},
+        })
+        tallies = tb.expected_tallies(experiment)
+        ratio = 10.0 ** (-(1.0 - 2.5) / 10.0)
+        assert tallies.singles_a / tallies.singles_b == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.005, 0.4])
+    @pytest.mark.parametrize("alpha_sq", [0.5, 0.7, 0.9])
+    def test_side_peaks_weigh_alpha_and_beta_squared(self, alpha_sq, mu):
+        # Jitter-free detectors: the middle peak's tails stay out of the side peaks.
+        experiment = dark_free_experiment(
+            {"source": {"mean_pairs": mu, "arm_attenuation_a": alpha_sq,
+                        "arm_attenuation_b": 1.0 - alpha_sq}},
+            jitter_ps=0.0,
+        )
+        state, d = experiment.source.state(), experiment.source.bin_separation_s
+        for hist in tb.expected_histograms(experiment):
+            peaks = list(zip(hist.bin_centers_s, hist.counts))
+            early = math.fsum(c for t, c in peaks if t < 0.5 * d)
+            late = math.fsum(c for t, c in peaks if t >= 1.5 * d)
+            assert early / late == pytest.approx(state.alpha**2 / state.beta**2, rel=1e-12)
+
+
 class TestMultinomial:
     PROBS = [0.0, 0.3, 1e-7, 0.0, 0.05, 0.2, 0.0, 0.45, 1e-3, 0.0]
 
