@@ -6,6 +6,8 @@ config + seed reproduce byte-identical files.
 
 Exit codes: 0 success, 1 parse error (config, CSV, parameters or command
 line), 2 config validation error, 3 I/O error, 4 degenerate fit design.
+An error message quotes at most ``config_io.QUOTE_CHARS`` characters of the
+value at fault.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .config_io import (
     ConfigFormatError,
     ConfigValidationError,
     build_experiment,
+    clip,
     config_hash,
     digest,
     effective_config_dict,
@@ -65,7 +68,7 @@ def _output(path: str):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     except OSError as exc:
-        raise _IoFailure(f"cannot write {path}: {exc}") from exc
+        raise _IoFailure(f"cannot write {clip(path)}: {clip(str(exc))}") from exc
 
 
 def _write_csv(path: str, meta: dict[str, Any], header: Iterable[str], rows: Iterable) -> None:
@@ -90,12 +93,14 @@ class _IoFailure(Exception):
 def _load(args: argparse.Namespace):
     """The experiment, scan settings and config hash of a ``run`` or ``scan``."""
     if args.threads < 1:
-        raise ConfigFormatError(f"--threads: expected a positive integer, got {args.threads}")
+        raise ConfigFormatError(
+            f"--threads: expected a positive integer, got {clip(str(args.threads))}"
+        )
     if args.config:
         try:
             cfg = load_config_file(args.config)
         except OSError as exc:
-            raise _IoFailure(f"cannot read {args.config}: {exc}") from exc
+            raise _IoFailure(f"cannot read {clip(args.config)}: {clip(str(exc))}") from exc
     else:
         cfg = {}
     # The hash covers the complete document, and that document is what runs.
@@ -153,7 +158,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_curve_e(args: argparse.Namespace) -> int:
     if not 2 <= args.points <= MAX_SCAN_POINTS:
-        raise ConfigFormatError(f"--points: expected 2 to {MAX_SCAN_POINTS}, got {args.points}")
+        raise ConfigFormatError(
+            f"--points: expected 2 to {MAX_SCAN_POINTS}, got {clip(str(args.points))}"
+        )
     rows = visibility_vs_entanglement_curve(args.points)
     provenance = _provenance(config_hash({"kind": "v_vs_e", "points": args.points}), "none")
     _write_csv(args.out, provenance, ("entanglement_bits", "visibility"), rows)
@@ -164,12 +171,16 @@ def _cmd_curve_mu(args: argparse.Namespace) -> int:
     if args.mu is None:
         grid = linspace(0.01, 1.0, 101)
     else:
+        tokens = [tok.strip() for tok in args.mu.split(",") if tok.strip()]
         try:
-            grid = [float(tok) for tok in args.mu.split(",") if tok.strip()]
+            grid = [float(tok) for tok in tokens]
         except ValueError as exc:
-            raise ConfigFormatError(f"--mu: {exc}") from exc
-        if not grid or not all(0.0 < mu < math.inf for mu in grid):
-            raise ConfigFormatError(f"--mu: expected positive finite numbers, got {args.mu}")
+            raise ConfigFormatError(f"--mu: {clip(str(exc))}") from exc
+        # The message names the first offending value, not the whole list.
+        bad = [tok for tok, mu in zip(tokens, grid) if not 0.0 < mu < math.inf]
+        if not grid or bad:
+            got = bad[0] if bad else args.mu
+            raise ConfigFormatError(f"--mu: expected positive finite numbers, got {clip(got)}")
         if len(grid) > MAX_SCAN_POINTS:
             raise ConfigFormatError(f"--mu: at most {MAX_SCAN_POINTS} values, got {len(grid)}")
     rows = [(mu, multipair_visibility(mu)) for mu in grid]
@@ -218,7 +229,7 @@ def _parse_scan_csv(path: str, data: bytes) -> tuple[FringePoint, ...]:
             points.append(FringePoint(phase_rad=phase, raw=raw, accidental=acc))
         except ValueError as exc:
             # a field that does not parse, or a point that FringePoint refuses
-            raise ConfigFormatError(f"{path}: line {line_no}: {exc}") from exc
+            raise ConfigFormatError(f"{path}: line {line_no}: {clip(str(exc))}") from exc
     if not points:
         raise ConfigFormatError(f"{path}: no data rows after header")
     return tuple(points)
@@ -229,15 +240,22 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         with open(args.scan_csv, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise _IoFailure(f"cannot read {args.scan_csv}: {exc}") from exc
+        raise _IoFailure(f"cannot read {clip(args.scan_csv)}: {clip(str(exc))}") from exc
     scan = subtract_accidentals(_parse_scan_csv(args.scan_csv, data))
     # A refit's hash is the hash of the CSV it read.
     _write_report(args.out, {**_provenance(digest(data), "none"), **_scan_report(scan)})
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, which quote the arguments, are clipped."""
+
+    def error(self, message: str):
+        super().error(clip(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="timebin",
         description="Simulate and analyse time-bin entangled photon-pair experiments.",
     )

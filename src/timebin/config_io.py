@@ -45,6 +45,8 @@ if TYPE_CHECKING:
     from typing import Any
 
 NS, PS = 1e-9, 1e-12
+# An error message quotes at most QUOTE_CHARS characters of the input at fault.
+QUOTE_CHARS = 200
 # Every grid the program allocates (a scan's phases times its repetitions,
 # a curve's points) has at most MAX_SCAN_POINTS points; a scan that long
 # takes about 18 s on one core.
@@ -52,11 +54,11 @@ MAX_SCAN_POINTS = 10**5
 # The phase grid of a document that gives none: one fringe period of the
 # folded arrangement.
 _DEFAULT_PHASE_LINSPACE = {"start_rad": 0.0, "stop_rad": math.pi, "num": 12}
-# Index + 1 is the number of interferometers.
+# The values of ``analyzer.arrangement``, a key that fills no record field:
+# index + 1 is the number of interferometers.
 _ARRANGEMENTS = ("folded", "independent")
 
-# Document key -> (record field, factor to SI).  The factor ``int``
-# marks an integer key, ``str`` a string its section's builder checks.
+# Document key -> (record field, factor to SI).  The factor ``int`` marks an integer key.
 _SOURCE = {
     "rep_rate_hz": ("rep_rate_hz", 1.0),
     "mean_pairs": ("mean_pairs", 1.0),
@@ -75,10 +77,8 @@ _FIBER = {
     "filter_bandwidth_nm": ("filter_bandwidth_nm", 1.0),
     "phase_jitter_rad": ("phase_jitter_rms", 1.0),
 }
-# ``arrangement`` fills no field: it sets the number of interferometers.
 # The analyzers' delay is the source's bin separation.
 _ANALYZER = {
-    "arrangement": ("arrangement", str),
     "phase_rad": ("phi_analyzer", 1.0),
     "excess_loss_db": ("excess_loss_db", 1.0),
     "circulator_loss_db": ("circulator_loss_db", 1.0),
@@ -106,6 +106,11 @@ _SECTIONS = {
 }
 
 
+def clip(text: str) -> str:
+    """``text``, an input or a message that quotes one, cut to QUOTE_CHARS characters."""
+    return text if len(text) <= QUOTE_CHARS else text[: QUOTE_CHARS - 3] + "..."
+
+
 class ConfigFormatError(ValueError):
     """The document cannot be read at all (bad JSON, wrong types, bad CSV)."""
 
@@ -125,7 +130,7 @@ class ScanSettings(Record):
 def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
     """The document section holding ``fields`` (SI values by field name), in its units."""
     return {
-        key: fields[field] if unit in (int, str) else fields[field] / unit
+        key: fields[field] if unit is int else fields[field] / unit
         for key, (field, unit) in table.items()
     }
 
@@ -133,11 +138,11 @@ def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
 def _written(experiment: ExperimentConfig, scan: ScanSettings) -> dict[str, Any]:
     """The inverse of ``build_experiment``: every key written, the scan as ``phases_rad``."""
     first, *rest = experiment.analyzers
-    analyzer = {**vars(first), "arrangement": _ARRANGEMENTS[len(rest)]}
     doc = {}
     for name, (field, _, table) in _SECTIONS.items():
         record = getattr(experiment, field) if field else experiment
-        doc[name] = _document(analyzer if name == "analyzer" else vars(record), table)
+        doc[name] = _document(vars(first if name == "analyzer" else record), table)
+    doc["analyzer"] = {"arrangement": _ARRANGEMENTS[len(rest)], **doc["analyzer"]}
     for second in rest:
         doc["analyzer"].update(_document(vars(second), _ANALYZER_B))
     doc["run"] = _document(vars(experiment), _RUN)
@@ -174,7 +179,7 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     obj: dict[str, Any] = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigFormatError(f"key {key!r} given twice")
+            raise ConfigFormatError(f"key {clip(repr(key))} given twice")
         obj[key] = value
     return obj
 
@@ -200,7 +205,7 @@ def _require_keys(section: str, given: dict, allowed: set, required: frozenset =
     unknown = set(given) - allowed
     if unknown:
         raise ConfigFormatError(
-            f"{section}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"{section}: unknown key(s) {clip(repr(sorted(unknown)))}; allowed: {sorted(allowed)}"
         )
     missing = required - set(given)
     if missing:
@@ -211,7 +216,7 @@ def _number(where: str, val: Any) -> float:
     numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
     # abs(val) <= max also rejects NaN, and ints too large for a float.
     if not numeric or not abs(val) <= sys.float_info.max:
-        raise ConfigFormatError(f"{where}: expected a finite number, got {val!r}")
+        raise ConfigFormatError(f"{where}: expected a finite number, got {clip(repr(val))}")
     return float(val)
 
 
@@ -230,21 +235,21 @@ def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) 
         if key not in given:
             continue
         val = given[key]
-        if unit is int:
-            if not _is_int(val):
-                raise ConfigFormatError(f"{section}.{key}: expected an integer, got {val!r}")
-        elif unit is not str:
+        if unit is not int:
             val = _number(f"{section}.{key}", val) * unit
+        elif not _is_int(val):
+            raise ConfigFormatError(f"{section}.{key}: expected an integer, got {clip(repr(val))}")
         kwargs[field] = val
     return kwargs
 
 
 def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
     """The document's interferometers."""
-    kwargs = _convert("analyzer", sec, _ANALYZER, _ANALYZER_B)
-    arrangement = kwargs.pop("arrangement", _ARRANGEMENTS[0])
+    keys = ("arrangement", *_ANALYZER, *_ANALYZER_B)  # every key the section may hold
+    kwargs = _convert("analyzer", sec, _ANALYZER, keys)
+    arrangement = sec.get("arrangement", _ARRANGEMENTS[0])
     if arrangement not in _ARRANGEMENTS:
-        raise ConfigFormatError(f"analyzer.arrangement: unknown value {arrangement!r}")
+        raise ConfigFormatError(f"analyzer.arrangement: unknown value {clip(repr(arrangement))}")
     first = InterferometerSpec(**kwargs)
     if arrangement == "folded":
         if sec.keys() & _ANALYZER_B.keys():
@@ -254,7 +259,7 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
         return (first,)
     # The second device takes the first one's excess loss.
     second = replace(first, phi_analyzer=InterferometerSpec.phi_analyzer)
-    return (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, _ANALYZER)))
+    return (first, replace(second, **_convert("analyzer", sec, _ANALYZER_B, keys)))
 
 
 def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
@@ -295,7 +300,7 @@ def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
         raise ConfigFormatError("scan.repetitions: expected a positive integer")
     if len(phases) * reps > MAX_SCAN_POINTS:
         raise ConfigFormatError(
-            f"scan: {len(phases)} phases x {reps} repetitions is more than"
+            f"scan: {len(phases)} phases x {clip(str(reps))} repetitions is more than"
             f" {MAX_SCAN_POINTS} points"
         )
     return ScanSettings(analyzer_phases_rad=phases, n_pulses_per_point=n_point, repetitions=reps)

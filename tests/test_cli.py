@@ -701,3 +701,107 @@ class TestFit:
     def test_missing_csv_is_an_io_error(self, tmp_path, capsys):
         assert main(["fit", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "r.json")]) == 3
         assert "cannot read" in capsys.readouterr().err
+
+
+def _run_argv(tmp_path, document):
+    return ["run", "--config", write_config(tmp_path, document)]
+
+
+def _file(tmp_path, text):
+    """The path of a file under ``tmp_path`` that holds ``text``."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv, name",
+    [
+        pytest.param(
+            lambda tmp: ["curve", "v_vs_mu", "--mu", ",".join(["0.1"] * 99_999 + ["nan"])],
+            "--mu: expected positive finite numbers, got nan",
+            id="mu_list_with_one_nan",
+        ),
+        pytest.param(
+            lambda tmp: ["curve", "v_vs_mu", "--mu", "1" * 10**6], "--mu", id="mu_long_number"
+        ),
+        pytest.param(
+            lambda tmp: ["curve", "v_vs_mu", "--mu", "x" * 10**6], "--mu", id="mu_long_word"
+        ),
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"source": {"mean_pairs": [0] * 200_000}}),
+            "source.mean_pairs",
+            id="long_list_for_a_number",
+        ),
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"analyzer": {"arrangement": "x" * 10**6}}),
+            "analyzer.arrangement",
+            id="long_arrangement",
+        ),
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"source": {f"k{i}": 0 for i in range(100_000)}}),
+            "source: unknown key(s)",
+            id="many_unknown_keys",
+        ),
+        pytest.param(
+            lambda tmp: ["fit", _file(tmp, "phase_rad,raw,accidental\n" + "x" * 10**6 + ",1,0")],
+            "line 2: could not convert string to float",
+            id="fit_long_phase",
+        ),
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"scan": {"repetitions": 10**4000}}),
+            "scan: 12 phases x 1000",
+            id="many_repetitions",
+        ),
+        pytest.param(
+            lambda tmp: [
+                "run", "--config", _file(tmp, '{"k": 1, "k": 2}'.replace("k", "k" * 10**5))
+            ],
+            "given twice",
+            id="long_key_given_twice",
+        ),
+        pytest.param(lambda tmp: ["run", "--seed", "9" * 5000], "--seed", id="long_seed"),
+        pytest.param(
+            lambda tmp: ["run", "--bogus", "y" * 10**5],
+            "unrecognized arguments",
+            id="long_argument",
+        ),
+        # The arrangement is checked by value, whatever its JSON type.
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"analyzer": {"arrangement": 1}}),
+            "analyzer.arrangement: unknown value 1",
+            id="arrangement_number",
+        ),
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"analyzer": {"arrangement": ["folded"]}}),
+            "analyzer.arrangement: unknown value ['folded']",
+            id="arrangement_list",
+        ),
+        pytest.param(
+            lambda tmp: _run_argv(tmp, {"analyzer": {"arrangement": {}}}),
+            "analyzer.arrangement: unknown value {}",
+            id="arrangement_object",
+        ),
+    ],
+)
+def test_error_quotes_a_bounded_part_of_the_input(tmp_path, capsys, make_argv, name):
+    """A bad input exits 1 with a short message that names it, however long the input."""
+    out = tmp_path / "out"
+    assert main([*make_argv(tmp_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err
+    assert len(err) < 1000
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("long_config, message", [(True, "cannot read"), (False, "cannot write")])
+def test_io_error_quotes_a_bounded_part_of_the_path(tmp_path, capsys, long_config, message):
+    """A path the system refuses as too long exits 3 with a short message."""
+    too_long = str(tmp_path / ("m" * 100_000))
+    config = too_long if long_config else write_config(tmp_path, small_config())
+    out = str(tmp_path / "x.csv") if long_config else too_long
+    assert main(["run", "--config", config, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err) < 1000
