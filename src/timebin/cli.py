@@ -35,6 +35,7 @@ from .config_io import (
     build_experiment,
     clip,
     config_hash,
+    count,
     digest,
     effective_config_dict,
     load_config_file,
@@ -92,10 +93,7 @@ class _IoFailure(Exception):
 
 def _load(args: argparse.Namespace):
     """The experiment, scan settings and config hash of a ``run`` or ``scan``."""
-    if args.threads < 1:
-        raise ConfigFormatError(
-            f"--threads: expected a positive integer, got {clip(str(args.threads))}"
-        )
+    count("--threads", args.threads)
     if args.config:
         try:
             cfg = load_config_file(args.config)

@@ -111,6 +111,18 @@ def clip(text: str) -> str:
     return text if len(text) <= QUOTE_CHARS else text[: QUOTE_CHARS - 3] + "..."
 
 
+def quote(value: Any) -> str:
+    """``repr(value)`` for an error message, clipped; it never raises on a document's value.
+
+    A value with no repr, an int past the interpreter's digit limit or lists
+    nested past the recursion limit, alone or in a list, shows as a stand-in.
+    """
+    try:
+        return clip(repr(value))
+    except (ValueError, RecursionError):
+        return f"<unprintable {type(value).__name__}>"
+
+
 class ConfigFormatError(ValueError):
     """The document cannot be read at all (bad JSON, wrong types, bad CSV)."""
 
@@ -179,7 +191,7 @@ def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     obj: dict[str, Any] = {}
     for key, value in pairs:
         if key in obj:
-            raise ConfigFormatError(f"key {clip(repr(key))} given twice")
+            raise ConfigFormatError(f"key {quote(key)} given twice")
         obj[key] = value
     return obj
 
@@ -201,12 +213,15 @@ def load_config_file(path: str) -> dict[str, Any]:
     return cfg
 
 
-def _require_keys(section: str, given: dict, allowed: set, required: frozenset = frozenset()):
+def _require_keys(section: str, given: Any, allowed: set, required: frozenset = frozenset()):
+    """Refuse ``given`` unless an object of ``allowed`` keys, ``required`` ones among them."""
+    if not isinstance(given, dict):
+        raise ConfigFormatError(f"{section}: expected an object")
     unknown = set(given) - allowed
     if unknown:
-        raise ConfigFormatError(
-            f"{section}: unknown key(s) {clip(repr(sorted(unknown)))}; allowed: {sorted(allowed)}"
-        )
+        # A document built in Python may have keys that are not strings: they sort by quote.
+        shown = quote(sorted(unknown, key=lambda k: k if isinstance(k, str) else quote(k)))
+        raise ConfigFormatError(f"{section}: unknown key(s) {shown}; allowed: {sorted(allowed)}")
     missing = required - set(given)
     if missing:
         raise ConfigFormatError(f"{section}: missing key(s) {sorted(missing)}")
@@ -216,12 +231,21 @@ def _number(where: str, val: Any) -> float:
     numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
     # abs(val) <= max also rejects NaN, and ints too large for a float.
     if not numeric or not abs(val) <= sys.float_info.max:
-        raise ConfigFormatError(f"{where}: expected a finite number, got {clip(repr(val))}")
+        raise ConfigFormatError(f"{where}: expected a finite number, got {quote(val)}")
     return float(val)
 
 
 def _is_int(val: Any) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
+
+
+def count(where: str, val: Any, most: int | None = None, unit: str = "") -> int:
+    """``val``, refused unless a positive integer, and unless at most ``most`` if given."""
+    if not _is_int(val) or val < 1:
+        raise ConfigFormatError(f"{where}: expected a positive integer, got {quote(val)}")
+    if most is not None and val > most:
+        raise ConfigFormatError(f"{where}: at most {most} {unit}, got {quote(val)}")
+    return val
 
 
 def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) -> dict[str, Any]:
@@ -238,7 +262,7 @@ def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) 
         if unit is not int:
             val = _number(f"{section}.{key}", val) * unit
         elif not _is_int(val):
-            raise ConfigFormatError(f"{section}.{key}: expected an integer, got {clip(repr(val))}")
+            raise ConfigFormatError(f"{section}.{key}: expected an integer, got {quote(val)}")
         kwargs[field] = val
     return kwargs
 
@@ -249,7 +273,7 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
     kwargs = _convert("analyzer", sec, _ANALYZER, keys)
     arrangement = sec.get("arrangement", _ARRANGEMENTS[0])
     if arrangement not in _ARRANGEMENTS:
-        raise ConfigFormatError(f"analyzer.arrangement: unknown value {clip(repr(arrangement))}")
+        raise ConfigFormatError(f"analyzer.arrangement: unknown value {quote(arrangement)}")
     first = InterferometerSpec(**kwargs)
     if arrangement == "folded":
         if sec.keys() & _ANALYZER_B.keys():
@@ -275,15 +299,9 @@ def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
         phases = tuple(_number("scan.phases_rad", v) for v in raw)
     else:
         lin = sec.get("phase_linspace", _DEFAULT_PHASE_LINSPACE)
-        if not isinstance(lin, dict):
-            raise ConfigFormatError("scan.phase_linspace: expected an object")
         keys = frozenset(("start_rad", "stop_rad", "num"))
         _require_keys("scan.phase_linspace", lin, keys, keys)
-        num = lin["num"]
-        if not _is_int(num) or num < 1:
-            raise ConfigFormatError("scan.phase_linspace.num: expected a positive integer")
-        if num > MAX_SCAN_POINTS:
-            raise ConfigFormatError(f"scan.phase_linspace.num: at most {MAX_SCAN_POINTS} phases")
+        num = count("scan.phase_linspace.num", lin["num"], MAX_SCAN_POINTS, "phases")
         start, stop = (
             _number(f"scan.phase_linspace.{k}", lin[k]) for k in ("start_rad", "stop_rad")
         )
@@ -291,16 +309,11 @@ def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
             raise ConfigFormatError("scan.phase_linspace: stop_rad - start_rad overflows")
         phases = tuple(linspace(start, stop, num, endpoint=False))
     n_point = sec.get("n_pulses_per_point", n_pulses)
-    if not _is_int(n_point) or n_point <= 0:
-        raise ConfigFormatError("scan.n_pulses_per_point: expected a positive integer")
-    if n_point > MAX_PULSES:
-        raise ConfigFormatError(f"scan.n_pulses_per_point: at most {MAX_PULSES} pulses")
-    reps = sec.get("repetitions", ScanSettings.repetitions)
-    if not _is_int(reps) or reps < 1:
-        raise ConfigFormatError("scan.repetitions: expected a positive integer")
+    n_point = count("scan.n_pulses_per_point", n_point, MAX_PULSES, "pulses")
+    reps = count("scan.repetitions", sec.get("repetitions", ScanSettings.repetitions))
     if len(phases) * reps > MAX_SCAN_POINTS:
         raise ConfigFormatError(
-            f"scan: {len(phases)} phases x {clip(str(reps))} repetitions is more than"
+            f"scan: {len(phases)} phases x {quote(reps)} repetitions is more than"
             f" {MAX_SCAN_POINTS} points"
         )
     return ScanSettings(analyzer_phases_rad=phases, n_pulses_per_point=n_point, repetitions=reps)
@@ -311,9 +324,6 @@ def build_experiment(
 ) -> tuple[ExperimentConfig, ScanSettings]:
     """Turn a parsed document into an ExperimentConfig and its scan settings."""
     _require_keys("config", cfg, {*_SECTIONS, "run", "scan"})
-    for name, sec in cfg.items():
-        if not isinstance(sec, dict):
-            raise ConfigFormatError(f"{name}: expected an object")
     # ``batch_size`` fills no field (a run is one draw), but a perfbench workload sets it.
     run = _convert("run", cfg.get("run", {}), {**_RUN, "batch_size": ("batch_size", int)})
     batch_size = run.pop("batch_size", None)

@@ -423,6 +423,13 @@ class TestScan:
             ("scan.phase_linspace", [], 1, "scan.phase_linspace: expected an object"),
             ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0}, 1,
              "missing key(s) ['num']"),
+            # Every count message names the value it got.
+            ("scan.repetitions", True, 1,
+             "scan.repetitions: expected a positive integer, got True"),
+            ("scan.repetitions", 1.5, 1, "scan.repetitions: expected a positive integer, got 1.5"),
+            ("scan.n_pulses_per_point", "5", 1,
+             "scan.n_pulses_per_point: expected a positive integer, got '5'"),
+            ("--threads", -3, 1, "--threads: expected a positive integer, got -3"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):

@@ -157,6 +157,28 @@ class TestValidation:
         experiment, _ = build_experiment(default_config_dict(), seed_override=99)
         assert experiment.rng_seed == 99
 
+    # Documents JSON cannot carry, built through the library: an int past the
+    # interpreter's digit limit has no repr, and keys of two types do not sort.
+    @pytest.mark.parametrize(
+        "cfg, where",
+        [
+            ({"source": {"mean_pairs": 10**5000}}, "source.mean_pairs"),
+            ({"scan": {"repetitions": 10**5000}}, "repetitions"),
+            ({"scan": {"phases_rad": [10**5000]}}, "scan.phases_rad"),
+            ({"analyzer": {"arrangement": 10**5000}}, "analyzer.arrangement"),
+            ({"source": {1: 0, "a": 0}}, "source: unknown key"),
+        ],
+        ids=["long_number", "long_repetitions", "long_phase", "long_arrangement", "mixed_keys"],
+    )
+    def test_message_is_formatted_for_any_value(self, cfg, where):
+        with pytest.raises(ConfigFormatError, match=where):
+            build_experiment(cfg)
+
+    @pytest.mark.parametrize("cfg", [[], "x", {"scan": None}], ids=["list", "str", "null_section"])
+    def test_document_and_sections_must_be_objects(self, cfg):
+        with pytest.raises(ConfigFormatError, match="expected an object"):
+            build_experiment(cfg)
+
 
 class TestLoadConfigFile:
     def test_round_trip(self, tmp_path):

@@ -190,6 +190,23 @@ def at_fringe_phase(name, theta):
     return at((theta - offset) / (engine.fringe_phase(at(1.0)) - offset))
 
 
+class TestRunResult:
+    FIELDS = dict(
+        n_pulses=100, duration_s=1e-6, singles_a=10, singles_b=12, middle_singles_a=5,
+        middle_singles_b=6, triple_coincidences=3, accidental_coincidences=1,
+    )
+
+    @pytest.mark.parametrize("side", ["singles_a", "singles_b"])
+    def test_more_coincidences_than_singles_refused(self, side):
+        with pytest.raises(ValueError, match="more coincidences than singles"):
+            tb.RunResult(**{**self.FIELDS, side: 2})
+
+    def test_singles_product_estimate_of_no_pulses_is_zero(self):
+        zeros = dict.fromkeys(self.FIELDS, 0)
+        assert tb.RunResult(**{**zeros, "duration_s": 0.0}).singles_product_estimate() == 0.0
+        assert tb.RunResult(**self.FIELDS).singles_product_estimate() == 5 * 6 / 100
+
+
 class TestOutcomeLaw:
     @pytest.mark.parametrize("name", sorted(LAW_GRID))
     def test_run_follows_expected_tallies(self, name):

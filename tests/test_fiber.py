@@ -106,6 +106,14 @@ class TestApplyPhaseJitter:
     def test_large_jitter_kills_fringe(self):
         assert apply_phase_jitter(1.0, 50.0) < 1e-12
 
+    @pytest.mark.parametrize(
+        "visibility, jitter, message",
+        [(-0.1, 0.0, "visibility"), (1.1, 0.0, "visibility"), (0.5, -0.1, "jitter_rms")],
+    )
+    def test_domain_error(self, visibility, jitter, message):
+        with pytest.raises(ValueError, match=message):
+            apply_phase_jitter(visibility, jitter)
+
     @given(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=20.0),

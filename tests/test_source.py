@@ -119,6 +119,11 @@ class TestMultipairVisibility:
         with pytest.raises(ValueError):
             multipair_visibility(-0.1, 1.0)
 
+    @pytest.mark.parametrize("v_max", [-0.1, 1.1])
+    def test_v_max_outside_unit_interval_refused(self, v_max):
+        with pytest.raises(ValueError, match="v_max"):
+            multipair_visibility(0.1, v_max)
+
 
 class TestEstimateMu:
     def test_reference_values(self):
