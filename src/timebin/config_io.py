@@ -208,15 +208,18 @@ def load_config_file(path: str) -> dict[str, Any]:
         # digit limit; RecursionError, arrays or objects nested too deep.
         except (ValueError, RecursionError) as exc:
             raise ConfigFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigFormatError(f"{path}: top level must be an object")
+    _require_object(path, cfg)
     return cfg
+
+
+def _require_object(where: str, given: Any) -> None:
+    if not isinstance(given, dict):
+        raise ConfigFormatError(f"{where}: expected an object")
 
 
 def _require_keys(section: str, given: Any, allowed: set, required: frozenset = frozenset()):
     """Refuse ``given`` unless an object of ``allowed`` keys, ``required`` ones among them."""
-    if not isinstance(given, dict):
-        raise ConfigFormatError(f"{section}: expected an object")
+    _require_object(section, given)
     unknown = set(given) - allowed
     if unknown:
         # A document built in Python may have keys that are not strings: they sort by quote.

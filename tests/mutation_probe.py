@@ -2,8 +2,7 @@
 
 Run from anywhere, with the test extras installed::
 
-    python tests/mutation_probe.py            # every fault
-    python tests/mutation_probe.py NAME ...   # the named faults only
+    python tests/mutation_probe.py
 
 For each fault the script copies ``src/``, ``tests/``, ``pyproject.toml`` and
 ``README.md`` (``tests/test_readme.py`` reads it) to a temporary directory,
@@ -137,13 +136,8 @@ def _probe(fault: tuple[str, str, str] | None) -> tuple[bool, str]:
         return _run_tests(tree)
 
 
-def main(names: list[str]) -> int:
-    unknown = [name for name in names if name not in FAULTS]
-    if unknown:
-        print(f"unknown fault(s): {', '.join(unknown)}; known: {', '.join(FAULTS)}")
-        return 2
-    chosen = names or list(FAULTS)
-    stale = [name for name in chosen
+def main() -> int:
+    stale = [name for name in FAULTS
              if (ROOT / FAULTS[name][0]).read_text(encoding="utf-8").count(FAULTS[name][1]) != 1]
     if stale:
         print(f"fault text not found exactly once in the source: {', '.join(stale)}")
@@ -157,7 +151,7 @@ def main(names: list[str]) -> int:
         print(f"  {detail}")
         return 1
     escaped = []
-    for name in chosen:
+    for name in FAULTS:
         start = time.perf_counter()
         passed, detail = _probe(FAULTS[name])
         took = f"({time.perf_counter() - start:.0f} s)"
@@ -176,4 +170,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
