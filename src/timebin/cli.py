@@ -40,7 +40,7 @@ from .config_io import (
     effective_config_dict,
     load_config_file,
 )
-from .engine import MAX_PULSES, run_histograms, run_phase_scan, run_pulses
+from .engine import MAX_PULSES, run_histograms, run_phase_scan
 from .grid import linspace
 from .record import asdict, replace
 from .source import multipair_visibility
@@ -108,9 +108,9 @@ def _load(args: argparse.Namespace):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     experiment, _, cfg_hash = _load(args)
+    result, hist_a, hist_b = run_histograms(experiment)
     # The tally lines are the result's fields, in order.
-    meta = {**_provenance(cfg_hash, experiment.rng_seed), **asdict(run_pulses(experiment))}
-    hist_a, hist_b = run_histograms(experiment)
+    meta = {**_provenance(cfg_hash, experiment.rng_seed), **asdict(result)}
     rows = [
         (t * 1e9, ca, cb) for t, ca, cb in zip(hist_a.bin_centers_s, hist_a.counts, hist_b.counts)
     ]

@@ -330,8 +330,7 @@ def build_experiment(
     # ``batch_size`` fills no field (a run is one draw), but a perfbench workload sets it.
     run = _convert("run", cfg.get("run", {}), {**_RUN, "batch_size": ("batch_size", int)})
     batch_size = run.pop("batch_size", None)
-    if run.get("n_pulses", 0) > MAX_PULSES:
-        raise ConfigFormatError(f"run.n_pulses: at most {MAX_PULSES} pulses")
+    count("run.n_pulses", run.get("n_pulses", ExperimentConfig.n_pulses), MAX_PULSES, "pulses")
     if seed_override is not None:
         run["rng_seed"] = seed_override
 

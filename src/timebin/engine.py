@@ -64,11 +64,8 @@ the outcomes, its floats added left to right on every Python.  Summing the
 outcomes of a multinomial by class gives a multinomial, so a run draws its
 ten class counts, as conditional binomials on ``random.Random(rng_seed)``,
 and its tallies have the law of one draw over all outcomes, for any
-n_pulses up to 2**63 - 1.
-``run_histograms`` draws the same class counts and goes on along the same
-stream to split each class count over the class's outcomes, by the same
-sampler, which completes that one draw; ``expected_histograms`` gives
-their means.  Tallies and histograms alike depend on the config alone.
+n_pulses up to 2**63 - 1; ``run_histograms`` goes on along that stream to
+split each class count over its outcomes, which completes the draw.
 """
 
 from __future__ import annotations
@@ -161,7 +158,7 @@ class RunResult(Record):
     involved, or photons of different pairs in a multi-pair pulse) - the
     noise floor an experimenter estimates with a shifted coincidence
     window, known exactly here.  The fields, in order, are the ``#`` tally
-    lines of ``timebin run``'s CSV; ``run_histograms`` draws the run's histograms.
+    lines of ``timebin run``'s CSV.
     """
 
     n_pulses: int
@@ -460,7 +457,7 @@ def expected_tallies(config: ExperimentConfig) -> RunResult:
 def expected_histograms(
     config: ExperimentConfig,
 ) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
-    """Exact mean of every count of ``run_histograms(config)``, as floats, from every outcome."""
+    """Exact mean of every histogram count of a run, as floats, from every outcome."""
     law, n = _Law(config), config.n_pulses
     return _histograms(law, [[n * p for p in probs] for _, probs in law.outcomes])
 
@@ -477,27 +474,22 @@ def _split(law: _Law, counts: list[int], rng: random.Random) -> list[list[int]]:
     return per_outcome
 
 
-def _draw(config: ExperimentConfig) -> tuple[_Law, list[int], random.Random]:
-    """The outcome law, the ten class counts drawn from it and the stream they left."""
-    law = _Law(config)
-    rng = random.Random(config.rng_seed)
-    return law, _multinomial(rng, config.n_pulses, law.class_probs()), rng
-
-
 def run_pulses(config: ExperimentConfig) -> RunResult:
     """Simulate the configured number of pump pulses: their ten class counts, drawn once."""
-    _, counts, _ = _draw(config)
-    return _from_classes(config, counts)
+    rng = random.Random(config.rng_seed)
+    return _from_classes(config, _multinomial(rng, config.n_pulses, _Law(config).class_probs()))
 
 
-def run_histograms(config: ExperimentConfig) -> tuple[CoincidenceHistogram, CoincidenceHistogram]:
-    """Side a's and side b's arrival-time histograms of ``run_pulses(config)``'s run.
+def run_histograms(
+    config: ExperimentConfig,
+) -> tuple[RunResult, CoincidenceHistogram, CoincidenceHistogram]:
+    """``run_pulses(config)``'s run and side a's and side b's arrival-time histograms.
 
-    Draws the class counts as ``run_pulses`` does, then goes on along the
-    same stream to split them over the outcomes, which completes that draw.
+    The stream that drew the class counts goes on to split them over the outcomes.
     """
-    law, counts, rng = _draw(config)
-    return _histograms(law, _split(law, counts, rng))
+    law, rng = _Law(config), random.Random(config.rng_seed)
+    counts = _multinomial(rng, config.n_pulses, law.class_probs())
+    return (_from_classes(config, counts), *_histograms(law, _split(law, counts, rng)))
 
 
 def _with_analyzer_phase(config: ExperimentConfig, phi: float, seed: int) -> ExperimentConfig:

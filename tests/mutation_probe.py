@@ -83,6 +83,12 @@ FAULTS = {
         "counts[i] = binomial(rng, n, p / rest)",
         "counts[i] = binomial(rng, n, p)",
     ),
+    # The histograms split the class counts on a fresh stream, not the one that drew them.
+    "histograms_split_on_a_fresh_stream": (
+        ENGINE,
+        "_split(law, counts, rng)",
+        "_split(law, counts, random.Random(config.rng_seed))",
+    ),
     # The offset's part of the visibility gradient has the wrong sign.
     "fit_fringe_gradient_sign": (
         ANALYSIS,

@@ -99,7 +99,7 @@ class TestDetectClick:
         cfg = detector_experiment(det, pulse_width_s=1e-15, mu=0.05, n_pulses=10**6, seed=71)
         result = tb.run_pulses(cfg)
         assert result.singles_a > 0
-        for hist in tb.run_histograms(cfg):
+        for hist in tb.run_histograms(cfg)[1:]:
             centres = np.asarray(hist.bin_centers_s)[np.asarray(hist.counts) > 0]
             offset = np.abs(centres[:, None] - np.array([0.0, 1.2e-9, 2.4e-9])).min(axis=1)
             assert offset.max() <= 25e-12 + 1e-15
@@ -125,7 +125,7 @@ class TestDetectClick:
         p_any = 1.0 - (1.0 - rate * 400e-12) ** 3
         assert_binomial(result.singles_a, n, p_any)
         assert_binomial(result.middle_singles_a, n, p_any / 3.0)
-        assert outside_window_counts(tb.run_histograms(cfg)[0], cfg) == 0
+        assert outside_window_counts(tb.run_histograms(cfg)[1], cfg) == 0
         expected = tb.expected_tallies(cfg)
         assert expected.singles_a == pytest.approx(n * p_any, rel=1e-9)
         assert expected.middle_singles_a == pytest.approx(n * p_any / 3.0, rel=1e-9)
@@ -139,7 +139,7 @@ class TestDetectClick:
         result = tb.run_pulses(cfg)
         sigma_click = math.hypot(cfg.source.pulse_width_s, jitter)
         p_in = math.erf(400e-12 / (2.0 * math.sqrt(2.0) * sigma_click))
-        for hist, singles in zip(tb.run_histograms(cfg), (result.singles_a, result.singles_b)):
+        for hist, singles in zip(tb.run_histograms(cfg)[1:], (result.singles_a, result.singles_b)):
             assert_binomial(singles - outside_window_counts(hist, cfg), singles, p_in)
         expected = tb.expected_tallies(cfg)
         for hist, singles in zip(

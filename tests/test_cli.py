@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from timebin import engine
 from timebin.cli import main
 from timebin.config_io import (
     MAX_SCAN_POINTS, config_hash, default_config_dict, effective_config_dict,
@@ -58,6 +59,19 @@ class TestRun:
             peak_windows.append(counts[mask].sum())
         between = counts[(times > 0.4) & (times < 0.8)].sum()
         assert all(p > 50 * max(between, 1) for p in peak_windows)
+
+    def test_run_resolves_one_law(self, tmp_path, monkeypatch):
+        # The tally lines and the histograms are one draw from one outcome law.
+        original, laws = engine._Law, []
+
+        def recording(config):
+            laws.append(original(config))
+            return laws[-1]
+
+        monkeypatch.setattr(engine, "_Law", recording)
+        out = str(tmp_path / "run.csv")
+        assert main(["run", "--config", write_config(tmp_path, small_config()), "--out", out]) == 0
+        assert len(laws) == 1
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, small_config())
@@ -275,27 +289,13 @@ _ELEVEN_KM_REPEATED = {
 
 
 class TestScan:
-    def test_built_in_scan_csv_is_pinned(self, tmp_path):
-        """The built-in scan's bytes.  Its stream is plain Python, the same on every
-        supported version; a change that moves it must update this digest."""
-        out = tmp_path / "scan.csv"
-        assert main(["scan", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "542ddceeea323e36d50efa577e8f2cb905e8e17424c5af75c808732414d18e5c"
-        )
-
-    def test_built_in_scan_fit_report_is_pinned(self, tmp_path):
-        """The built-in scan's fit report bytes.  The fit adds its floats left to
-        right, so the report is the same on every supported version."""
-        out = tmp_path / "scan.csv"
-        assert main(["scan", "--out", str(out)]) == 0
-        assert hashlib.sha256((tmp_path / "scan.csv.fit.json").read_bytes()).hexdigest() == (
-            "dd22d1d1604af079df81ba15ddd6b0c7a5bc40cf33f3256cf777e0f95388bebd"
-        )
-
     @pytest.mark.parametrize(
         "command, document, output, digest",
         [
+            ("scan", None, "out.csv",
+             "542ddceeea323e36d50efa577e8f2cb905e8e17424c5af75c808732414d18e5c"),
+            ("scan", None, "out.csv.fit.json",
+             "dd22d1d1604af079df81ba15ddd6b0c7a5bc40cf33f3256cf777e0f95388bebd"),
             ("run", None, "out.csv",
              "605a57febbe503ef53fa2d5f577000ae17debc300dea7cb3263cf267050e8dfd"),
             ("fit", None, "fit.json",
@@ -305,12 +305,14 @@ class TestScan:
             ("scan", _ELEVEN_KM_REPEATED, "out.csv.fit.json",
              "3fe98d36989d4931e1b70cf0b372c4e37effe91e0decdc7d2338337262f56dbd"),
         ],
-        ids=["built_in_run_csv", "built_in_scan_refit", "repeated_scan_csv",
-             "repeated_scan_report"],
+        ids=["built_in_scan_csv", "built_in_scan_report", "built_in_run_csv",
+             "built_in_scan_refit", "repeated_scan_csv", "repeated_scan_report"],
     )
     def test_output_is_pinned(self, tmp_path, command, document, output, digest):
-        """The bytes of a run, a refit and a repeated scan (with its ``rep`` column),
-        the same on every supported version."""
+        """The bytes of a scan and its fit report, a run, a refit and a repeated scan
+        (with its ``rep`` column).  The streams are plain Python and the fit adds its
+        floats left to right, so the bytes are the same on every supported version; a
+        change that moves a stream must update its digests."""
         config = [] if document is None else ["--config", write_config(tmp_path, document)]
         out = str(tmp_path / "out.csv")
         if command == "fit":
@@ -430,6 +432,8 @@ class TestScan:
             ("scan.n_pulses_per_point", "5", 1,
              "scan.n_pulses_per_point: expected a positive integer, got '5'"),
             ("--threads", -3, 1, "--threads: expected a positive integer, got -3"),
+            ("run.n_pulses", 0, 1, "run.n_pulses: expected a positive integer"),
+            ("run.n_pulses", -5, 1, "run.n_pulses: expected a positive integer"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):

@@ -106,7 +106,7 @@ class TestRunPulses:
         assert result.singles_a == result.singles_b == 0
         assert result.triple_coincidences == 0
         assert result.accidental_coincidences == 0
-        assert np.asarray(tb.run_histograms(cfg)[0].counts).sum() == 0
+        assert np.asarray(tb.run_histograms(cfg)[1].counts).sum() == 0
 
     def test_deterministic_given_seed(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=11)
@@ -116,7 +116,7 @@ class TestRunPulses:
 
     def test_histogram_totals_equal_singles(self):
         cfg = ideal_experiment(mu=0.05, n_pulses=10**6, seed=7)
-        result, (hist_a, hist_b) = tb.run_pulses(cfg), tb.run_histograms(cfg)
+        result, (_, hist_a, hist_b) = tb.run_pulses(cfg), tb.run_histograms(cfg)
         assert np.asarray(hist_a.counts).sum() == result.singles_a
         assert np.asarray(hist_b.counts).sum() == result.singles_b
 
@@ -131,7 +131,7 @@ class TestRunPulses:
 
     def test_side_peak_asymmetry_tracks_amplitudes(self):
         cfg = ideal_experiment(alpha_sq=0.8, n_pulses=2 * 10**7, seed=13)
-        thirds = np.asarray(tb.run_histograms(cfg)[0].counts).reshape(3, -1).sum(axis=1)
+        thirds = np.asarray(tb.run_histograms(cfg)[1].counts).reshape(3, -1).sum(axis=1)
         ratio = thirds[0] / thirds[2]
         sigma = ratio * math.sqrt(1.0 / thirds[0] + 1.0 / thirds[2])
         assert abs(ratio - 4.0) <= 3.0 * sigma
@@ -219,7 +219,7 @@ class TestOutcomeLaw:
             sigma = math.sqrt(mean * (1.0 - mean / n))
             assert abs(observed - mean) <= 4.0 * sigma, field
         for run_hist, mean_hist, singles in zip(
-            tb.run_histograms(experiment),
+            tb.run_histograms(experiment)[1:],
             tb.expected_histograms(experiment),
             (result.singles_a, result.singles_b),
         ):
@@ -366,7 +366,9 @@ class TestOutcomeLaw:
     @pytest.mark.parametrize("name", ["default_11km", "independent_333ps", "dark_only"])
     def test_drawn_histograms_complete_the_class_draw(self, name):
         experiment = law_grid_experiment(name, n_pulses=10**7, seed=77)
-        result, histograms = tb.run_pulses(experiment), tb.run_histograms(experiment)
+        drawn = tb.run_histograms(experiment)
+        result, histograms = drawn[0], drawn[1:]
+        assert result == tb.run_pulses(experiment)
         law = _Law(experiment)
         rng = random.Random(experiment.rng_seed)
         counts = _multinomial(rng, experiment.n_pulses, law.class_probs())
