@@ -42,8 +42,8 @@ class FringePoint(Record):
     net: float | None = None
 
     def __post_init__(self) -> None:
-        if self.raw < 0:
-            raise ValueError(f"negative count {self.raw}")
+        if type(self.raw) is not int or self.raw < 0:  # refuses bool too
+            raise ValueError(f"raw must be a non-negative integer, got {self.raw!r}")
         if self.accidental < 0.0:
             raise ValueError(f"negative accidental {self.accidental}")
         for name in ("phase_rad", "accidental", "net"):

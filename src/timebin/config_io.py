@@ -2,18 +2,19 @@
 
 Every physical quantity carries its unit in the key name (bin_separation_ns,
 window_width_ps, dark_rate_cps, ...) and is converted to SI on load.  One
-table per section maps each document key to its record field and SI
-factor; the allowed keys, the unit conversions and the built-in document
-all come from these tables.  A key left out takes its record's own
-default, so every default is written once, in the records.  Unknown
-keys are rejected so typos fail loudly instead of silently falling back
-to defaults, and so is a key given twice in one object.  The scan
-follows the same rule: a document without a grid scans the default one,
-and without ``n_pulses_per_point`` each point runs ``run.n_pulses``
-pulses, so ``build_experiment`` always returns complete scan settings.
-``effective_config_dict`` writes what was built back out as a complete
-document, which is what ``config_hash`` covers: documents that describe
-the same run share one hash.
+table per section maps each document key to its record field and its SI
+factor or reader; the allowed keys, their checks, the unit conversions and
+the built-in document all come from these tables, and only the analyzer
+arrangement and the scan's phases are read by hand.  A key left out takes
+its record's own default, so every default is written once, in the
+records.  Unknown keys are rejected so typos fail loudly instead of
+silently falling back to defaults, and so is a key given twice in one
+object.  The scan follows the same rule: a document without a grid scans
+the default one, and without ``n_pulses_per_point`` each point runs
+``run.n_pulses`` pulses, so ``build_experiment`` always returns complete
+scan settings.  ``effective_config_dict`` writes what was built back out
+as a complete document, which is what ``config_hash`` covers: documents
+that describe the same run share one hash.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable
+from functools import partial
 
 # The interpreter's own sha256, as random.py takes its sha512: hashlib would
 # load OpenSSL for the one digest a command takes.
@@ -58,7 +60,24 @@ _DEFAULT_PHASE_LINSPACE = {"start_rad": 0.0, "stop_rad": math.pi, "num": 12}
 # index + 1 is the number of interferometers.
 _ARRANGEMENTS = ("folded", "independent")
 
-# Document key -> (record field, factor to SI).  The factor ``int`` marks an integer key.
+
+def _integer(where: str, val: Any) -> int:
+    if type(val) is not int:  # refuses bool too
+        raise ConfigFormatError(f"{where}: expected an integer, got {quote(val)}")
+    return val
+
+
+def count(where: str, val: Any, most: int | None = None, unit: str = "") -> int:
+    """``val``, refused unless a positive integer, and unless at most ``most`` if given."""
+    if type(val) is not int or val < 1:
+        raise ConfigFormatError(f"{where}: expected a positive integer, got {quote(val)}")
+    if most is not None and val > most:
+        raise ConfigFormatError(f"{where}: at most {most} {unit}, got {quote(val)}")
+    return val
+
+
+# Document key -> (record field, SI factor or reader).  A float factor scales a finite number,
+# a reader checks the value and returns it; a row with no field is checked and fills nothing.
 _SOURCE = {
     "rep_rate_hz": ("rep_rate_hz", 1.0),
     "mean_pairs": ("mean_pairs", 1.0),
@@ -91,10 +110,15 @@ _DETECTOR = {
     "jitter_ps": ("jitter_rms_s", PS),
 }
 _WINDOWS = {"window_width_ps": ("window_width_s", PS)}
-_RUN = {"n_pulses": ("n_pulses", int), "seed": ("rng_seed", int)}
+_PULSES = partial(count, most=MAX_PULSES, unit="pulses")
+# ``batch_size`` fills no field (a run is one draw), but a perfbench workload sets it.
+_RUN = {"n_pulses": ("n_pulses", _PULSES), "seed": ("rng_seed", _integer),
+        "batch_size": (None, count)}
+_SCAN = {"n_pulses_per_point": ("n_pulses_per_point", _PULSES),
+         "repetitions": ("repetitions", count)}
 
 # Section -> (ExperimentConfig field, record, key table), in build order.
-# The windows' keys fill ExperimentConfig's own fields, as the run's do.
+# The windows' and the run's keys fill ExperimentConfig's own fields.
 _SECTIONS = {
     "source": ("source", SourceConfig, _SOURCE),
     "windows": (None, None, _WINDOWS),
@@ -103,6 +127,7 @@ _SECTIONS = {
     "analyzer": ("analyzers", InterferometerSpec, _ANALYZER),
     "detector_a": ("detector_a", DetectorSpec, _DETECTOR),
     "detector_b": ("detector_b", DetectorSpec, _DETECTOR),
+    "run": (None, None, _RUN),
 }
 
 
@@ -142,8 +167,9 @@ class ScanSettings(Record):
 def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
     """The document section holding ``fields`` (SI values by field name), in its units."""
     return {
-        key: fields[field] if unit is int else fields[field] / unit
+        key: fields[field] / unit if isinstance(unit, float) else fields[field]
         for key, (field, unit) in table.items()
+        if field
     }
 
 
@@ -157,12 +183,7 @@ def _written(experiment: ExperimentConfig, scan: ScanSettings) -> dict[str, Any]
     doc["analyzer"] = {"arrangement": _ARRANGEMENTS[len(rest)], **doc["analyzer"]}
     for second in rest:
         doc["analyzer"].update(_document(vars(second), _ANALYZER_B))
-    doc["run"] = _document(vars(experiment), _RUN)
-    doc["scan"] = {
-        "phases_rad": list(scan.analyzer_phases_rad),
-        "n_pulses_per_point": scan.n_pulses_per_point,
-        "repetitions": scan.repetitions,
-    }
+    doc["scan"] = {"phases_rad": list(scan.analyzer_phases_rad), **_document(vars(scan), _SCAN)}
     return doc
 
 
@@ -238,19 +259,6 @@ def _number(where: str, val: Any) -> float:
     return float(val)
 
 
-def _is_int(val: Any) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def count(where: str, val: Any, most: int | None = None, unit: str = "") -> int:
-    """``val``, refused unless a positive integer, and unless at most ``most`` if given."""
-    if not _is_int(val) or val < 1:
-        raise ConfigFormatError(f"{where}: expected a positive integer, got {quote(val)}")
-    if most is not None and val > most:
-        raise ConfigFormatError(f"{where}: at most {most} {unit}, got {quote(val)}")
-    return val
-
-
 def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) -> dict[str, Any]:
     """Record keyword arguments, in SI units, for the keys of ``table`` in ``given``.
 
@@ -259,14 +267,11 @@ def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) 
     _require_keys(section, given, {*table, *extra})
     kwargs = {}
     for key, (field, unit) in table.items():
-        if key not in given:
-            continue
-        val = given[key]
-        if unit is not int:
-            val = _number(f"{section}.{key}", val) * unit
-        elif not _is_int(val):
-            raise ConfigFormatError(f"{section}.{key}: expected an integer, got {quote(val)}")
-        kwargs[field] = val
+        if key in given:
+            where, val = f"{section}.{key}", given[key]
+            val = _number(where, val) * unit if isinstance(unit, float) else unit(where, val)
+            if field:
+                kwargs[field] = val
     return kwargs
 
 
@@ -291,8 +296,7 @@ def _build_analyzers(sec: dict) -> tuple[InterferometerSpec, ...]:
 
 def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
     """The scan of section ``sec``; points run ``n_pulses`` pulses unless it says otherwise."""
-    allowed = {"phases_rad", "phase_linspace", "n_pulses_per_point", "repetitions"}
-    _require_keys("scan", sec, allowed)
+    counts = _convert("scan", sec, _SCAN, ("phases_rad", "phase_linspace"))
     if "phases_rad" in sec and "phase_linspace" in sec:
         raise ConfigFormatError("scan: give at most one of phases_rad or phase_linspace")
     if "phases_rad" in sec:
@@ -311,29 +315,20 @@ def _build_scan(sec: dict, n_pulses: int) -> ScanSettings:
         if not math.isfinite(stop - start):
             raise ConfigFormatError("scan.phase_linspace: stop_rad - start_rad overflows")
         phases = tuple(linspace(start, stop, num, endpoint=False))
-    n_point = sec.get("n_pulses_per_point", n_pulses)
-    n_point = count("scan.n_pulses_per_point", n_point, MAX_PULSES, "pulses")
-    reps = count("scan.repetitions", sec.get("repetitions", ScanSettings.repetitions))
-    if len(phases) * reps > MAX_SCAN_POINTS:
+    scan = ScanSettings(analyzer_phases_rad=phases, **{"n_pulses_per_point": n_pulses, **counts})
+    if len(phases) * scan.repetitions > MAX_SCAN_POINTS:
         raise ConfigFormatError(
-            f"scan: {len(phases)} phases x {quote(reps)} repetitions is more than"
+            f"scan: {len(phases)} phases x {quote(scan.repetitions)} repetitions is more than"
             f" {MAX_SCAN_POINTS} points"
         )
-    return ScanSettings(analyzer_phases_rad=phases, n_pulses_per_point=n_point, repetitions=reps)
+    return scan
 
 
 def build_experiment(
     cfg: dict[str, Any], seed_override: int | None = None
 ) -> tuple[ExperimentConfig, ScanSettings]:
     """Turn a parsed document into an ExperimentConfig and its scan settings."""
-    _require_keys("config", cfg, {*_SECTIONS, "run", "scan"})
-    # ``batch_size`` fills no field (a run is one draw), but a perfbench workload sets it.
-    run = _convert("run", cfg.get("run", {}), {**_RUN, "batch_size": ("batch_size", int)})
-    batch_size = run.pop("batch_size", None)
-    count("run.n_pulses", run.get("n_pulses", ExperimentConfig.n_pulses), MAX_PULSES, "pulses")
-    if seed_override is not None:
-        run["rng_seed"] = seed_override
-
+    _require_keys("config", cfg, {*_SECTIONS, "scan"})
     try:
         parts = {}
         for name, (field, cls, table) in _SECTIONS.items():
@@ -343,9 +338,9 @@ def build_experiment(
                 parts.update(_convert(name, cfg.get(name, {}), table))
             else:
                 parts[field] = cls(**_convert(name, cfg.get(name, {}), table))
-        experiment = ExperimentConfig(**parts, **run)
-        if batch_size is not None and batch_size <= 0:
-            raise ValueError("batch_size must be positive")
+        if seed_override is not None:
+            parts["rng_seed"] = seed_override
+        experiment = ExperimentConfig(**parts)
         scan = _build_scan(cfg.get("scan", {}), experiment.n_pulses)
         replace(experiment, n_pulses=scan.n_pulses_per_point)  # every scan point is valid too
     except ConfigFormatError:

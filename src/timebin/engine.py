@@ -126,12 +126,14 @@ class ExperimentConfig(Record):
                 "the coincidence window at twice the bin separation is empty in floating"
                 " point: window_width_s is too small for so large a bin_separation_s"
             )
+        if type(self.n_pulses) is not int:  # refuses bool too
+            raise ValueError(f"n_pulses must be an integer, got {self.n_pulses!r}")
         if not 0 < self.n_pulses <= MAX_PULSES:
             raise ValueError(f"n_pulses must be positive and at most {MAX_PULSES}")
         if not math.isfinite(self.n_pulses / self.source.rep_rate_hz):
             raise ValueError("rep_rate_hz is too small: n_pulses / rep_rate_hz overflows")
-        if self.rng_seed < 0:
-            raise ValueError("rng_seed must be non-negative")
+        if type(self.rng_seed) is not int or self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if len(self.analyzers) not in (1, 2):
             raise ValueError(f"one or two analyzers are required, got {len(self.analyzers)}")
         if len(self.analyzers) == 2:  # only the folded arrangement has a circulator

@@ -22,6 +22,13 @@ def poisson_scan(rng, offset, visibility, n_points=16, background=0.0):
     )
 
 
+class TestFringePoint:
+    @pytest.mark.parametrize("raw", [1.5, 10.0, True, -1])
+    def test_raw_is_a_non_negative_integer(self, raw):
+        with pytest.raises(ValueError, match="raw must be a non-negative integer"):
+            tb.FringePoint(phase_rad=0.0, raw=raw, accidental=0.0)
+
+
 class TestSubtractAccidentals:
     def test_zero_background_is_identity(self):
         scan = exact_fringe_scan(200, 0.5)

@@ -412,7 +412,7 @@ class TestScan:
             ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 2**63 - 1},
              1, "phase_linspace.num"),
             ("--threads", 0, 1, "--threads"),
-            ("run.batch_size", 0, 2, "batch_size must be positive"),
+            ("run.batch_size", 0, 1, "run.batch_size: expected a positive integer, got 0"),
             ("run.batch_size", True, 1, "run.batch_size"),
             ("run.batch_size", 1.5, 1, "run.batch_size"),
             ("scan.phase_linspace", {"start_rad": 0.0, "stop_rad": 1.0, "num": 10**5 + 1},
@@ -434,6 +434,8 @@ class TestScan:
             ("--threads", -3, 1, "--threads: expected a positive integer, got -3"),
             ("run.n_pulses", 0, 1, "run.n_pulses: expected a positive integer"),
             ("run.n_pulses", -5, 1, "run.n_pulses: expected a positive integer"),
+            ("run.batch_size", -5, 1, "run.batch_size: expected a positive integer, got -5"),
+            ("run.batch_size", "5", 1, "run.batch_size: expected a positive integer, got '5'"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):

@@ -5,6 +5,9 @@ import pytest
 
 import timebin as tb
 from timebin.config_io import (
+    _ANALYZER_B,
+    _SCAN,
+    _SECTIONS,
     ConfigFormatError,
     ConfigValidationError,
     build_experiment,
@@ -25,6 +28,18 @@ def _spellings():
         "scan": {"phases_rad": [0.0, 1.0, 2.0], "repetitions": 3},
     }
     return {**built_in_spellings(), "independent": independent}
+
+
+def _rows():
+    """(section, key, field, factor or reader) of every key-table row that fills a field."""
+    tables = [(name, table) for name, (_, _, table) in _SECTIONS.items()]
+    tables += [("analyzer", _ANALYZER_B), ("scan", _SCAN)]
+    return [
+        pytest.param(name, key, field, unit, id=f"{name}.{key}")
+        for name, table in tables
+        for key, (field, unit) in table.items()
+        if field
+    ]
 
 
 class TestDefaultConfig:
@@ -74,6 +89,31 @@ class TestDefaultConfig:
         other = default_config_dict()
         other["run"]["seed"] += 1
         assert config_hash(cfg) != config_hash(other)
+
+
+class TestKeyTables:
+    @pytest.mark.parametrize("section, key, field, unit", _rows())
+    def test_every_row_round_trips(self, section, key, field, unit):
+        # the second interferometer's keys need the independent arrangement
+        base = {"analyzer": {"arrangement": "independent"}} if key in _ANALYZER_B else {}
+        default = effective_config_dict(base)[section][key]
+        value = default + 1 if isinstance(default, int) else default * 0.5 + 0.25
+        cfg = {**base, section: {**base.get(section, {}), key: value}}
+        experiment, scan = build_experiment(cfg)
+        if section == "scan":
+            record = scan
+        elif section == "analyzer":
+            record = experiment.analyzers[key in _ANALYZER_B]
+        else:
+            attr = _SECTIONS[section][0]  # None for the sections that fill ExperimentConfig
+            record = getattr(experiment, attr) if attr else experiment
+        assert getattr(record, field) == (value * unit if isinstance(unit, float) else value)
+        assert effective_config_dict(cfg)[section][key] == pytest.approx(value, rel=1e-15)
+
+    def test_row_without_field_is_accepted_and_never_written(self):
+        document = effective_config_dict({"run": {"batch_size": 3}})
+        assert "batch_size" not in document["run"]
+        assert config_hash(document) == config_hash(default_config_dict())
 
 
 class TestValidation:
