@@ -42,14 +42,10 @@ class FringePoint(Record):
     net: float | None = None
 
     def __post_init__(self) -> None:
-        if type(self.raw) is not int or self.raw < 0:  # refuses bool too
+        if self.raw < 0:
             raise ValueError(f"raw must be a non-negative integer, got {self.raw!r}")
         if self.accidental < 0.0:
             raise ValueError(f"negative accidental {self.accidental}")
-        for name in ("phase_rad", "accidental", "net"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"expected finite {name}, got {value}")
 
 
 class FitResult(Record):
@@ -176,11 +172,13 @@ def fit_fringe(scan: Sequence[FringePoint], *, use_net: bool = True) -> FitResul
     vis = amp / offset
 
     # First-order propagation of the linear-parameter covariance to V.
-    if amp > 0.0:
-        grad = [-amp / offset**2, coef[1] / (amp * offset), coef[2] / (amp * offset)]
-    else:
-        # At zero amplitude the magnitude is direction-independent.
-        grad = [0.0, 1.0 / offset, 1.0 / offset]
+    try:
+        if amp == 0.0:  # at zero amplitude the magnitude is direction-independent
+            grad = [0.0, 1.0 / offset, 1.0 / offset]
+        else:
+            grad = [-amp / offset**2, coef[1] / (amp * offset), coef[2] / (amp * offset)]
+    except ArithmeticError:  # offset**2 or amp * offset under- or overflows
+        raise DegenerateScanError(f"fitted offset {offset!r} is out of range") from None
     var = _sum(g * c * h for g, row in zip(grad, cov) for c, h in zip(row, grad))
     if not 0.0 < var < math.inf:
         raise DegenerateScanError(f"visibility variance {var!r} is not positive and finite")

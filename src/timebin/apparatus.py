@@ -25,7 +25,6 @@ field defaults are the shipped apparatus, and the only copy of it:
 
 from __future__ import annotations
 
-import math
 from .record import Record
 from .states import wrap_phase
 
@@ -43,7 +42,7 @@ class InterferometerSpec(Record):
     circulator_loss_db: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(0.0 <= x < math.inf for x in (self.excess_loss_db, self.circulator_loss_db)):
+        if min(self.excess_loss_db, self.circulator_loss_db) < 0.0:
             raise ValueError("losses must be non-negative")
         object.__setattr__(self, "phi_analyzer", wrap_phase(self.phi_analyzer))
 
@@ -58,5 +57,5 @@ class DetectorSpec(Record):
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if not all(0.0 <= x < math.inf for x in (self.dark_rate_cps, self.jitter_rms_s)):
+        if min(self.dark_rate_cps, self.jitter_rms_s) < 0.0:
             raise ValueError("detector parameters must be non-negative")

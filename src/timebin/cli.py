@@ -6,7 +6,7 @@ config + seed reproduce byte-identical files.
 
 Exit codes: 0 success, 1 parse error (config, CSV, parameters or command
 line), 2 config validation error, 3 I/O error, 4 degenerate fit design.
-An error message quotes at most ``config_io.QUOTE_CHARS`` characters of the
+An error message quotes at most ``record.QUOTE_CHARS`` characters of the
 value at fault.
 """
 
@@ -33,7 +33,6 @@ from .config_io import (
     ConfigFormatError,
     ConfigValidationError,
     build_experiment,
-    clip,
     config_hash,
     count,
     digest,
@@ -42,7 +41,7 @@ from .config_io import (
 )
 from .engine import MAX_PULSES, run_histograms, run_phase_scan
 from .grid import linspace
-from .record import asdict, replace
+from .record import asdict, clip, replace
 from .source import multipair_visibility
 
 TYPE_CHECKING = False

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Iterable
 from functools import partial
 
@@ -39,7 +38,7 @@ from .apparatus import DetectorSpec, InterferometerSpec
 from .engine import MAX_PULSES, ExperimentConfig
 from .fiber import FiberSpec
 from .grid import linspace
-from .record import Record, replace
+from .record import Record, finite, quote, replace
 from .source import SourceConfig
 
 TYPE_CHECKING = False
@@ -47,8 +46,6 @@ if TYPE_CHECKING:
     from typing import Any
 
 NS, PS = 1e-9, 1e-12
-# An error message quotes at most QUOTE_CHARS characters of the input at fault.
-QUOTE_CHARS = 200
 # Every grid the program allocates (a scan's phases times its repetitions,
 # a curve's points) has at most MAX_SCAN_POINTS points; a scan that long
 # takes about 18 s on one core.
@@ -129,23 +126,6 @@ _SECTIONS = {
     "detector_b": ("detector_b", DetectorSpec, _DETECTOR),
     "run": (None, None, _RUN),
 }
-
-
-def clip(text: str) -> str:
-    """``text``, an input or a message that quotes one, cut to QUOTE_CHARS characters."""
-    return text if len(text) <= QUOTE_CHARS else text[: QUOTE_CHARS - 3] + "..."
-
-
-def quote(value: Any) -> str:
-    """``repr(value)`` for an error message, clipped; it never raises on a document's value.
-
-    A value with no repr, an int past the interpreter's digit limit or lists
-    nested past the recursion limit, alone or in a list, shows as a stand-in.
-    """
-    try:
-        return clip(repr(value))
-    except (ValueError, RecursionError):
-        return f"<unprintable {type(value).__name__}>"
 
 
 class ConfigFormatError(ValueError):
@@ -252,9 +232,7 @@ def _require_keys(section: str, given: Any, allowed: set, required: frozenset = 
 
 
 def _number(where: str, val: Any) -> float:
-    numeric = isinstance(val, (int, float)) and not isinstance(val, bool)
-    # abs(val) <= max also rejects NaN, and ints too large for a float.
-    if not numeric or not abs(val) <= sys.float_info.max:
+    if not finite(val):
         raise ConfigFormatError(f"{where}: expected a finite number, got {quote(val)}")
     return float(val)
 

@@ -115,7 +115,7 @@ class ExperimentConfig(Record):
     rng_seed: int = 20260808
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.window_width_s < math.inf:
+        if self.window_width_s <= 0.0:
             raise ValueError("window_width_s must be positive")
         if self.window_width_s >= self.source.bin_separation_s:
             raise ValueError("window_width_s must be smaller than the bin separation")
@@ -126,13 +126,11 @@ class ExperimentConfig(Record):
                 "the coincidence window at twice the bin separation is empty in floating"
                 " point: window_width_s is too small for so large a bin_separation_s"
             )
-        if type(self.n_pulses) is not int:  # refuses bool too
-            raise ValueError(f"n_pulses must be an integer, got {self.n_pulses!r}")
         if not 0 < self.n_pulses <= MAX_PULSES:
             raise ValueError(f"n_pulses must be positive and at most {MAX_PULSES}")
         if not math.isfinite(self.n_pulses / self.source.rep_rate_hz):
             raise ValueError("rep_rate_hz is too small: n_pulses / rep_rate_hz overflows")
-        if type(self.rng_seed) is not int or self.rng_seed < 0:
+        if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if len(self.analyzers) not in (1, 2):
             raise ValueError(f"one or two analyzers are required, got {len(self.analyzers)}")
@@ -165,12 +163,13 @@ class RunResult(Record):
 
     n_pulses: int
     duration_s: float
-    singles_a: int
-    singles_b: int
-    middle_singles_a: int
-    middle_singles_b: int
-    triple_coincidences: int
-    accidental_coincidences: int
+    # integers in a run, means in ``expected_tallies``
+    singles_a: float
+    singles_b: float
+    middle_singles_a: float
+    middle_singles_b: float
+    triple_coincidences: float
+    accidental_coincidences: float
 
     def __post_init__(self) -> None:
         if self.triple_coincidences > min(self.singles_a, self.singles_b):

@@ -31,13 +31,13 @@ class FiberSpec(Record):
     phase_jitter_rms: float = 0.23
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.length_km < math.inf:
+        if self.length_km < 0.0:
             raise ValueError("length_km must be non-negative")
-        if not 0.0 <= self.attenuation_db_per_km < math.inf:
+        if self.attenuation_db_per_km < 0.0:
             raise ValueError("attenuation_db_per_km must be non-negative")
-        if not 0.0 < self.filter_bandwidth_nm < math.inf:
+        if self.filter_bandwidth_nm <= 0.0:
             raise ValueError("filter_bandwidth_nm must be positive")
-        if not 0.0 <= self.phase_jitter_rms < math.inf:
+        if self.phase_jitter_rms < 0.0:
             raise ValueError("phase_jitter_rms must be non-negative")
         if not math.isfinite(dispersion_spread(self)):
             raise ValueError("dispersion spread overflows: wavelengths or bandwidth out of range")

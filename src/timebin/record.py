@@ -2,8 +2,8 @@
 
 A subclass of ``Record`` lists its fields as annotations, in order, and
 gives defaults as class attributes.  Records are built from keyword
-arguments only, run ``__post_init__`` to validate, compare and hash by
-their fields, and refuse assignment and deletion.
+arguments only, check each field by ``_RULES`` and then run ``__post_init__``,
+compare and hash by their fields, and refuse assignment and deletion.
 
 Nothing is generated: every record shares the methods below, so defining
 one costs no compilation when the package is imported.
@@ -11,19 +11,52 @@ one costs no compilation when the package is imported.
 
 from __future__ import annotations
 
+import sys
 from operator import attrgetter
+
+# An error message quotes at most QUOTE_CHARS characters of the input at fault.
+QUOTE_CHARS = 200
+
+
+def clip(text: str) -> str:
+    """``text``, an input or a message that quotes one, cut to QUOTE_CHARS characters."""
+    return text if len(text) <= QUOTE_CHARS else text[: QUOTE_CHARS - 3] + "..."
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for an error message, clipped; it never raises on a document's value.
+
+    A value with no repr, an int past the interpreter's digit limit or lists
+    nested past the recursion limit, alone or in a list, shows as a stand-in.
+    """
+    try:
+        return clip(repr(value))
+    except (ValueError, RecursionError):
+        return f"<unprintable {type(value).__name__}>"
+
+
+def finite(value: object) -> bool:
+    """Whether ``value`` is a finite number: an int or a float, not a bool."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return numeric and abs(value) <= sys.float_info.max  # also refuses NaN and huge ints
+
+
+# Annotation string (never evaluated) -> (test, what the field expects); others go unchecked.
+_RULES = {
+    "float": (finite, "a finite number"),
+    "float | None": (lambda v: v is None or finite(v), "a finite number or None"),
+    "int": (lambda v: type(v) is int, "an integer"),
+    "bool": (lambda v: type(v) is bool, "a bool"),
+}
 
 
 class Record:
     """Base of the frozen records; see the module docstring."""
 
-    _fields: tuple[str, ...] = ()
-    _field_set: frozenset[str] = frozenset()
-    _defaults: dict[str, object] = {}
-
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)  # the class's own, from Python 3.10
+        cls._checks = tuple((n, *_RULES[k]) for n, k in cls.__annotations__.items() if k in _RULES)
         cls._field_set = frozenset(cls._fields)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         # The fields' values: a tuple, or the value itself for one field.
@@ -35,6 +68,9 @@ class Record:
         values.update(kwargs)
         if values.keys() != self._field_set:
             raise TypeError(self._argument_error())
+        for name, test, expected in self._checks:
+            if not test(values[name]):
+                raise ValueError(clip(f"{name}: expected {expected}, got {quote(values[name])}"))
         self.__post_init__()
 
     def _argument_error(self) -> str:

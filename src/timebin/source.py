@@ -41,18 +41,16 @@ class SourceConfig(Record):
     pulse_width_s: float = PUMP_PULSE_SIGMA_S
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rep_rate_hz < math.inf:
+        if self.rep_rate_hz <= 0.0:
             raise ValueError("rep_rate_hz must be positive")
-        if not 0.0 <= self.mean_pairs < math.inf:
+        if self.mean_pairs < 0.0:
             raise ValueError("mean_pairs must be non-negative")
         object.__setattr__(self, "phi_pump", wrap_phase(self.phi_pump))
         self.state()  # checks the arm attenuations
-        if not 0.0 < self.pulse_width_s < math.inf:
+        if self.pulse_width_s <= 0.0:
             raise ValueError("pulse_width_s must be positive")
         if not self.pulse_width_s < self.bin_separation_s:
             raise ValueError("pulse width must be short compared to the bin separation")
-        if not self.bin_separation_s < math.inf:
-            raise ValueError("bin_separation_s must be finite")
 
     def state(self) -> TimeBinState:
         """Emitted pair state for the configured arm attenuations."""

@@ -28,11 +28,8 @@ _TWO_PI = 2.0 * math.pi
 
 
 def wrap_phase(phi: float) -> float:
-    """``phi`` modulo 2*pi, in [0, 2*pi); a phase that is not finite is refused."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got {phi!r}")
-    # A tiny negative phase modulo 2*pi rounds up to 2*pi itself; the
-    # second modulo takes that to 0.
+    """``phi``, a finite number, modulo 2*pi, in [0, 2*pi)."""
+    # A tiny negative phase modulo 2*pi rounds up to 2*pi itself; the second modulo takes it to 0.
     return phi % _TWO_PI % _TWO_PI
 
 
@@ -50,7 +47,7 @@ class TimeBinState(Record):
     def __post_init__(self) -> None:
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("amplitudes must be non-negative")
-        norm = self.alpha**2 + self.beta**2
+        norm = self.alpha * self.alpha + self.beta * self.beta  # inf, not OverflowError, if huge
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state not normalised: alpha^2 + beta^2 = {norm!r}")
 

@@ -34,6 +34,7 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests",
           "-k", "not pinned and not worked_example_table"]
 ENGINE, ANALYSIS = "src/timebin/engine.py", "src/timebin/analysis.py"
+RECORD = "src/timebin/record.py"
 
 # name -> (file, text, replacement): one fault each.
 FAULTS = {
@@ -106,6 +107,18 @@ FAULTS = {
         ANALYSIS,
         "sigma2 = [max(f + b, 1.0) for f, b in zip(predicted, background)]",
         "sigma2 = [max(f, 1.0) for f in predicted]",
+    ),
+    # The field rule takes a bool for a number.
+    "finite_admits_bool": (
+        RECORD,
+        "numeric = isinstance(value, (int, float)) and not isinstance(value, bool)",
+        "numeric = isinstance(value, (int, float))",
+    ),
+    # An int field takes a float.
+    "int_field_admits_float": (
+        RECORD,
+        '"int": (lambda v: type(v) is int, "an integer"),',
+        '"int": (lambda v: type(v) in (int, float), "an integer"),',
     ),
 }
 # Faults that no test outside the byte pins catches yet: name -> the ROADMAP item that closes it.

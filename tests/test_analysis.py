@@ -25,7 +25,9 @@ def poisson_scan(rng, offset, visibility, n_points=16, background=0.0):
 class TestFringePoint:
     @pytest.mark.parametrize("raw", [1.5, 10.0, True, -1])
     def test_raw_is_a_non_negative_integer(self, raw):
-        with pytest.raises(ValueError, match="raw must be a non-negative integer"):
+        # the field rule refuses what is not an int, the point a negative count
+        message = "raw must be a non-negative" if type(raw) is int else "raw: expected an integer"
+        with pytest.raises(ValueError, match=message):
             tb.FringePoint(phase_rad=0.0, raw=raw, accidental=0.0)
 
 
@@ -163,12 +165,12 @@ class TestFitFringe:
     )
     def test_non_finite_input_rejected(self, phases, field):
         if field is None:
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="phase_rad: expected a finite number, got nan"):
                 [tb.FringePoint(phase_rad=p, raw=10, accidental=1.0) for p in phases]
             return
         point = tb.FringePoint(phase_rad=phases[2], raw=10, accidental=1.0, net=9.0)
         for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=f"{field}: expected a finite number"):
                 replace(point, **{field: value})
 
     def test_default_fits_net_counts_only(self):

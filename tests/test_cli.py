@@ -678,8 +678,14 @@ class TestFit:
         [
             (b"phase_rad,raw\n0.0,1\n", "line 1: header must contain"),
             (_SCAN_HEADER + _GOOD_ROWS + b"\xe9,10,1\n", "not UTF-8"),
-            (_SCAN_HEADER + _GOOD_ROWS + b"nan,10,1\n", "line 7: expected finite"),
-            (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,inf\n", "line 7: expected finite"),
+            (
+                _SCAN_HEADER + _GOOD_ROWS + b"nan,10,1\n",
+                "line 7: phase_rad: expected a finite number, got nan",
+            ),
+            (
+                _SCAN_HEADER + _GOOD_ROWS + b"2.5,10,inf\n",
+                "line 7: accidental: expected a finite number, got inf",
+            ),
             (_SCAN_HEADER + _GOOD_ROWS + b"2.5," + b"9" * 401 + b",1\n", "line 7: count above"),
             (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,1,4\n", "line 7: expected 3 fields, got 4"),
             (

@@ -88,11 +88,11 @@ class TestConfigValidation:
             # past the binomial sampler's exact range
             (None, {"n_pulses": 2**63}, f"n_pulses must be positive and at most {2**63 - 1}"),
             # the counts are ints: no fraction, no float tallies, no bool
-            (None, {"n_pulses": 1.5}, "n_pulses must be an integer, got 1.5"),
-            (None, {"n_pulses": 1e6}, "n_pulses must be an integer, got 1000000.0"),
-            (None, {"n_pulses": True}, "n_pulses must be an integer, got True"),
-            (None, {"rng_seed": 1.5}, "rng_seed must be a non-negative integer, got 1.5"),
-            (None, {"rng_seed": True}, "rng_seed must be a non-negative integer, got True"),
+            (None, {"n_pulses": 1.5}, "n_pulses: expected an integer, got 1.5"),
+            (None, {"n_pulses": 1e6}, "n_pulses: expected an integer, got 1000000.0"),
+            (None, {"n_pulses": True}, "n_pulses: expected an integer, got True"),
+            (None, {"rng_seed": 1.5}, "rng_seed: expected an integer, got 1.5"),
+            (None, {"rng_seed": True}, "rng_seed: expected an integer, got True"),
         ],
         ids=["window_width_zero", "window_width_negative", "window_width", "bin_separation",
              "n_pulses", "n_pulses_fraction", "n_pulses_float", "n_pulses_bool",

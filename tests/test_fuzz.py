@@ -1,4 +1,4 @@
-"""Fuzz of ``timebin run`` and ``timebin scan`` over mutated config documents.
+"""Fuzz of ``timebin run`` and ``timebin scan`` over mutated config documents, and of the fit.
 
 Keys of the physics sections and the scan's phases take extreme values,
 wrong types, bools, NaN and infinities; whole sections go missing or turn
@@ -6,7 +6,9 @@ into non-objects.  Every call must end with a documented exit code (0-4)
 instead of raising.  The run stays small (at most 1e6 pulses, at most 8
 phases and 2 repetitions), so each example costs milliseconds.  A document
 that builds must build the same run from its complete document, the one
-``run`` and ``scan`` hash.
+``run`` and ``scan`` hash.  ``fit_fringe`` of any scan the points accept
+returns a fit or refuses the design, since a fit result refuses a field
+that is not finite.
 """
 
 import contextlib
@@ -21,6 +23,8 @@ import tempfile
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import timebin as tb
+from timebin.analysis import _MIN_PHASE_SPAN, _SAME_PHASE
 from timebin.cli import main
 from timebin.config_io import (
     ConfigFormatError,
@@ -29,6 +33,7 @@ from timebin.config_io import (
     default_config_dict,
     effective_config_dict,
 )
+from timebin.engine import MAX_PULSES
 
 PHYSICS = ("source", "fiber_a", "fiber_b", "analyzer", "detector_a", "detector_b", "windows")
 DEFAULTS = default_config_dict()
@@ -113,3 +118,35 @@ def test_complete_document_builds_the_same_run(cfg, seed):
     except (ConfigFormatError, ConfigValidationError):
         assume(False)
     assert build_experiment(effective_config_dict(cfg, seed)) == built
+
+
+# Phases at the design check's limits: neighbours one _SAME_PHASE apart or
+# just within it, a span of pi/2 or just under, a full turn less a hair.
+EDGE_PHASES = st.sampled_from([
+    0.0, 0.5 * _SAME_PHASE, _SAME_PHASE, 1.5 * _SAME_PHASE, 3.0 * _SAME_PHASE,
+    _MIN_PHASE_SPAN - _SAME_PHASE, _MIN_PHASE_SPAN, _MIN_PHASE_SPAN + _SAME_PHASE,
+    math.pi, 2.0 * math.pi - _SAME_PHASE, 2.0 * math.pi, -1e-300,
+])
+POINTS = st.builds(
+    tb.FringePoint,
+    phase_rad=st.one_of(EDGE_PHASES, st.floats(-10.0, 10.0)),
+    raw=st.one_of(st.integers(0, 20), st.integers(0, MAX_PULSES), st.just(MAX_PULSES)),
+    accidental=st.one_of(st.just(0.0), st.floats(0.0, 1e300), st.just(1e300)),
+)
+
+
+def _points(*rows):
+    return [tb.FringePoint(phase_rad=phase, raw=raw, accidental=acc) for phase, raw, acc in rows]
+
+
+# An offset whose square underflows once raised ZeroDivisionError.
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(POINTS, min_size=5, max_size=12), st.booleans())
+@example(_points((0.0, 0, 0.0), (0.0, 0, 0.0), (_MIN_PHASE_SPAN + _SAME_PHASE, 0, 0.0),
+                 (1.0, MAX_PULSES, 1e300), (2e-233, 1, 0.0)), True)
+def test_fit_returns_a_fit_or_refuses_the_design(scan, use_net):
+    try:
+        fit = tb.fit_fringe(tb.subtract_accidentals(scan), use_net=use_net)
+    except tb.DegenerateScanError:
+        return
+    assert isinstance(fit, tb.FitResult)

@@ -1,14 +1,16 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import timebin
 from timebin.config_io import ScanSettings
-from timebin.record import Record, asdict, replace
+from timebin.record import QUOTE_CHARS, Record, asdict, replace
 
 from .conftest import built_in_spellings
 
@@ -306,3 +308,53 @@ def test_copy_replace(record):
     if invalid is not None:
         with pytest.raises(ValueError):
             copy.replace(rec, **invalid)
+
+
+# What the field rule refuses, by annotation.  An int too large for a float
+# is a valid int, and an int field has no bound of its own.
+_NOT_NUMBERS = {"true": True, "str": "3", "complex": 0.1j, "inf": math.inf, "-inf": -math.inf,
+                "nan": math.nan}
+_NOT_FLOATS = {**_NOT_NUMBERS, "huge_int": 10**400, "numpy_float32": np.float32(1.0)}
+_REFUSED = {
+    "float": {**_NOT_FLOATS, "none": None},
+    "float | None": _NOT_FLOATS,
+    "int": {**_NOT_NUMBERS, "none": None, "fraction": 1.5, "numpy_int": np.int64(1)},
+    "bool": {"int": 1, "str": "3", "none": None, "numpy_bool": np.bool_(True)},
+}
+# Every checked field of every record, from an instance with its optional fields filled.
+_FILLED = {name: rec for name, (rec, _, _) in RECORDS.items()} | {
+    "FringePoint": replace(_POINT, net=9.0)
+}
+_CHECKED = [
+    pytest.param(rec, field, kind, id=f"{name}.{field}")
+    for name, rec in sorted(_FILLED.items())
+    for field, kind in type(rec).__annotations__.items()
+    if kind in _REFUSED
+]
+
+
+def test_every_record_with_a_number_has_checked_fields():
+    # CoincidenceHistogram holds tuples alone; ExperimentConfig's records are not checked.
+    checked = {type(param.values[0]).__name__ for param in _CHECKED}
+    assert checked == set(RECORDS) - {"CoincidenceHistogram"}
+    assert len(_CHECKED) == 49
+
+
+@pytest.mark.parametrize("rec, field, kind", _CHECKED)
+def test_field_rule_refuses_what_is_not_its_type(rec, field, kind):
+    for label, value in {**_REFUSED[kind], "long_str": "x" * 10**6}.items():
+        with pytest.raises(ValueError, match=f"^{field}: expected ") as refused:
+            replace(rec, **{field: value})
+        assert len(str(refused.value)) <= QUOTE_CHARS, label
+
+
+@pytest.mark.parametrize("rec, field, kind", [p for p in _CHECKED if "float" in p.values[2]])
+def test_field_rule_takes_ints_and_numpy_floats_as_floats(rec, field, kind):
+    value = getattr(rec, field)
+    assert replace(rec, **{field: np.float64(value)}) == rec
+    try:
+        with_int = replace(rec, **{field: int(value)})
+    except ValueError as exc:  # a fraction that truncates out of its field's range
+        assert not str(exc).startswith(f"{field}:"), exc
+    else:
+        assert getattr(with_int, field) == int(value)

@@ -26,6 +26,9 @@ class TestTimeBinState:
     def test_rejects_unnormalised(self):
         with pytest.raises(ValueError):
             TimeBinState(alpha=0.9, beta=0.9)
+        # an amplitude whose square overflows is refused too, not an OverflowError
+        with pytest.raises(ValueError, match="not normalised"):
+            TimeBinState(alpha=1e200, beta=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_amplitudes(self, value):
