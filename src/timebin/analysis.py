@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .grid import linspace
-from .record import Record, replace
+from .record import Count, NonNegative, Record, replace
 from .states import entropy_of_entanglement
 
 _MIN_POINTS = 5
@@ -37,15 +37,9 @@ class FringePoint(Record):
     """
 
     phase_rad: float
-    raw: int
-    accidental: float
+    raw: Count
+    accidental: NonNegative
     net: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.raw < 0:
-            raise ValueError(f"raw must be a non-negative integer, got {self.raw!r}")
-        if self.accidental < 0.0:
-            raise ValueError(f"negative accidental {self.accidental}")
 
 
 class FitResult(Record):

@@ -25,7 +25,7 @@ field defaults are the shipped apparatus, and the only copy of it:
 
 from __future__ import annotations
 
-from .record import Record
+from .record import Fraction, NonNegative, Record
 from .states import wrap_phase
 
 
@@ -38,24 +38,16 @@ class InterferometerSpec(Record):
     """
 
     phi_analyzer: float = 0.0
-    excess_loss_db: float = 1.0
-    circulator_loss_db: float = 1.0
+    excess_loss_db: NonNegative = 1.0
+    circulator_loss_db: NonNegative = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.excess_loss_db, self.circulator_loss_db) < 0.0:
-            raise ValueError("losses must be non-negative")
         object.__setattr__(self, "phi_analyzer", wrap_phase(self.phi_analyzer))
 
 
 class DetectorSpec(Record):
     """Geiger-mode avalanche photodiode parameters."""
 
-    efficiency: float = 0.25
-    dark_rate_cps: float = 4.5e5
-    jitter_rms_s: float = 100e-12
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if min(self.dark_rate_cps, self.jitter_rms_s) < 0.0:
-            raise ValueError("detector parameters must be non-negative")
+    efficiency: Fraction = 0.25
+    dark_rate_cps: NonNegative = 4.5e5
+    jitter_rms_s: NonNegative = 100e-12

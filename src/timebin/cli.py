@@ -93,7 +93,7 @@ class _IoFailure(Exception):
 def _load(args: argparse.Namespace):
     """The experiment, scan settings and config hash of a ``run`` or ``scan``."""
     count("--threads", args.threads)
-    if args.config:
+    if args.config is not None:  # '', an unset $CFG, is a path too
         try:
             cfg = load_config_file(args.config)
         except OSError as exc:

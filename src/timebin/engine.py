@@ -81,7 +81,7 @@ from operator import mul
 from .analysis import FringePoint, _sum
 from .apparatus import DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
-from .record import Record, replace
+from .record import Count, Positive, Record, replace
 from .source import SourceConfig, multipair_visibility
 
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
@@ -110,13 +110,11 @@ class ExperimentConfig(Record):
     analyzers: tuple[InterferometerSpec, ...] = (InterferometerSpec(),)
     detector_a: DetectorSpec = DetectorSpec()
     detector_b: DetectorSpec = DetectorSpec()
-    window_width_s: float = 400e-12
+    window_width_s: Positive = 400e-12
     n_pulses: int = 100_000_000
-    rng_seed: int = 20260808
+    rng_seed: Count = 20260808
 
     def __post_init__(self) -> None:
-        if self.window_width_s <= 0.0:
-            raise ValueError("window_width_s must be positive")
         if self.window_width_s >= self.source.bin_separation_s:
             raise ValueError("window_width_s must be smaller than the bin separation")
         # The last window is the first to round away.
@@ -130,8 +128,6 @@ class ExperimentConfig(Record):
             raise ValueError(f"n_pulses must be positive and at most {MAX_PULSES}")
         if not math.isfinite(self.n_pulses / self.source.rep_rate_hz):
             raise ValueError("rep_rate_hz is too small: n_pulses / rep_rate_hz overflows")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
         if len(self.analyzers) not in (1, 2):
             raise ValueError(f"one or two analyzers are required, got {len(self.analyzers)}")
         if len(self.analyzers) == 2:  # only the folded arrangement has a circulator

@@ -10,7 +10,7 @@ filter passband.
 from __future__ import annotations
 
 import math
-from .record import Record
+from .record import NonNegative, Positive, Record
 
 
 class FiberSpec(Record):
@@ -22,23 +22,15 @@ class FiberSpec(Record):
     rather than the fiber itself, so it applies at zero length too.
     """
 
-    length_km: float = 0.0
-    attenuation_db_per_km: float = 0.35
+    length_km: NonNegative = 0.0
+    attenuation_db_per_km: NonNegative = 0.35
     dispersion_slope_ps_nm2_km: float = 0.092
     zero_dispersion_wavelength_nm: float = 1314.0
     center_wavelength_nm: float = 1314.0
-    filter_bandwidth_nm: float = 40.0
-    phase_jitter_rms: float = 0.23
+    filter_bandwidth_nm: Positive = 40.0
+    phase_jitter_rms: NonNegative = 0.23
 
     def __post_init__(self) -> None:
-        if self.length_km < 0.0:
-            raise ValueError("length_km must be non-negative")
-        if self.attenuation_db_per_km < 0.0:
-            raise ValueError("attenuation_db_per_km must be non-negative")
-        if self.filter_bandwidth_nm <= 0.0:
-            raise ValueError("filter_bandwidth_nm must be positive")
-        if self.phase_jitter_rms < 0.0:
-            raise ValueError("phase_jitter_rms must be non-negative")
         if not math.isfinite(dispersion_spread(self)):
             raise ValueError("dispersion spread overflows: wavelengths or bandwidth out of range")
 

@@ -2,8 +2,10 @@
 
 A subclass of ``Record`` lists its fields as annotations, in order, and
 gives defaults as class attributes.  Records are built from keyword
-arguments only, check each field by ``_RULES`` and then run ``__post_init__``,
-compare and hash by their fields, and refuse assignment and deletion.
+arguments only, check each field's type and range by ``_RULES`` (the range
+kinds are ``NonNegative``, ``Positive``, ``Fraction`` and ``Count``), then run
+``__post_init__``, compare and hash by their fields, and refuse assignment
+and deletion.
 
 Nothing is generated: every record shares the methods below, so defining
 one costs no compilation when the package is imported.
@@ -41,11 +43,18 @@ def finite(value: object) -> bool:
     return numeric and abs(value) <= sys.float_info.max  # also refuses NaN and huge ints
 
 
+# The range kinds: a float or an int to a type checker, a type and a bound to _RULES.
+NonNegative = Positive = Fraction = float
+Count = int
 # Annotation string (never evaluated) -> (test, what the field expects); others go unchecked.
 _RULES = {
     "float": (finite, "a finite number"),
+    "NonNegative": (lambda v: finite(v) and v >= 0.0, "a finite number >= 0"),
+    "Positive": (lambda v: finite(v) and v > 0.0, "a finite number > 0"),
+    "Fraction": (lambda v: finite(v) and 0.0 <= v <= 1.0, "a finite number in [0, 1]"),
     "float | None": (lambda v: v is None or finite(v), "a finite number or None"),
     "int": (lambda v: type(v) is int, "an integer"),
+    "Count": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
     "bool": (lambda v: type(v) is bool, "a bool"),
 }
 

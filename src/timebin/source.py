@@ -10,7 +10,7 @@ coincidence fringe because only same-pair detections interfere.
 from __future__ import annotations
 
 import math
-from .record import Record
+from .record import NonNegative, Positive, Record
 from .states import TimeBinState, wrap_phase
 
 # 100 ps full width at half maximum as an RMS width, to five digits
@@ -32,23 +32,17 @@ class SourceConfig(Record):
     stored modulo 2*pi, as the analyzer phases are.
     """
 
-    rep_rate_hz: float = 8.0e7
-    mean_pairs: float = 0.005
+    rep_rate_hz: Positive = 8.0e7
+    mean_pairs: NonNegative = 0.005
     arm_attenuation_a: float = 1.0
     arm_attenuation_b: float = 1.0
     phi_pump: float = 0.0
     bin_separation_s: float = 1.2e-9
-    pulse_width_s: float = PUMP_PULSE_SIGMA_S
+    pulse_width_s: Positive = PUMP_PULSE_SIGMA_S
 
     def __post_init__(self) -> None:
-        if self.rep_rate_hz <= 0.0:
-            raise ValueError("rep_rate_hz must be positive")
-        if self.mean_pairs < 0.0:
-            raise ValueError("mean_pairs must be non-negative")
         object.__setattr__(self, "phi_pump", wrap_phase(self.phi_pump))
         self.state()  # checks the arm attenuations
-        if self.pulse_width_s <= 0.0:
-            raise ValueError("pulse_width_s must be positive")
         if not self.pulse_width_s < self.bin_separation_s:
             raise ValueError("pulse width must be short compared to the bin separation")
 

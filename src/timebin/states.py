@@ -21,7 +21,7 @@ the source and the analyzers store a phase: modulo 2*pi.
 from __future__ import annotations
 
 import math
-from .record import Record
+from .record import NonNegative, Record
 
 _NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
@@ -40,13 +40,11 @@ class TimeBinState(Record):
     phi_pump is the relative phase imprinted by the pump interferometer.
     """
 
-    alpha: float
-    beta: float
+    alpha: NonNegative
+    beta: NonNegative
     phi_pump: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("amplitudes must be non-negative")
         norm = self.alpha * self.alpha + self.beta * self.beta  # inf, not OverflowError, if huge
         if not abs(norm - 1.0) <= _NORM_TOL:
             raise ValueError(f"state not normalised: alpha^2 + beta^2 = {norm!r}")

@@ -34,7 +34,7 @@ COPIED = ("src", "tests", "pyproject.toml", "README.md")
 PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests",
           "-k", "not pinned and not worked_example_table"]
 ENGINE, ANALYSIS = "src/timebin/engine.py", "src/timebin/analysis.py"
-RECORD = "src/timebin/record.py"
+RECORD, CONFIG_IO = "src/timebin/record.py", "src/timebin/config_io.py"
 
 # name -> (file, text, replacement): one fault each.
 FAULTS = {
@@ -119,6 +119,20 @@ FAULTS = {
         RECORD,
         '"int": (lambda v: type(v) is int, "an integer"),',
         '"int": (lambda v: type(v) in (int, float), "an integer"),',
+    ),
+    # The NonNegative bound loosened: a small negative loss, rate or count passes.
+    "non_negative_admits_negative": (
+        RECORD,
+        '"NonNegative": (lambda v: finite(v) and v >= 0.0,',
+        '"NonNegative": (lambda v: finite(v) and v >= -1.0,',
+    ),
+    # An efficiency above one passes.
+    "fraction_admits_above_one": (RECORD, "finite(v) and 0.0 <= v <= 1.0", "finite(v) and 0.0 <= v"),
+    # run.seed takes a bool for an integer, so the record, not the parser, refuses it.
+    "seed_admits_bool": (
+        CONFIG_IO,
+        "if type(val) is not int:  # refuses bool too",
+        "if not isinstance(val, int):",
     ),
 }
 # Faults that no test outside the byte pins catches yet: name -> the ROADMAP item that closes it.

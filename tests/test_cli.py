@@ -191,7 +191,7 @@ class TestRun:
         config = write_config(tmp_path, {"windows": {"window_width_ps": width_ps}})
         assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert "window_width_s must be positive" in err
+        assert f"window_width_s: expected a finite number > 0, got {width_ps * 1e-12!r}\n" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("separation_ns, code", [(1e15, 0), (1e16, 2)])
@@ -280,6 +280,13 @@ class TestRun:
         (tmp_path / "latin1.json").write_bytes('{"run": {"seed": 7}} \u00e9'.encode("latin-1"))
         assert main(["run", "--config", str(tmp_path / config),
                      "--out", str(tmp_path / out)]) == code
+
+    @pytest.mark.parametrize("command", ["run", "scan"])
+    def test_empty_config_path_is_read(self, tmp_path, capsys, command):
+        # what an unset $CFG gives: a path that cannot be read, not the built-in config
+        assert main([command, "--config", "", "--out", str(tmp_path / "x.csv")]) == 3
+        assert "cannot read" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 # The paper's 11 km link, scanned three times.
@@ -436,6 +443,10 @@ class TestScan:
             ("run.n_pulses", -5, 1, "run.n_pulses: expected a positive integer"),
             ("run.batch_size", -5, 1, "run.batch_size: expected a positive integer, got -5"),
             ("run.batch_size", "5", 1, "run.batch_size: expected a positive integer, got '5'"),
+            # a seed that is not an int is refused as a number: before the record sees it
+            ("run.seed", 1.5, 1, "run.seed: expected an integer, got 1.5"),
+            ("run.seed", True, 1, "run.seed: expected an integer, got True"),
+            ("run.seed", "5", 1, "run.seed: expected an integer, got '5'"),
         ],
     )
     def test_inputs_rejected_at_parse_time(self, tmp_path, capsys, key, value, code, name):
@@ -684,7 +695,7 @@ class TestFit:
             ),
             (
                 _SCAN_HEADER + _GOOD_ROWS + b"2.5,10,inf\n",
-                "line 7: accidental: expected a finite number, got inf",
+                "line 7: accidental: expected a finite number >= 0, got inf",
             ),
             (_SCAN_HEADER + _GOOD_ROWS + b"2.5," + b"9" * 401 + b",1\n", "line 7: count above"),
             (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,1,4\n", "line 7: expected 3 fields, got 4"),
@@ -694,7 +705,10 @@ class TestFit:
             ),
             (b"", "no data rows\n"),
             (_SCAN_HEADER, "no data rows after header"),
-            (_SCAN_HEADER + _GOOD_ROWS + b"2.5,10,-1\n", "line 7: negative accidental -1.0"),
+            (
+                _SCAN_HEADER + _GOOD_ROWS + b"2.5,10,-1\n",
+                "line 7: accidental: expected a finite number >= 0, got -1.0",
+            ),
             (_SCAN_HEADER + _GOOD_ROWS + b"2.5,x,1\n", "line 7: invalid literal for int()"),
         ],
         ids=[

@@ -79,8 +79,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, change, message",
         [
-            (None, {"window_width_s": 0.0}, "window_width_s must be positive"),
-            (None, {"window_width_s": -1e-12}, "window_width_s must be positive"),
+            # the field rule bounds the width
+            (None, {"window_width_s": 0.0}, "window_width_s: expected a finite number > 0, got 0.0"),
+            (None, {"window_width_s": -1e-12},
+             "window_width_s: expected a finite number > 0, got -1e-12"),
             # a 1e-312 s window vanishes around the 2.4 ns centre
             (None, {"window_width_s": 1e-312}, "coincidence window at twice the bin"),
             # and 400 ps around 4e6 s
@@ -91,12 +93,13 @@ class TestConfigValidation:
             (None, {"n_pulses": 1.5}, "n_pulses: expected an integer, got 1.5"),
             (None, {"n_pulses": 1e6}, "n_pulses: expected an integer, got 1000000.0"),
             (None, {"n_pulses": True}, "n_pulses: expected an integer, got True"),
-            (None, {"rng_seed": 1.5}, "rng_seed: expected an integer, got 1.5"),
-            (None, {"rng_seed": True}, "rng_seed: expected an integer, got True"),
+            (None, {"rng_seed": 1.5}, "rng_seed: expected an integer >= 0, got 1.5"),
+            (None, {"rng_seed": True}, "rng_seed: expected an integer >= 0, got True"),
+            (None, {"rng_seed": -1}, "rng_seed: expected an integer >= 0, got -1"),
         ],
         ids=["window_width_zero", "window_width_negative", "window_width", "bin_separation",
              "n_pulses", "n_pulses_fraction", "n_pulses_float", "n_pulses_bool",
-             "rng_seed_fraction", "rng_seed_bool"],
+             "rng_seed_fraction", "rng_seed_bool", "rng_seed_negative"],
     )
     def test_engine_limits_refused(self, section, change, message):
         cfg = ideal_experiment()

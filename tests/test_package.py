@@ -10,7 +10,7 @@ import pytest
 
 import timebin
 from timebin.config_io import ScanSettings
-from timebin.record import QUOTE_CHARS, Record, asdict, replace
+from timebin.record import _RULES, QUOTE_CHARS, Record, asdict, replace
 
 from .conftest import built_in_spellings
 
@@ -310,15 +310,25 @@ def test_copy_replace(record):
             copy.replace(rec, **invalid)
 
 
-# What the field rule refuses, by annotation.  An int too large for a float
-# is a valid int, and an int field has no bound of its own.
+# What the field rule refuses, by annotation: each range kind refuses what its
+# type refuses, and the nearest values past its bound.  An int too large for a
+# float is a valid int, and an ``int`` field has no bound of its own.
 _NOT_NUMBERS = {"true": True, "str": "3", "complex": 0.1j, "inf": math.inf, "-inf": -math.inf,
                 "nan": math.nan}
 _NOT_FLOATS = {**_NOT_NUMBERS, "huge_int": 10**400, "numpy_float32": np.float32(1.0)}
-_REFUSED = {
+_NOT_INTS = {**_NOT_NUMBERS, "none": None, "fraction": 1.5, "numpy_int": np.int64(1)}
+_NOT_NON_NEGATIVE = {**_NOT_FLOATS, "none": None, "negative": -1e-300, "-huge": -sys.float_info.max}
+_FLOAT_KINDS = {
     "float": {**_NOT_FLOATS, "none": None},
     "float | None": _NOT_FLOATS,
-    "int": {**_NOT_NUMBERS, "none": None, "fraction": 1.5, "numpy_int": np.int64(1)},
+    "NonNegative": _NOT_NON_NEGATIVE,
+    "Positive": {**_NOT_NON_NEGATIVE, "zero": 0.0, "negative_zero": -0.0},
+    "Fraction": {**_NOT_NON_NEGATIVE, "above_one": 1.0000000000000002, "two": 2},
+}
+_REFUSED = {
+    **_FLOAT_KINDS,
+    "int": _NOT_INTS,
+    "Count": {**_NOT_INTS, "negative": -1, "-huge": -(10**400)},
     "bool": {"int": 1, "str": "3", "none": None, "numpy_bool": np.bool_(True)},
 }
 # Every checked field of every record, from an instance with its optional fields filled.
@@ -338,6 +348,8 @@ def test_every_record_with_a_number_has_checked_fields():
     checked = {type(param.values[0]).__name__ for param in _CHECKED}
     assert checked == set(RECORDS) - {"CoincidenceHistogram"}
     assert len(_CHECKED) == 49
+    # Every kind is refused somewhere, and every kind the rule knows is tested.
+    assert {param.values[2] for param in _CHECKED} == set(_REFUSED) == set(_RULES)
 
 
 @pytest.mark.parametrize("rec, field, kind", _CHECKED)
@@ -348,13 +360,18 @@ def test_field_rule_refuses_what_is_not_its_type(rec, field, kind):
         assert len(str(refused.value)) <= QUOTE_CHARS, label
 
 
-@pytest.mark.parametrize("rec, field, kind", [p for p in _CHECKED if "float" in p.values[2]])
+_FLOAT_CHECKED = [param for param in _CHECKED if param.values[2] in _FLOAT_KINDS]
+
+
+@pytest.mark.parametrize("rec, field, kind", _FLOAT_CHECKED)
 def test_field_rule_takes_ints_and_numpy_floats_as_floats(rec, field, kind):
     value = getattr(rec, field)
     assert replace(rec, **{field: np.float64(value)}) == rec
+    whole = int(value)
     try:
-        with_int = replace(rec, **{field: int(value)})
-    except ValueError as exc:  # a fraction that truncates out of its field's range
-        assert not str(exc).startswith(f"{field}:"), exc
+        replace(rec, **{field: float(whole)})
+    except ValueError:  # a fraction that truncates out of its field's range: so is the int
+        with pytest.raises(ValueError):
+            replace(rec, **{field: whole})
     else:
-        assert getattr(with_int, field) == int(value)
+        assert getattr(replace(rec, **{field: whole}), field) == whole
