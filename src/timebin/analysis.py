@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterable, Sequence
 
 from .grid import linspace
-from .record import Count, NonNegative, Record, replace
+from .record import Count, NonNegative, Record, check, replace
 from .states import entropy_of_entanglement
 
 _MIN_POINTS = 5
@@ -198,12 +198,11 @@ def visibility_vs_entanglement_curve(n_points: int) -> list[tuple[float, float]]
     Sweeps the early-bin weight from 0.5 (maximally entangled: E = 1,
     V = 1) to 1.0 (product state: E = 0, V = 0).
     """
+    check("Count", n_points=n_points)
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    curve = []
-    for a2 in linspace(0.5, 1.0, n_points):
-        ent = entropy_of_entanglement(a2)
-        vis = 2.0 * math.sqrt(a2 * (1.0 - a2))
-        curve.append((ent, vis))
-    return curve
+    return [
+        (entropy_of_entanglement(a2), 2.0 * math.sqrt(a2 * (1.0 - a2)))
+        for a2 in linspace(0.5, 1.0, n_points)
+    ]
 

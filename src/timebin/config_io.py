@@ -38,7 +38,7 @@ from .apparatus import DetectorSpec, InterferometerSpec
 from .engine import MAX_PULSES, ExperimentConfig
 from .fiber import FiberSpec
 from .grid import linspace
-from .record import Record, finite, quote, replace
+from .record import Record, check, finite, quote, replace
 from .source import SourceConfig
 
 TYPE_CHECKING = False
@@ -71,6 +71,14 @@ def count(where: str, val: Any, most: int | None = None, unit: str = "") -> int:
     if most is not None and val > most:
         raise ConfigFormatError(f"{where}: at most {most} {unit}, got {quote(val)}")
     return val
+
+
+class ScanSettings(Record):
+    """Phase-scan description attached to a config."""
+
+    analyzer_phases_rad: tuple[float, ...]
+    n_pulses_per_point: int
+    repetitions: int = 1
 
 
 # Document key -> (record field, SI factor or reader).  A float factor scales a finite number,
@@ -126,6 +134,9 @@ _SECTIONS = {
     "detector_b": ("detector_b", DetectorSpec, _DETECTOR),
     "run": (None, None, _RUN),
 }
+# Record field -> annotation, by which _convert checks a document's value; no two share a name.
+_KINDS = {f: k for r in (SourceConfig, FiberSpec, InterferometerSpec, DetectorSpec,
+                         ExperimentConfig, ScanSettings) for f, k in r.__annotations__.items()}
 
 
 class ConfigFormatError(ValueError):
@@ -134,14 +145,6 @@ class ConfigFormatError(ValueError):
 
 class ConfigValidationError(ValueError):
     """The document parses but describes an inconsistent experiment."""
-
-
-class ScanSettings(Record):
-    """Phase-scan description attached to a config."""
-
-    analyzer_phases_rad: tuple[float, ...]
-    n_pulses_per_point: int
-    repetitions: int = 1
 
 
 def _document(fields: dict[str, Any], table: dict) -> dict[str, Any]:
@@ -249,6 +252,7 @@ def _convert(section: str, given: dict, table: dict, extra: Iterable[str] = ()) 
             where, val = f"{section}.{key}", given[key]
             val = _number(where, val) * unit if isinstance(unit, float) else unit(where, val)
             if field:
+                check(_KINDS[field], **{where: given[key]})  # as written, before the SI factor
                 kwargs[field] = val
     return kwargs
 

@@ -81,7 +81,7 @@ from operator import mul
 from .analysis import FringePoint, _sum
 from .apparatus import DetectorSpec, InterferometerSpec
 from .fiber import FiberSpec, broadened_pulse_width, survival_probability
-from .record import Count, Positive, Record, replace
+from .record import Count, Positive, Record, quote, replace
 from .source import SourceConfig, multipair_visibility
 
 _HIST_BINS_PER_DELAY = 24  # 50 ps bins for the default 1.2 ns delay
@@ -116,7 +116,8 @@ class ExperimentConfig(Record):
 
     def __post_init__(self) -> None:
         if self.window_width_s >= self.source.bin_separation_s:
-            raise ValueError("window_width_s must be smaller than the bin separation")
+            raise ValueError(f"window_width_s {quote(self.window_width_s)} must be below"
+                             f" the bin separation {quote(self.source.bin_separation_s)}")
         # The last window is the first to round away.
         start, end = _window_edges(self.window_width_s, self.source.bin_separation_s)[-2:]
         if not start < end:

@@ -10,7 +10,7 @@ filter passband.
 from __future__ import annotations
 
 import math
-from .record import NonNegative, Positive, Record
+from .record import NonNegative, Positive, Record, check
 
 
 class FiberSpec(Record):
@@ -66,16 +66,12 @@ def dispersion_spread(fiber: FiberSpec) -> float:
 
 def broadened_pulse_width(fiber: FiberSpec, input_width_s: float) -> float:
     """RMS arrival-time width after the span: quadrature sum with dispersion."""
-    if input_width_s <= 0.0:
-        raise ValueError("input_width_s must be positive")
-    spread = dispersion_spread(fiber)
-    return math.hypot(input_width_s, spread)
+    check("Positive", input_width_s=input_width_s)
+    return math.hypot(input_width_s, dispersion_spread(fiber))
 
 
 def apply_phase_jitter(visibility: float, jitter_rms: float) -> float:
     """Visibility left after Gaussian phase wander: V * exp(-sigma^2 / 2)."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    if jitter_rms < 0.0:
-        raise ValueError("jitter_rms must be non-negative")
+    check("Fraction", visibility=visibility)
+    check("NonNegative", jitter_rms=jitter_rms)
     return visibility * math.exp(-0.5 * jitter_rms * jitter_rms)

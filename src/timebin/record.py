@@ -5,7 +5,7 @@ gives defaults as class attributes.  Records are built from keyword
 arguments only, check each field's type and range by ``_RULES`` (the range
 kinds are ``NonNegative``, ``Positive``, ``Fraction`` and ``Count``), then run
 ``__post_init__``, compare and hash by their fields, and refuse assignment
-and deletion.
+and deletion.  ``check`` words every refusal and checks any named value.
 
 Nothing is generated: every record shares the methods below, so defining
 one costs no compilation when the package is imported.
@@ -59,13 +59,21 @@ _RULES = {
 }
 
 
+def check(kind: str, /, **values: object) -> None:
+    """Refuse the first of ``values`` that ``kind``'s rule does not hold, named by its keyword."""
+    test, expected = _RULES[kind]
+    for name, value in values.items():
+        if not test(value):
+            raise ValueError(clip(f"{name}: expected {expected}, got {quote(value)}"))
+
+
 class Record:
     """Base of the frozen records; see the module docstring."""
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__annotations__)  # the class's own, from Python 3.10
-        cls._checks = tuple((n, *_RULES[k]) for n, k in cls.__annotations__.items() if k in _RULES)
+        cls._fields = tuple(kinds := cls.__annotations__)  # the class's own, from Python 3.10
+        cls._checks = tuple((n, _RULES[k][0], k) for n, k in kinds.items() if k in _RULES)
         cls._field_set = frozenset(cls._fields)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         # The fields' values: a tuple, or the value itself for one field.
@@ -77,9 +85,9 @@ class Record:
         values.update(kwargs)
         if values.keys() != self._field_set:
             raise TypeError(self._argument_error())
-        for name, test, expected in self._checks:
+        for name, test, kind in self._checks:
             if not test(values[name]):
-                raise ValueError(clip(f"{name}: expected {expected}, got {quote(values[name])}"))
+                check(kind, **{name: values[name]})  # raises the refusal
         self.__post_init__()
 
     def _argument_error(self) -> str:

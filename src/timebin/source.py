@@ -10,7 +10,7 @@ coincidence fringe because only same-pair detections interfere.
 from __future__ import annotations
 
 import math
-from .record import NonNegative, Positive, Record
+from .record import Fraction, NonNegative, Positive, Record, check, quote
 from .states import TimeBinState, wrap_phase
 
 # 100 ps full width at half maximum as an RMS width, to five digits
@@ -34,17 +34,18 @@ class SourceConfig(Record):
 
     rep_rate_hz: Positive = 8.0e7
     mean_pairs: NonNegative = 0.005
-    arm_attenuation_a: float = 1.0
-    arm_attenuation_b: float = 1.0
+    arm_attenuation_a: Fraction = 1.0
+    arm_attenuation_b: Fraction = 1.0
     phi_pump: float = 0.0
     bin_separation_s: float = 1.2e-9
     pulse_width_s: Positive = PUMP_PULSE_SIGMA_S
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phi_pump", wrap_phase(self.phi_pump))
-        self.state()  # checks the arm attenuations
+        self.state()  # checks that one arm transmits
         if not self.pulse_width_s < self.bin_separation_s:
-            raise ValueError("pulse width must be short compared to the bin separation")
+            raise ValueError(f"pulse_width_s {quote(self.pulse_width_s)} must be below"
+                             f" bin_separation_s {quote(self.bin_separation_s)}")
 
     def state(self) -> TimeBinState:
         """Emitted pair state for the configured arm attenuations."""
@@ -59,8 +60,7 @@ def state_from_attenuations(t_a: float, t_b: float, phi_pump: float = 0.0) -> Ti
     The pair amplitude follows the pump field amplitude, i.e. the square
     root of the transmitted power, renormalised so alpha^2 + beta^2 = 1.
     """
-    if not 0.0 <= t_a <= 1.0 or not 0.0 <= t_b <= 1.0:
-        raise ValueError("arm attenuations must lie in [0, 1]")
+    check("Fraction", t_a=t_a, t_b=t_b)
     total = t_a + t_b
     if total <= 0.0:
         raise ValueError("at least one pump arm must transmit")
@@ -83,10 +83,8 @@ def multipair_visibility(mu: float, v_max: float = 1.0) -> float:
     instead; its smallest term and the dropped exp(-mu) part both lie
     below 1e-20 there.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive; the mu -> 0 limit is v_max")
-    if not 0.0 <= v_max <= 1.0:
-        raise ValueError("v_max must lie in [0, 1]")
+    check("Positive", mu=mu)  # the mu -> 0 limit is v_max
+    check("Fraction", v_max=v_max)
     if mu >= _ASYMPTOTIC_MU:
         term = total = 1.0
         k = 0
@@ -117,6 +115,5 @@ def estimate_mu(s1: float, s2: float, rc: float, f: float) -> float:
     dark-count corrections, so treat it as approximate once the true mean
     pair number exceeds roughly 0.3.
     """
-    if s1 <= 0.0 or s2 <= 0.0 or rc <= 0.0 or f <= 0.0:
-        raise ValueError("all rates must be positive")
+    check("Positive", s1=s1, s2=s2, rc=rc, f=f)
     return s1 * s2 / (4.0 * rc * f)

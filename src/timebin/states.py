@@ -21,7 +21,7 @@ the source and the analyzers store a phase: modulo 2*pi.
 from __future__ import annotations
 
 import math
-from .record import NonNegative, Record
+from .record import NonNegative, Record, check
 
 _NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
@@ -56,8 +56,7 @@ def entropy_of_entanglement(alpha_sq: float) -> float:
     Returns -x*log2(x) - (1-x)*log2(1-x) with the 0*log(0) = 0 convention,
     so both endpoints give exactly 0 and x = 0.5 gives exactly 1.
     """
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise ValueError(f"alpha_sq must lie in [0, 1], got {alpha_sq!r}")
+    check("Fraction", alpha_sq=alpha_sq)
     ent = 0.0
     for p in (alpha_sq, 1.0 - alpha_sq):
         if p > 0.0:

@@ -35,6 +35,7 @@ PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests",
           "-k", "not pinned and not worked_example_table"]
 ENGINE, ANALYSIS = "src/timebin/engine.py", "src/timebin/analysis.py"
 RECORD, CONFIG_IO = "src/timebin/record.py", "src/timebin/config_io.py"
+SOURCE = "src/timebin/source.py"
 
 # name -> (file, text, replacement): one fault each.
 FAULTS = {
@@ -128,6 +129,10 @@ FAULTS = {
     ),
     # An efficiency above one passes.
     "fraction_admits_above_one": (RECORD, "finite(v) and 0.0 <= v <= 1.0", "finite(v) and 0.0 <= v"),
+    # multipair_visibility takes a mu that is not a positive finite number.
+    "function_argument_unchecked": (SOURCE, 'check("Positive", mu=mu)', "pass"),
+    # A document's value out of range is refused by the record: by its field, in SI units.
+    "document_refusal_unnamed": (CONFIG_IO, "check(_KINDS[field], **{where: given[key]})", "pass"),
     # run.seed takes a bool for an integer, so the record, not the parser, refuses it.
     "seed_admits_bool": (
         CONFIG_IO,

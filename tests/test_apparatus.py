@@ -56,7 +56,7 @@ class TestSpecs:
 
     def test_windows_must_not_overlap(self):
         # 1.3 ns windows around peaks 1.2 ns apart
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^window_width_s 1.3e-09 must be below the bin"):
             replace(ideal_experiment(), window_width_s=1.3e-9)
 
     def test_detector_bounds(self):

@@ -183,7 +183,8 @@ class TestRun:
         code = main(["run", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "window_width" in capsys.readouterr().err
+        message = "window_width_s 2e-09 must be below the bin separation 1.2e-09\n"
+        assert f"invalid configuration: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("width_ps", [0, -5])
     @pytest.mark.parametrize("command", ["run", "scan"])
@@ -191,7 +192,8 @@ class TestRun:
         config = write_config(tmp_path, {"windows": {"window_width_ps": width_ps}})
         assert main([command, "--config", config, "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err
-        assert f"window_width_s: expected a finite number > 0, got {width_ps * 1e-12!r}\n" in err
+        expected = f"windows.window_width_ps: expected a finite number > 0, got {width_ps!r}\n"
+        assert f"invalid configuration: {expected}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("separation_ns, code", [(1e15, 0), (1e16, 2)])

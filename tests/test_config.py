@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import pytest
 
 import timebin as tb
+from timebin.cli import main
 from timebin.config_io import (
     _ANALYZER_B,
     _SCAN,
@@ -16,6 +18,7 @@ from timebin.config_io import (
     effective_config_dict,
     load_config_file,
 )
+from timebin.record import _RULES
 
 from .conftest import built_in_spellings
 
@@ -91,24 +94,92 @@ class TestDefaultConfig:
         assert config_hash(cfg) != config_hash(other)
 
 
+def _base(key):
+    """The document a key is set in: the second interferometer's keys need two of them."""
+    return {"analyzer": {"arrangement": "independent"}} if key in _ANALYZER_B else {}
+
+
+def _with(section, key, value):
+    base = _base(key)
+    return {**base, section: {**base.get(section, {}), key: value}}
+
+
+def _record_of(section, key, experiment, scan):
+    """The record that ``section.key`` fills, of a built experiment and scan."""
+    if section == "scan":
+        return scan
+    if section == "analyzer":
+        return experiment.analyzers[key in _ANALYZER_B]
+    attr = _SECTIONS[section][0]  # None for the sections that fill ExperimentConfig
+    return getattr(experiment, attr) if attr else experiment
+
+
+def _run(tmp_path, document):
+    """The exit code of ``timebin run`` on ``document``."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    return main(["run", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+
+
+# A value past the bound of each range kind.
+_OUT_OF_RANGE = {"NonNegative": -1, "Positive": 0, "Fraction": 1.5, "Count": -1}
+
+
+def _bounded_rows():
+    """(section, key, kind) of every key-table row whose field has a range kind."""
+    rows = []
+    for param in _rows():
+        section, key, field, _ = param.values
+        record = _record_of(section, key, *build_experiment(_base(key)))
+        kind = type(record).__annotations__[field]
+        if kind in _OUT_OF_RANGE:
+            rows.append(pytest.param(section, key, kind, id=param.id))
+    return rows
+
+
 class TestKeyTables:
     @pytest.mark.parametrize("section, key, field, unit", _rows())
     def test_every_row_round_trips(self, section, key, field, unit):
-        # the second interferometer's keys need the independent arrangement
-        base = {"analyzer": {"arrangement": "independent"}} if key in _ANALYZER_B else {}
-        default = effective_config_dict(base)[section][key]
+        default = effective_config_dict(_base(key))[section][key]
         value = default + 1 if isinstance(default, int) else default * 0.5 + 0.25
-        cfg = {**base, section: {**base.get(section, {}), key: value}}
-        experiment, scan = build_experiment(cfg)
-        if section == "scan":
-            record = scan
-        elif section == "analyzer":
-            record = experiment.analyzers[key in _ANALYZER_B]
-        else:
-            attr = _SECTIONS[section][0]  # None for the sections that fill ExperimentConfig
-            record = getattr(experiment, attr) if attr else experiment
+        cfg = _with(section, key, value)
+        record = _record_of(section, key, *build_experiment(cfg))
         assert getattr(record, field) == (value * unit if isinstance(unit, float) else value)
         assert effective_config_dict(cfg)[section][key] == pytest.approx(value, rel=1e-15)
+
+    def test_every_range_kind_bounds_a_row(self):
+        assert {param.values[2] for param in _bounded_rows()} == set(_OUT_OF_RANGE)
+
+    @pytest.mark.parametrize("section, key, kind", _bounded_rows())
+    def test_every_bounded_row_refuses_by_its_key(self, tmp_path, capsys, section, key, kind):
+        # the value as the document wrote it, before any unit conversion
+        value = _OUT_OF_RANGE[kind]
+        assert _run(tmp_path, _with(section, key, value)) == 2
+        refusal = f"{section}.{key}: expected {_RULES[kind][1]}, got {value!r}"
+        assert capsys.readouterr().err == f"invalid configuration: {refusal}\n"
+
+    @pytest.mark.parametrize(
+        "document, refusal",
+        [
+            # one of two detectors, named by its section
+            ({"detector_b": {"efficiency": 1.5}},
+             "detector_b.efficiency: expected a finite number in [0, 1], got 1.5"),
+            # a key in picoseconds, quoted as written, not as the field's seconds
+            ({"windows": {"window_width_ps": -5}},
+             "windows.window_width_ps: expected a finite number > 0, got -5"),
+            ({"source": {"arm_attenuation_b": 1.5}},
+             "source.arm_attenuation_b: expected a finite number in [0, 1], got 1.5"),
+            ({"run": {"seed": -1}}, "run.seed: expected an integer >= 0, got -1"),
+        ],
+        ids=["detector_b.efficiency", "windows.window_width_ps", "source.arm_attenuation_b",
+             "run.seed"],
+    )
+    def test_refusal_names_the_key_and_quotes_the_document(self, tmp_path, capsys, document,
+                                                           refusal):
+        assert _run(tmp_path, document) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {refusal}\n"
+        with pytest.raises(ConfigValidationError, match=f"^{re.escape(refusal)}$"):
+            build_experiment(document)
 
     def test_row_without_field_is_accepted_and_never_written(self):
         document = effective_config_dict({"run": {"batch_size": 3}})
@@ -132,7 +203,8 @@ class TestValidation:
     def test_window_wider_than_bin_rejected(self):
         cfg = default_config_dict()
         cfg["windows"]["window_width_ps"] = 1300.0
-        with pytest.raises(ConfigValidationError, match="window_width"):
+        message = "window_width_s 1.3e-09 must be below the bin separation 1.2e-09"
+        with pytest.raises(ConfigValidationError, match=f"^{re.escape(message)}$"):
             build_experiment(cfg)
 
     @pytest.mark.parametrize(

@@ -83,7 +83,7 @@ class TestBroadenedPulseWidth:
         )
 
     def test_requires_positive_width(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^input_width_s: expected .* > 0, got 0\.0$"):
             broadened_pulse_width(FiberSpec(), 0.0)
 
 

@@ -1,9 +1,11 @@
 import copy
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -375,3 +377,72 @@ def test_field_rule_takes_ints_and_numpy_floats_as_floats(rec, field, kind):
             replace(rec, **{field: whole})
     else:
         assert getattr(replace(rec, **{field: whole}), field) == whole
+
+
+# Every numeric argument of a public function follows the field rule, and is refused by its
+# own name: argument -> (function, the argument's kind, valid keyword arguments).
+_ATTENUATIONS = {"t_a": 0.8, "t_b": 0.2, "phi_pump": 0.3}
+_RATES = {"s1": 4e3, "s2": 4e3, "rc": 10.0, "f": 8e7}
+_JITTER = {"visibility": 0.9, "jitter_rms": 0.2}
+_ARGUMENTS = {
+    "t_a": (timebin.state_from_attenuations, "Fraction", _ATTENUATIONS),
+    "t_b": (timebin.state_from_attenuations, "Fraction", _ATTENUATIONS),
+    "phi_pump": (timebin.state_from_attenuations, "float", _ATTENUATIONS),  # TimeBinState's field
+    "mu": (timebin.multipair_visibility, "Positive", {"mu": 0.4, "v_max": 0.9}),
+    "v_max": (timebin.multipair_visibility, "Fraction", {"mu": 0.4, "v_max": 0.9}),
+    **{name: (timebin.estimate_mu, "Positive", _RATES) for name in _RATES},
+    "input_width_s": (
+        partial(timebin.broadened_pulse_width, timebin.FiberSpec()), "Positive",
+        {"input_width_s": 4e-11},
+    ),
+    "visibility": (timebin.apply_phase_jitter, "Fraction", _JITTER),
+    "jitter_rms": (timebin.apply_phase_jitter, "NonNegative", _JITTER),
+    "alpha_sq": (timebin.entropy_of_entanglement, "Fraction", {"alpha_sq": 0.8}),
+    "n_points": (timebin.visibility_vs_entanglement_curve, "Count", {"n_points": 5}),
+}
+
+
+def test_every_numeric_argument_of_a_public_function_is_checked():
+    numeric = {
+        (name, kind)
+        for function in map(vars(timebin).get, timebin.__all__)
+        if inspect.isfunction(function)
+        for name, kind in function.__annotations__.items()
+        if name != "return" and kind in ("float", "int")
+    }
+    # A range kind is a float or an int to a type checker.
+    types = {name: "int" if row[1] == "Count" else "float" for name, row in _ARGUMENTS.items()}
+    assert numeric == set(types.items())
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENTS))
+def test_function_argument_refused_as_a_field_of_its_kind(name):
+    # nan, +-inf, True, "3" and, for the float kinds, 10**400 among them
+    function, kind, valid = _ARGUMENTS[name]
+    for label, value in {**_REFUSED[kind], "long_str": "x" * 10**6}.items():
+        with pytest.raises(ValueError, match=f"^{name}: expected ") as refused:
+            function(**{**valid, name: value})
+        assert len(str(refused.value)) <= QUOTE_CHARS, label
+
+
+@pytest.mark.parametrize("name", sorted(_ARGUMENTS))
+def test_function_argument_takes_ints_and_numpy_floats(name):
+    function, kind, valid = _ARGUMENTS[name]
+    if kind == "Count":  # an int, as a Count field
+        assert len(function(**valid)) == valid[name]
+        return
+    assert function(**{**valid, name: np.float64(valid[name])}) == function(**valid)
+    assert function(**{**valid, name: 1}) == function(**{**valid, name: 1.0})  # 1 is in range
+
+
+# Values each function once let through, returning nan, inf, a number or a state.
+_LET_THROUGH = [("mu", math.nan), ("mu", math.inf), ("mu", True), ("s1", math.nan),
+                ("jitter_rms", math.nan), ("input_width_s", math.inf), ("alpha_sq", True),
+                ("t_a", True)]
+
+
+@pytest.mark.parametrize("name, value", _LET_THROUGH, ids=[f"{n}={v}" for n, v in _LET_THROUGH])
+def test_function_argument_once_let_through_is_refused(name, value):
+    function, _, valid = _ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"^{name}: expected "):
+        function(**{**valid, name: value})

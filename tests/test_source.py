@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -141,11 +142,12 @@ class TestEstimateMu:
 
 class TestSourceConfig:
     def test_pulse_must_fit_in_bin(self):
-        with pytest.raises(ValueError):
+        message = "pulse_width_s 1.3e-09 must be below bin_separation_s 1.2e-09"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SourceConfig(pulse_width_s=1.3e-9)
 
     def test_attenuation_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^arm_attenuation_a: expected .*, got 1\.2$"):
             SourceConfig(arm_attenuation_a=1.2)
 
     def test_power_split_does_not_touch_pair_rate(self):
